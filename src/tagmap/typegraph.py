@@ -22,7 +22,6 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .diagnostics import CompileError, Diagnostic, Span, error
 from .lexer import Token, tokenize
@@ -112,12 +111,18 @@ class TypeGraph:
             p = self._parents[n]
             if p is not None:
                 self._children[p].append(n)
-        self._ancestry = {n: self._path(n) for n in order}
+        self._ancestry: dict[str, tuple[str, ...]] = {}
+        for n in order:  # a parent precedes its children
+            p = self._parents[n]
+            self._ancestry[n] = (self._ancestry[p] if p is not None else ()) + (n,)
         self.leaves = tuple(n for n in order if not self._children[n])
         self.value_index = {}
-        for f in features:
-            for v in f.values:
+        # (feature, value) -> (feature position, value position)
+        self._value_key: dict[tuple[str, str], tuple[int, int]] = {}
+        for i, f in enumerate(features):
+            for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
+                self._value_key[(f.name, v)] = (i, j)
         self.universe = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
         self._atom_mask: dict[tuple[str, str], int] = {
@@ -136,14 +141,6 @@ class TypeGraph:
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
 
     # -- structure -----------------------------------------------------
-
-    def _path(self, node: str) -> tuple[str, ...]:
-        path = []
-        cur: str | None = node
-        while cur is not None:
-            path.append(cur)
-            cur = self._parents[cur]
-        return tuple(reversed(path))
 
     def is_node(self, name: str) -> bool:
         return name in self._node_index
@@ -191,28 +188,30 @@ class TypeGraph:
     def _enumerate(self) -> tuple[TerminalClass, ...]:
         out: list[TerminalClass] = []
         for leaf in self.leaves:
-            path = set(self._ancestry[leaf])
-            feats = [f for f in self.features if f.home in path]
-            self._expand(feats, 0, [], {}, out, leaf)
+            for assignment in self._expand(self.features_at(leaf)):
+                out.append(TerminalClass(leaf, tuple(assignment.items()),
+                                         index=len(out)))
         return tuple(out)
 
-    def _expand(self, feats, i, acc, seen, out, leaf) -> None:
-        if i == len(feats):
-            out.append(TerminalClass(leaf, tuple(acc), index=len(out)))
-            return
-        f = feats[i]
-        applicable = not f.conditions or any(
-            seen.get(cf) == cv for cf, cv in f.conditions
-        )
-        if not applicable:
-            self._expand(feats, i + 1, acc, seen, out, leaf)
-            return
-        for v in f.values:
-            acc.append((f.name, v))
-            seen[f.name] = v
-            self._expand(feats, i + 1, acc, seen, out, leaf)
-            acc.pop()
-            del seen[f.name]
+    @staticmethod
+    def _expand(feats) -> list[dict[str, str]]:
+        """Every consistent assignment to ``feats``, in value declaration order.
+
+        Partial assignments are extended one feature at a time, each by every
+        value of the feature in turn, so the result is ordered by the value
+        positions of the earliest features first.
+        """
+        partial: list[dict[str, str]] = [{}]
+        for f in feats:
+            grown: list[dict[str, str]] = []
+            for seen in partial:
+                if f.conditions and not any(seen.get(cf) == cv
+                                            for cf, cv in f.conditions):
+                    grown.append(seen)
+                else:
+                    grown.extend({**seen, f.name: v} for v in f.values)
+            partial = grown
+        return partial
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -222,16 +221,14 @@ class TypeGraph:
             nmask = self._node_mask[node]
             if not nmask:
                 continue
-            path = set(self._ancestry[node])
-            feats = [f for f in self.features if f.home in path]
-            choice = [[None] + list(f.values) for f in feats]
-            for combo in product(*choice):
-                mask = nmask
-                for f, v in zip(feats, combo):
-                    if v is not None:
-                        mask &= self._atom_mask[(f.name, v)]
-                if mask:
-                    masks.add(mask)
+            # every non-empty conjunction of node and at most one value per
+            # appropriate feature, grown one feature at a time; a mask
+            # reached by several conjunctions is kept once
+            level = {nmask}
+            for f in self.features_at(node):
+                atom_masks = [self._atom_mask[(f.name, v)] for v in f.values]
+                level |= {m & am for m in level for am in atom_masks if m & am}
+            masks |= level
         nodes = [self.cover_node(m) for m in masks]
         nodes.sort(key=lambda c: c.sort_key)
         return tuple(nodes)
@@ -240,43 +237,29 @@ class TypeGraph:
         """Canonical conjunctive description of the classes in ``mask``.
 
         The node is the deepest hierarchy node containing every class and the
-        atoms are exactly the features constant across all of them.  Only
-        meaningful for masks that some conjunction denotes exactly.
+        atoms are exactly the features constant across all of them, for any
+        non-empty mask.  The description denotes ``mask`` itself only when
+        some conjunction does.
         """
-        classes = self.classes(mask)
-        if not classes:
+        if not mask:
             raise ValueError("cannot describe the empty class set")
-        paths = [self._ancestry[t.leaf] for t in classes]
-        depth = min(len(p) for p in paths)
-        node = ROOT
-        for i in range(depth):
-            step = paths[0][i]
-            if all(p[i] == step for p in paths):
-                node = step
-            else:
-                break
-        atoms = []
-        for f in self.features:
-            vals = {t.value(f.name) for t in classes}
-            if len(vals) == 1 and None not in vals:
-                atoms.append((f.name, vals.pop()))
+        # every class in the mask shares the node and the constant atoms, so
+        # read both off the lowest one
+        lowest = self.universe[(mask & -mask).bit_length() - 1]
+        node = next(n for n in reversed(self._ancestry[lowest.leaf])
+                    if self._node_mask[n] & mask == mask)
+        atoms = tuple(a for a in lowest.assignment
+                      if self._atom_mask[a] & mask == mask)
         inter = self.full_mask
-        for f, v in atoms:
-            inter &= self._atom_mask[(f, v)]
+        for a in atoms:
+            inter &= self._atom_mask[a]
         implied = bool(atoms) and inter == mask
         # more general descriptions order first, then hierarchy position,
         # then feature/value declaration order
         key = (len(atoms), self._node_index[node],
-               tuple((self._feature_index(f), self.feature_map[f].values.index(v))
-                     for f, v in atoms))
-        return CoverNode(node, tuple(atoms), mask=mask,
+               tuple(self._value_key[a] for a in atoms))
+        return CoverNode(node, atoms, mask=mask,
                          implied_node=implied, sort_key=key)
-
-    def _feature_index(self, name: str) -> int:
-        for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise KeyError(name)
 
 
 def enumerate_terminal_classes(g: TypeGraph) -> tuple[TerminalClass, ...]:
@@ -356,19 +339,26 @@ def parse_tagset_definition(source: str) -> TypeGraph:
 
 
 def _parse_nodes(p: _Parser, parent: str, parents, order, spans) -> None:
-    while p.cur.type == "NAME":
-        tok = p.advance()
-        if tok.text in parents:
-            p.diags.append(error("duplicate-node",
-                                 f"duplicate hierarchy node {tok.text!r}", tok.span))
-        else:
-            parents[tok.text] = parent
-            order.append(tok.text)
-            spans[tok.text] = tok.span
-        if p.cur.type == "LBRACE":
-            p.advance()
-            _parse_nodes(p, tok.text, parents, order, spans)
+    # an explicit stack of open braces, so nesting depth costs no recursion
+    stack = [parent]
+    while True:
+        if p.cur.type == "NAME":
+            tok = p.advance()
+            if tok.text in parents:
+                p.diags.append(error("duplicate-node",
+                                     f"duplicate hierarchy node {tok.text!r}", tok.span))
+            else:
+                parents[tok.text] = stack[-1]
+                order.append(tok.text)
+                spans[tok.text] = tok.span
+            if p.cur.type == "LBRACE":
+                p.advance()
+                stack.append(tok.text)
+        elif len(stack) > 1:
             p.expect("RBRACE", "'}'")
+            stack.pop()
+        else:
+            return
 
 
 def _parse_feature(p: _Parser) -> FeatureDecl:

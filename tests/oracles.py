@@ -3,8 +3,9 @@
 Nothing here reuses the package's set machinery. Universes are rebuilt by
 brute-force generate-and-filter over explicit value products, denotations by
 per-class evaluation of the expression tree, rule denotations from a regex
-scrape of the rules fixture, and query resolution by plain set algebra over
-frozensets. Expression trees come from the package parser (the surface
+scrape of the rules fixture, query resolution by plain set algebra over
+frozensets, and conjunctive cover descriptions by a class-by-class scan of
+a compiled universe over the full product of feature choices. Expression trees come from the package parser (the surface
 grammar is shared); every semantic step is recomputed from first principles.
 """
 from __future__ import annotations
@@ -321,3 +322,59 @@ def key_of(terminal) -> ClassKey:
 
 def mask_keys(graph, mask: int) -> frozenset:
     return frozenset(key_of(t) for t in graph.classes(mask))
+
+
+# -- conjunctive descriptions by per-class scan ----------------------------------
+
+
+def _has(terminal, feature: str, value: str) -> bool:
+    return dict(terminal.assignment).get(feature) == value
+
+
+def oracle_cover_node(graph, mask: int) -> tuple:
+    """(node, atoms, mask, implied_node, sort_key) of ``mask``, class by class.
+
+    The node is the longest common prefix of the classes' root paths, the
+    atoms are the features holding one value in every class, in declaration
+    order.
+    """
+    classes = [t for t in graph.universe if mask >> t.index & 1]
+    if not classes:
+        raise ValueError("cannot describe the empty class set")
+    paths = [graph.ancestry(t.leaf) for t in classes]
+    node = "root"
+    for steps in zip(*paths):
+        if len(set(steps)) > 1:
+            break
+        node = steps[0]
+    atoms = []
+    for f in graph.features:
+        vals = {dict(t.assignment).get(f.name) for t in classes}
+        if len(vals) == 1 and None not in vals:
+            atoms.append((f.name, vals.pop()))
+    denoted = sum(1 << t.index for t in graph.universe
+                  if all(_has(t, f, v) for f, v in atoms))
+    implied = bool(atoms) and denoted == mask
+    positions = {f.name: i for i, f in enumerate(graph.features)}
+    key = (len(atoms), graph.nodes.index(node),
+           tuple((positions[f], graph.features[positions[f]].values.index(v))
+                 for f, v in atoms))
+    return node, tuple(atoms), mask, implied, key
+
+
+def oracle_cover_candidates(graph) -> list[tuple]:
+    """Descriptions of every non-empty conjunction of a node and at most one
+    value per appropriate feature, from the full product of the choices."""
+    masks = set()
+    for node in graph.nodes:
+        path = graph.ancestry(node)
+        under = [t for t in graph.universe if node in graph.ancestry(t.leaf)]
+        feats = [f for f in graph.features if f.home in path]
+        for combo in itertools.product(*[(None, *f.values) for f in feats]):
+            mask = sum(1 << t.index for t in under
+                       if all(v is None or _has(t, f.name, v)
+                              for f, v in zip(feats, combo)))
+            if mask:
+                masks.add(mask)
+    return sorted((oracle_cover_node(graph, m) for m in masks),
+                  key=lambda c: c[4])

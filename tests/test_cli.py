@@ -51,6 +51,17 @@ def test_compile_reports_definition_errors(capsys, tmp_path):
     assert "duplicate-node" in out + err
 
 
+def test_compile_deep_hierarchy(capsys, tmp_path):
+    depth = 3000
+    deep = tmp_path / "deep.tagset"
+    deep.write_text("tagset deep hierarchy { "
+                    + " ".join(f"n{i} {{" for i in range(depth))
+                    + " }" * depth + " }")
+    code, out, _ = run(capsys, "compile", "--tagset", str(deep))
+    assert code == 0
+    assert out == "tags: 0, classes: 1, warnings: 0\n"
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "compile", "--tagset", "/no/such/file.tagset")
     assert code == 3

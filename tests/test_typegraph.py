@@ -1,8 +1,11 @@
 """Hierarchy compilation and terminal-class enumeration."""
 
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagmap import (
     CompileError,
@@ -12,7 +15,14 @@ from tagmap import (
     parse_tagset_definition,
 )
 
-from oracles import FIXTURES, key_of, oracle_universe, oracle_universe_keys
+from oracles import (
+    FIXTURES,
+    key_of,
+    oracle_cover_candidates,
+    oracle_cover_node,
+    oracle_universe,
+    oracle_universe_keys,
+)
 
 RESTRICTED = """
 tagset toy
@@ -204,3 +214,121 @@ def test_diagnostic_positions_point_into_source():
     d = exc.value.diagnostics[0]
     assert d.span.line == 2
     assert "v" in d.message
+
+
+# -- conjunctive descriptions --------------------------------------------------
+
+
+def _described(c):
+    return c.node, c.atoms, c.mask, c.implied_node, c.sort_key
+
+
+GRAPHS = {
+    "fixture": parse_tagset_definition((FIXTURES / "eagles-en.tagset").read_text()),
+    "restricted": parse_tagset_definition(RESTRICTED),
+}
+
+
+def _masks(g):
+    few = st.sets(st.integers(0, len(g.universe) - 1), min_size=1, max_size=4)
+    return st.one_of(st.integers(1, g.full_mask),
+                     few.map(lambda bits: sum(1 << b for b in bits)))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cover_node_matches_class_scan(name, data):
+    g = GRAPHS[name]
+    mask = data.draw(_masks(g))
+    assert _described(g.cover_node(mask)) == oracle_cover_node(g, mask)
+
+
+def test_cover_node_rejects_the_empty_mask(graph):
+    with pytest.raises(ValueError):
+        graph.cover_node(0)
+
+
+def test_fixture_candidates_match_product_enumeration(graph):
+    assert len(graph.cover_candidates) == 224
+    assert [_described(c) for c in graph.cover_candidates] == \
+        oracle_cover_candidates(graph)
+
+
+@st.composite
+def small_tagsets(draw):
+    """Nested hierarchies of up to 5 nodes and up to 4 features, some of them
+    guarded by a disjunction of earlier feature values."""
+    n_nodes = draw(st.integers(0, 5))
+    names = ["root"] + [f"n{i}" for i in range(1, n_nodes + 1)]
+    children: dict[int, list[int]] = {i: [] for i in range(n_nodes + 1)}
+    for i in range(1, n_nodes + 1):
+        children[draw(st.integers(0, i - 1))].append(i)
+
+    def block(i):
+        return " ".join(names[c] + (" { " + block(c) + " }" if children[c] else "")
+                        for c in children[i])
+
+    lines = ["tagset rand", "hierarchy { " + block(0) + " }"]
+    declared: list[tuple[str, str]] = []
+    for i in range(draw(st.integers(0, 4))):
+        values = [f"f{i}v{j}" for j in range(draw(st.integers(1, 3)))]
+        guard = ""
+        if declared and draw(st.booleans()):
+            conds = draw(st.lists(st.sampled_from(declared), min_size=1,
+                                  max_size=3, unique=True))
+            guard = " when " + " or ".join(f"{f} = {v}" for f, v in conds)
+        home = draw(st.sampled_from(names))
+        lines.append(f"feature f{i} for {home}{guard} {{ {', '.join(values)} }}")
+        declared += [(f"f{i}", v) for v in values]
+    return "\n".join(lines)
+
+
+@given(small_tagsets())
+@settings(max_examples=80, deadline=None)
+def test_cover_candidates_match_product_enumeration(source):
+    g = parse_tagset_definition(source)
+    assert [_described(c) for c in g.cover_candidates] == \
+        oracle_cover_candidates(g)
+
+
+# -- size limits ---------------------------------------------------------------
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _one_value_features(n):
+    return "tagset wide hierarchy { a b }\n" + "\n".join(
+        f"feature f{i} for root {{ v{i} }}" for i in range(n))
+
+
+def test_forty_one_value_features_compile_promptly():
+    # the full product of (unset | value) choices has 2**40 members
+    with _time_limit(10):
+        g = parse_tagset_definition(_one_value_features(40))
+    assert len(g.universe) == 2
+    assert [c.render() for c in g.cover_candidates] == [
+        " & ".join(f"f{i}=v{i}" for i in range(40)),
+        "pos=a & " + " & ".join(f"f{i}=v{i}" for i in range(40)),
+        "pos=b & " + " & ".join(f"f{i}=v{i}" for i in range(40)),
+    ]
+
+
+def test_many_features_compile_one_class_per_leaf():
+    g = parse_tagset_definition(_one_value_features(1100))
+    assert [t.leaf for t in g.universe] == ["a", "b"]
+    assert all(len(t.assignment) == 1100 for t in g.universe)
+
