@@ -12,7 +12,9 @@ retagging, 2 when --strict is given and warnings were issued, 3 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .diagnostics import CompileError, Diagnostic
@@ -132,10 +134,9 @@ def _cmd_query(args) -> int:
             _print_diags(exc.diagnostics)
             had_error = True
             return
-        out = res.render()
-        if "WARN" in out:
+        if res.noise or res.uncovered:
             had_warning = True
-        print(out)
+        print(res.render())
 
     if args.expr or args.batch:
         for expr in args.expr:
@@ -167,20 +168,27 @@ def _cmd_query(args) -> int:
 
 def _cmd_retag(args) -> int:
     graph, rules = _load(args)
-    lines = Path(args.corpus).read_text().splitlines()
+    if (args.output and os.path.exists(args.output)
+            and os.path.samefile(args.corpus, args.output)):
+        raise OSError(f"output {args.output} is the corpus itself; retag "
+                      "streams its input and cannot overwrite it")
     summary = RetagSummary()
-    records: list[str] = []
-    for item in retag_lines(rules, lines, args.format):
-        summary.add(item)
-        if isinstance(item, Diagnostic):
-            print(item.render(), file=sys.stderr)
-        else:
-            records.append(item.render())
-    body = "\n".join(records + [summary.render()]) + "\n"
-    if args.output:
-        Path(args.output).write_text(body)
-    else:
-        sys.stdout.write(body)
+    # records are written as they are made, so memory does not grow with the
+    # corpus; the corpus is opened first so that a missing one leaves the
+    # output file untouched
+    with open(args.corpus) as corpus, \
+            (open(args.output, "w") if args.output
+             else nullcontext(sys.stdout)) as out:
+        # splitting each line again reproduces str.splitlines() on the whole
+        # text, which also breaks at form feeds, NEL and Unicode separators
+        lines = (piece for line in corpus for piece in line.splitlines())
+        for item in retag_lines(rules, lines, args.format):
+            summary.add(item)
+            if isinstance(item, Diagnostic):
+                print(item.render(), file=sys.stderr)
+            else:
+                out.write(item.render() + "\n")
+        out.write(summary.render() + "\n")
     if summary.holes:
         return 1
     if summary.malformed and args.strict:

@@ -14,6 +14,7 @@ different reading. Parsing collects every diagnostic it can before failing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import (
     CompileError,
@@ -45,7 +46,7 @@ class CoverageRule:
     typed: TypedSpec = field(compare=False, repr=False)
     span: Span = field(compare=False, default_factory=lambda: Span(1, 1))
 
-    @property
+    @cached_property
     def reading(self) -> str:
         return render_spec(self.spec)
 
@@ -58,7 +59,7 @@ class ExceptionEntry:
     typed: TypedSpec = field(compare=False, repr=False)
     span: Span = field(compare=False, default_factory=lambda: Span(1, 1))
 
-    @property
+    @cached_property
     def reading(self) -> str:
         return render_spec(self.into)
 
@@ -88,17 +89,23 @@ class RuleSet:
     def exceptions_for(self, tag: str) -> tuple[ExceptionEntry, ...]:
         return tuple(self._by_tag.get(tag, ()))
 
-    def standard_reading(self, tag: str, word: str | None = None) -> TypedSpec:
-        """Reading of ``word`` occurring with ``tag``; the exception lexicon
-        takes precedence over the tag's coverage rule."""
+    def lookup(self, tag: str,
+               word: str | None = None) -> ExceptionEntry | CoverageRule | None:
+        """The exception entry or coverage rule that gives ``word`` occurring
+        with ``tag`` its reading, or None for a definition hole; the exception
+        lexicon takes precedence over the tag's coverage rule."""
         if word is not None:
             entry = self.word_index.get((word, tag))
             if entry is not None:
-                return entry.typed
-        rule = self.coverage.get(tag)
-        if rule is None:
+                return entry
+        return self.coverage.get(tag)
+
+    def standard_reading(self, tag: str, word: str | None = None) -> TypedSpec:
+        """Reading of ``word`` occurring with ``tag``, as :meth:`lookup`."""
+        found = self.lookup(tag, word)
+        if found is None:
             raise UnknownTagError(tag)
-        return rule.typed
+        return found.typed
 
     def denotation(self, tag: str) -> int:
         rule = self.coverage.get(tag)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Span, error
-from .maprules import RuleSet
+from .maprules import ExceptionEntry, RuleSet
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,12 @@ def parse_corpus_line(text: str, lineno: int,
 
 
 def retag_token(rules: RuleSet, token: CorpusToken) -> RetagRecord:
-    entry = rules.word_index.get((token.word, token.tag))
-    if entry is not None:
-        typed, reading, provenance = entry.typed, entry.reading, "exception"
-    else:
-        rule = rules.coverage.get(token.tag)
-        if rule is None:
-            return RetagRecord(token, None, "-", ("hole",))
-        typed, reading, provenance = rule.typed, rule.reading, "coverage"
-    flags = ("underspecified",) if typed.denotation.bit_count() > 1 else ()
-    return RetagRecord(token, reading, provenance, flags)
+    found = rules.lookup(token.tag, token.word)
+    if found is None:
+        return RetagRecord(token, None, "-", ("hole",))
+    provenance = "exception" if isinstance(found, ExceptionEntry) else "coverage"
+    flags = ("underspecified",) if found.typed.denotation.bit_count() > 1 else ()
+    return RetagRecord(token, found.reading, provenance, flags)
 
 
 def retag_lines(rules: RuleSet, lines: Iterable[str],

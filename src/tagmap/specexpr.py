@@ -121,55 +121,84 @@ def parse_spec(text: str) -> SpecExpr:
 def parse_spec_at(c: TokenCursor) -> SpecExpr:
     if c.cur.type == "LBRACKET":
         c.advance()
-        e = _parse_expr(c)
+        e, _ = _parse_expr(c, 0)
         c.expect("RBRACKET", "']'")
         return e
-    return _parse_expr(c)
+    return _parse_expr(c, 0)[0]
 
 
-def _parse_expr(c: TokenCursor) -> SpecExpr:
-    e = _parse_term(c)
+# The parsers below return each subtree with its height, the number of
+# '!', '&' and '|' nodes on its longest path, and take the number of open
+# parentheses around it. Both are capped: parsing recurses three frames per
+# parenthesis, and typechecking, DNF conversion and rendering one or two per
+# level of height, so every tree the parser accepts stays inside the default
+# recursion limit. Rendering parenthesises nested negations, '!!a' as
+# '!(!a)', which stays within the cap as well.
+MAX_SPEC_DEPTH = 150
+
+
+def _deeper(level: int, tok: Token) -> int:
+    if level >= MAX_SPEC_DEPTH:
+        raise SpecSyntaxError([
+            error("syntax",
+                  f"expression nested deeper than {MAX_SPEC_DEPTH} levels",
+                  tok.span)])
+    return level + 1
+
+
+def _parse_expr(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    e, height = _parse_term(c, depth)
     while c.cur.type == "PIPE":
-        c.advance()
-        e = Or(e, _parse_term(c))
-    return e
+        op = c.advance()
+        right, right_height = _parse_term(c, depth)
+        e, height = Or(e, right), _deeper(max(height, right_height), op)
+    return e, height
 
 
-def _parse_term(c: TokenCursor) -> SpecExpr:
-    e = _parse_factor(c)
+def _parse_term(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    e, height = _parse_factor(c, depth)
     while c.cur.type == "AMP":
-        c.advance()
-        e = And(e, _parse_factor(c))
-    return e
+        op = c.advance()
+        right, right_height = _parse_factor(c, depth)
+        e, height = And(e, right), _deeper(max(height, right_height), op)
+    return e, height
 
 
-def _parse_factor(c: TokenCursor) -> SpecExpr:
-    if c.cur.type == "BANG":
-        c.advance()
-        return Not(_parse_factor(c))
+def _parse_factor(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    # a run of '!' is read in a loop, so its length costs no recursion
+    bangs: list[Token] = []
+    while c.cur.type == "BANG":
+        _deeper(len(bangs), c.cur)
+        bangs.append(c.advance())
     if c.cur.type == "LPAREN":
-        c.advance()
-        e = _parse_expr(c)
+        paren = c.advance()
+        e, height = _parse_expr(c, _deeper(depth, paren))
         c.expect("RPAREN", "')'")
-        return e
-    if c.cur.type == "NAME":
-        name = c.advance()
-        if c.cur.type in ("EQ", "NEQ"):
-            op = "=" if c.advance().type == "EQ" else "!="
-            if c.cur.type not in ("NAME", "NUMBER", "QUOTED"):
-                raise SpecSyntaxError([
-                    error("syntax", "expected a value after the comparison",
-                          c.cur.span)])
-            val = c.advance()
-            span = Span(name.span.line, name.span.column,
-                        val.span.end_line, val.span.end_column)
-            return Atom(name.text, op, val.value,
-                        quoted=val.type == "QUOTED", span=span)
+    elif c.cur.type == "NAME":
+        e, height = _parse_atom(c), 0
+    else:
+        raise SpecSyntaxError([
+            error("syntax",
+                  f"expected an atom, found {c.cur.text or 'end of input'!r}",
+                  c.cur.span)])
+    for op in reversed(bangs):
+        e, height = Not(e), _deeper(height, op)
+    return e, height
+
+
+def _parse_atom(c: TokenCursor) -> Atom | BareAtom:
+    name = c.advance()
+    if c.cur.type not in ("EQ", "NEQ"):
         return BareAtom(name.text, span=name.span)
-    raise SpecSyntaxError([
-        error("syntax",
-              f"expected an atom, found {c.cur.text or 'end of input'!r}",
-              c.cur.span)])
+    op = "=" if c.advance().type == "EQ" else "!="
+    if c.cur.type not in ("NAME", "NUMBER", "QUOTED"):
+        raise SpecSyntaxError([
+            error("syntax", "expected a value after the comparison",
+                  c.cur.span)])
+    val = c.advance()
+    span = Span(name.span.line, name.span.column,
+                val.span.end_line, val.span.end_column)
+    return Atom(name.text, op, val.value, quoted=val.type == "QUOTED", span=span)
 
 
 # -- rendering --------------------------------------------------------------

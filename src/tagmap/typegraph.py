@@ -111,10 +111,6 @@ class TypeGraph:
             p = self._parents[n]
             if p is not None:
                 self._children[p].append(n)
-        self._ancestry: dict[str, tuple[str, ...]] = {}
-        for n in order:  # a parent precedes its children
-            p = self._parents[n]
-            self._ancestry[n] = (self._ancestry[p] if p is not None else ()) + (n,)
         self.leaves = tuple(n for n in order if not self._children[n])
         self.value_index = {}
         # (feature, value) -> (feature position, value position)
@@ -135,7 +131,7 @@ class TypeGraph:
             for f, v in t.assignment:
                 self._atom_mask[(f, v)] |= bit
                 self._feature_mask[f] |= bit
-            for n in self._ancestry[t.leaf]:
+            for n in self._up(t.leaf):
                 self._node_mask[n] |= bit
         self.cover_candidates = self._build_candidates()
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
@@ -153,13 +149,23 @@ class TypeGraph:
 
     def ancestry(self, node: str) -> tuple[str, ...]:
         """Path from the root down to ``node``, inclusive."""
-        return self._ancestry[node]
+        return tuple(self._up(node))[::-1]
+
+    def _up(self, node: str):
+        """``node`` and its ancestors, deepest first.
+
+        Root paths are walked from the parent links on demand rather than
+        stored, which would take memory quadratic in the hierarchy depth.
+        """
+        while node is not None:
+            yield node
+            node = self._parents[node]
 
     def features_at(self, node: str) -> tuple[FeatureDecl, ...]:
         """Features whose home lies on the root path of ``node``."""
         if node not in self._node_index:
             raise ValueError(f"unknown hierarchy node {node!r}")
-        path = set(self._ancestry[node])
+        path = set(self._up(node))
         return tuple(f for f in self.features if f.home in path)
 
     # -- denotation masks ----------------------------------------------
@@ -246,7 +252,7 @@ class TypeGraph:
         # every class in the mask shares the node and the constant atoms, so
         # read both off the lowest one
         lowest = self.universe[(mask & -mask).bit_length() - 1]
-        node = next(n for n in reversed(self._ancestry[lowest.leaf])
+        node = next(n for n in self._up(lowest.leaf)
                     if self._node_mask[n] & mask == mask)
         atoms = tuple(a for a in lowest.assignment
                       if self._atom_mask[a] & mask == mask)

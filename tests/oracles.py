@@ -7,6 +7,8 @@ scrape of the rules fixture, query resolution by plain set algebra over
 frozensets, and conjunctive cover descriptions by a class-by-class scan of
 a compiled universe over the full product of feature choices. Expression trees come from the package parser (the surface
 grammar is shared); every semantic step is recomputed from first principles.
+The retag command line is kept in its former read-all form, which shares
+the per-token retagger with the package and checks only the streaming I/O.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from tagmap.diagnostics import Diagnostic
+from tagmap.retagger import RetagSummary, retag_lines
 from tagmap.specexpr import And, Atom, BareAtom, Not, Or, SpecExpr, parse_spec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "tagmap" / "fixtures"
@@ -378,3 +382,34 @@ def oracle_cover_candidates(graph) -> list[tuple]:
                 masks.add(mask)
     return sorted((oracle_cover_node(graph, m) for m in masks),
                   key=lambda c: c[4])
+
+
+# -- retag command line, read all at once ---------------------------------------
+
+
+def oracle_retag_cli(rules, corpus: Path, fmt: str = "slash",
+                     output: Path | None = None,
+                     strict: bool = False) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of ``tagmap retag`` as it ran before it
+    streamed: the corpus is read and split in one piece, and every record is
+    held until the whole body is written, to ``output`` when given."""
+    summary = RetagSummary()
+    records: list[str] = []
+    err = ""
+    for item in retag_lines(rules, corpus.read_text().splitlines(), fmt):
+        summary.add(item)
+        if isinstance(item, Diagnostic):
+            err += item.render() + "\n"
+        else:
+            records.append(item.render())
+    body = "\n".join(records + [summary.render()]) + "\n"
+    if output is not None:
+        output.write_text(body)
+        body = ""
+    if summary.holes:
+        code = 1
+    elif summary.malformed and strict:
+        code = 2
+    else:
+        code = 0
+    return code, body, err

@@ -1,12 +1,18 @@
 """Command-line entry points."""
 
+import contextlib
 import io
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagmap.cli import main
 
-from oracles import FIXTURES
+from oracles import FIXTURES, oracle_retag_cli
 
 TAGSET = str(FIXTURES / "eagles-en.tagset")
 RULES = str(FIXTURES / "upenn.rules")
@@ -205,3 +211,129 @@ def test_retag_malformed_strict(capsys, tmp_path):
     code, _, _ = run(capsys, "retag", "--tagset", TAGSET, "--rules", RULES,
                      "--corpus", str(corpus), "--strict")
     assert code == 2
+
+
+def test_missing_corpus_leaves_output_untouched(capsys, tmp_path):
+    dest = tmp_path / "out.tsv"
+    code, out, err = run(capsys, "retag", "--tagset", TAGSET, "--rules", RULES,
+                         "--corpus", str(tmp_path / "missing.txt"),
+                         "-o", str(dest))
+    assert code == 3
+    assert "error:" in err and out == ""
+    assert not dest.exists()
+
+
+def test_retag_refuses_to_overwrite_its_corpus(capsys, tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("house/NN\n")
+    code, _, err = run(capsys, "retag", "--tagset", TAGSET, "--rules", RULES,
+                       "--corpus", str(corpus), "-o", str(corpus))
+    assert code == 3
+    assert "error:" in err
+    assert corpus.read_text() == "house/NN\n"
+
+
+# line pieces for both formats: tokens, exception words, holes, malformed
+# tokens and lines, blanks; each format also meets the other's lines
+_PIECES = ("house/NN", "anybody/NN", "was/VBD", "1/2/CD", "'s/POS",
+           "foo/XYZ", "orphan", "word/", "/NN", "", " ", "house\tNN",
+           "was\tVBD", "foo\tXYZ", "x\t", "\tNN", "a\tb\tc")
+# every line boundary of str.splitlines that a corpus is likely to hold
+_BREAKS = ("\n", "\r\n", "\r", "\x0c", "\x85", "\u2028")
+_corpora = st.builds(
+    lambda lines, last: "".join(line + br for line, br in lines) + last,
+    st.lists(st.tuples(st.lists(st.sampled_from(_PIECES), max_size=3)
+                       .map(" ".join), st.sampled_from(_BREAKS)),
+             max_size=8),
+    st.sampled_from(("", "house/NN", "was\tVBD", "orphan")))
+
+
+@given(text=_corpora, fmt=st.sampled_from(("slash", "tsv")),
+       to_file=st.booleans(), strict=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_streaming_retag_matches_read_all(rules, text, fmt, to_file, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.txt"
+        with open(corpus, "w", newline="") as fh:
+            fh.write(text)
+        argv = ["retag", "--tagset", TAGSET, "--rules", RULES,
+                "--corpus", str(corpus), "--format", fmt]
+        if to_file:
+            argv += ["-o", str(Path(tmp) / "streamed.tsv")]
+        if strict:
+            argv.append("--strict")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        reference = Path(tmp) / "reference.tsv" if to_file else None
+        assert (code, out.getvalue(), err.getvalue()) == oracle_retag_cli(
+            rules, corpus, fmt, reference, strict)
+        if to_file:
+            assert ((Path(tmp) / "streamed.tsv").read_bytes()
+                    == reference.read_bytes())
+
+
+def _retag_peak(rules, tmp_path, tokens: int) -> int:
+    """Peak traced memory of an in-process retag of a generated corpus."""
+    rng = random.Random(tokens)
+    pairs = list(rules.word_index)
+    corpus = tmp_path / f"corpus-{tokens}.txt"
+    with open(corpus, "w") as fh:
+        for start in range(0, tokens, 10):
+            fh.write(" ".join(
+                "/".join(rng.choice(pairs)) if rng.random() < 0.05
+                else f"x{rng.randrange(5000)}/{rng.choice(rules.inventory)}"
+                for _ in range(min(10, tokens - start))) + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["retag", "--tagset", TAGSET, "--rules", RULES,
+                     "--corpus", str(corpus), "-o", str(tmp_path / "out.tsv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_retag_memory_does_not_grow_with_the_corpus(rules, tmp_path):
+    small = _retag_peak(rules, tmp_path, 20_000)
+    large = _retag_peak(rules, tmp_path, 200_000)
+    assert large - small < 2 * 1024 * 1024, (small, large)
+
+
+_ADVERSARIAL = {
+    "parentheses": "(" * 1200 + "noun" + ")" * 1200,
+    "negations": "!" * 3000 + "noun",
+    "conjuncts": " & ".join(["noun"] * 2000),
+}
+
+
+@pytest.mark.parametrize("expr", _ADVERSARIAL.values(), ids=_ADVERSARIAL)
+def test_deep_query_is_a_syntax_error(capsys, expr):
+    code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
+                         "-e", expr)
+    assert code == 1
+    assert "error [syntax]" in err and "nested deeper" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("expr", _ADVERSARIAL.values(), ids=_ADVERSARIAL)
+def test_deep_rule_is_a_syntax_error(capsys, tmp_path, expr):
+    f = tmp_path / "deep.rules"
+    f.write_text("mapping deep for tagset eagles-en\ntags NN\n"
+                 f"[pos = 'NN'] => [{expr}].\n")
+    code, out, err = run(capsys, "compile", "--tagset", TAGSET, "--rules", str(f))
+    assert code == 1
+    assert "error [syntax]" in err and "nested deeper" in err
+    assert "Traceback" not in out + err
+
+
+def test_query_strict_ignores_tags_spelled_warn(capsys, tmp_path):
+    # a pattern naming a tag WARN is not a warning
+    f = tmp_path / "warn.rules"
+    f.write_text((FIXTURES / "upenn.rules").read_text()
+                 .replace("MD", "WARN"))
+    code, out, _ = run(capsys, "query", "--tagset", TAGSET, "--rules", str(f),
+                       "-e", "[vtype = aux]", "--strict")
+    assert out == '[(pos = "WARN")]\n'
+    assert code == 0

@@ -60,6 +60,22 @@ def test_standard_reading_prefers_word_entry(rules):
     assert rules.standard_reading("NN") is plain
 
 
+def test_lookup_returns_the_entry_or_rule(rules):
+    entry = rules.word_index[("anybody", "NN")]
+    assert rules.lookup("NN", "anybody") is entry
+    assert rules.lookup("NN", "house") is rules.coverage["NN"]
+    assert rules.lookup("NN") is rules.coverage["NN"]
+    assert rules.lookup("XYZ", "house") is None
+    assert rules.lookup("XYZ") is None
+
+
+def test_readings_render_once(rules):
+    rule = rules.coverage["NN"]
+    entry = rules.word_index[("anybody", "NN")]
+    assert rule.reading is rule.reading
+    assert entry.reading is entry.reading
+
+
 def test_exception_entries_are_tag_scoped(rules):
     # anybody is exceptional under NN only
     assert rules.standard_reading("VB", "anybody") is rules.standard_reading("VB")

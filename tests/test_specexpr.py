@@ -1,6 +1,8 @@
 """Specification expressions: grammar, typing, denotation, covers."""
 
 import functools
+import inspect
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from tagmap import (
     render_spec,
     typecheck,
 )
-from tagmap.specexpr import And, Atom, BareAtom, Not, Or
+from tagmap.specexpr import MAX_SPEC_DEPTH, And, Atom, BareAtom, Not, Or
 
 from oracles import eval_spec, mask_keys, oracle_denote, oracle_universe
 
@@ -347,3 +349,50 @@ def test_cover_exact_on_random_unions(atom_list):
     for node in cover:
         union |= node.mask
     assert union == m
+
+
+# -- nesting depth ---------------------------------------------------------------
+
+# expressions of nesting depth k, the deepest the parser accepts at
+# k = MAX_SPEC_DEPTH and rejects at k = MAX_SPEC_DEPTH + 1
+_DEPTH_SHAPES = {
+    "parentheses": lambda k: "(" * k + "n" + ")" * k,
+    "negations": lambda k: "!" * k + "n",
+    "conjuncts": lambda k: " & ".join(["n"] * (k + 1)),
+    "disjuncts": lambda k: " | ".join(["n"] * (k + 1)),
+    "nested-negations": lambda k: "!(" * (k - 1) + "!n" + ")" * (k - 1),
+    "right-nested": lambda k: "(n & " * k + "n" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("shape", _DEPTH_SHAPES.values(), ids=_DEPTH_SHAPES)
+def test_deepest_spec_stays_inside_the_recursion_limit(graph, shape):
+    # leave at least half of the default limit to the callers
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 500)
+    try:
+        e = parse_spec(shape(MAX_SPEC_DEPTH))
+        assert typecheck(e, graph).dnf
+        assert parse_spec(render_spec(e)) == e
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("shape", _DEPTH_SHAPES.values(), ids=_DEPTH_SHAPES)
+def test_one_level_deeper_is_a_syntax_error(shape):
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_spec(shape(MAX_SPEC_DEPTH + 1))
+    (d,) = exc.value.diagnostics
+    assert d.kind == "syntax"
+    assert d.message == f"expression nested deeper than {MAX_SPEC_DEPTH} levels"
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(" * 1200 + "n" + ")" * 1200, MAX_SPEC_DEPTH + 1),
+    ("!" * 3000 + "n", MAX_SPEC_DEPTH + 1),
+    (" & ".join(["n"] * 2000), 4 * MAX_SPEC_DEPTH + 3),
+], ids=["parentheses", "negations", "conjuncts"])
+def test_depth_error_points_at_the_first_token_too_deep(text, column):
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_spec(text)
+    assert exc.value.diagnostics[0].span.column == column

@@ -1,6 +1,7 @@
 """Hierarchy compilation and terminal-class enumeration."""
 
 import signal
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
@@ -332,3 +333,20 @@ def test_many_features_compile_one_class_per_leaf():
     assert [t.leaf for t in g.universe] == ["a", "b"]
     assert all(len(t.assignment) == 1100 for t in g.universe)
 
+
+
+def test_deep_hierarchy_memory_is_linear_in_depth():
+    depth = 3000
+    source = ("tagset deep hierarchy { "
+              + " ".join(f"n{i} {{" for i in range(depth))
+              + " }" * depth + " }")
+    tracemalloc.start()
+    try:
+        g = parse_tagset_definition(source)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # storing every root path costs depth**2 / 2 references, about 35 MB
+    assert retained < 5 * 1024 * 1024
+    assert g.ancestry("n2999") == ("root", *(f"n{i}" for i in range(depth)))
+    assert len(g.features_at("n2999")) == 0
