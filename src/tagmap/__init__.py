@@ -33,8 +33,6 @@ from .typegraph import (
     FeatureDecl,
     TerminalClass,
     TypeGraph,
-    appropriate_features,
-    enumerate_terminal_classes,
     parse_tagset_definition,
 )
 
@@ -60,11 +58,9 @@ __all__ = [
     "TypeGraph",
     "TypedSpec",
     "UnknownTagError",
-    "appropriate_features",
     "build_mtree",
     "compile_spec",
     "denote",
-    "enumerate_terminal_classes",
     "minimal_cover",
     "parse_corpus_line",
     "parse_rules",

@@ -7,7 +7,8 @@
     tagmap retag   --tagset F --rules F --corpus F   rewrite a corpus
 
 Exit status: 0 on success, 1 on compile errors or definition holes met while
-retagging, 2 when --strict is given and warnings were issued, 3 on I/O errors.
+retagging, 2 when --strict is given and warnings were issued, 3 on I/O errors,
+an input file that cannot be decoded among them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     except CompileError as exc:
         _print_diags(exc.diagnostics)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

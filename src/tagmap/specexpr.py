@@ -424,21 +424,17 @@ def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]
 def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     """Smallest set of conjunctive descriptions denoting exactly ``mask``.
 
-    Candidates are the graph's conjunctive descriptions whose denotation lies
-    inside ``mask``; an exact branch-and-bound set cover over the maximal ones
-    finds a minimum-size solution, with ties broken by declaration order.
-    Results are cached on the graph.
+    Candidates are the graph's prime conjunctive descriptions inside
+    ``mask`` (:meth:`TypeGraph.primes`); an exact branch-and-bound set cover
+    over them finds a minimum-size solution, with ties broken by declaration
+    order.  Results are cached on the graph.
     """
     if mask == 0:
         return ()
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
-    inside = [c for c in g.cover_candidates if c.mask & ~mask == 0]
-    primes: list[CoverNode] = []
-    for c in inside:
-        if not any(o.mask != c.mask and c.mask & ~o.mask == 0 for o in inside):
-            primes.append(c)
+    primes = g.primes(mask)
     # greedy solution bounds the exact search
     best = _greedy_cover(mask, primes)
     best_len = len(best)

@@ -22,6 +22,7 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import CompileError, Diagnostic, Span, error
 from .lexer import Token, tokenize
@@ -94,7 +95,8 @@ class TypeGraph:
     """A compiled tagset definition.
 
     Instances are immutable after construction and safe to read from several
-    threads; the only internal mutation is an idempotent cover cache.  Build
+    threads; the only internal mutations are idempotent caches of covers and
+    prime descriptions, and the candidate table, built on first read.  Build
     one with :func:`parse_tagset_definition`, not directly.
     """
 
@@ -119,6 +121,7 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
+        self._features_at = self._feature_table()
         self.universe = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
         self._atom_mask: dict[tuple[str, str], int] = {
@@ -133,8 +136,14 @@ class TypeGraph:
                 self._feature_mask[f] |= bit
             for n in self._up(t.leaf):
                 self._node_mask[n] |= bit
-        self.cover_candidates = self._build_candidates()
+        # atom masks of each feature, in value declaration order
+        self._value_masks = {f.name: tuple(self._atom_mask[(f.name, v)]
+                                           for v in f.values)
+                             for f in features}
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
+        # prime descriptions, one per conjunction mask met by a cover search,
+        # so covers share them as they shared the candidate table
+        self._descriptions: dict[int, CoverNode] = {}
 
     # -- structure -----------------------------------------------------
 
@@ -165,8 +174,26 @@ class TypeGraph:
         """Features whose home lies on the root path of ``node``."""
         if node not in self._node_index:
             raise ValueError(f"unknown hierarchy node {node!r}")
-        path = set(self._up(node))
-        return tuple(f for f in self.features if f.home in path)
+        return self._features_at[node]
+
+    def _feature_table(self) -> dict[str, tuple[FeatureDecl, ...]]:
+        # a node has its parent's features plus those homed at it, in
+        # declaration order; parents come first in node order, and a node
+        # that homes nothing shares its parent's tuple, so the table stays
+        # linear in the hierarchy size
+        position = {f.name: i for i, f in enumerate(self.features)}
+        homed: dict[str, list[FeatureDecl]] = {}
+        for f in self.features:
+            homed.setdefault(f.home, []).append(f)
+        table: dict[str, tuple[FeatureDecl, ...]] = {}
+        for n in self.nodes:
+            parent = self._parents[n]
+            inherited = table[parent] if parent is not None else ()
+            own = homed.get(n)
+            table[n] = (tuple(sorted((*inherited, *own),
+                                     key=lambda f: position[f.name]))
+                        if own else inherited)
+        return table
 
     # -- denotation masks ----------------------------------------------
 
@@ -194,7 +221,7 @@ class TypeGraph:
     def _enumerate(self) -> tuple[TerminalClass, ...]:
         out: list[TerminalClass] = []
         for leaf in self.leaves:
-            for assignment in self._expand(self.features_at(leaf)):
+            for assignment in self._expand(self._features_at[leaf]):
                 out.append(TerminalClass(leaf, tuple(assignment.items()),
                                          index=len(out)))
         return tuple(out)
@@ -221,7 +248,12 @@ class TypeGraph:
 
     # -- conjunctive descriptions ----------------------------------------
 
-    def _build_candidates(self) -> tuple[CoverNode, ...]:
+    @cached_property
+    def cover_candidates(self) -> tuple[CoverNode, ...]:
+        """Every conjunctive description: one per distinct non-empty mask of a
+        node and at most one value per appropriate feature, ordered by
+        ``sort_key``.  Built on first read; covers do not need the table,
+        since :meth:`primes` searches the conjunctions of one mask."""
         masks: set[int] = set()
         for node in self.nodes:
             nmask = self._node_mask[node]
@@ -231,13 +263,92 @@ class TypeGraph:
             # appropriate feature, grown one feature at a time; a mask
             # reached by several conjunctions is kept once
             level = {nmask}
-            for f in self.features_at(node):
-                atom_masks = [self._atom_mask[(f.name, v)] for v in f.values]
+            for f in self._features_at[node]:
+                atom_masks = self._value_masks[f.name]
                 level |= {m & am for m in level for am in atom_masks if m & am}
             masks |= level
         nodes = [self.cover_node(m) for m in masks]
         nodes.sort(key=lambda c: c.sort_key)
         return tuple(nodes)
+
+    def primes(self, target: int) -> list[CoverNode]:
+        """Descriptions of the prime conjunctions inside ``target``, ordered
+        by ``sort_key``.
+
+        A conjunction of a node and at most one value per appropriate feature
+        is inside ``target`` when its mask is non-empty and a subset of it;
+        it is prime when no other inside conjunction has a strictly larger
+        mask.  The primes are the maximal inside members of
+        :attr:`cover_candidates`, found by a search of this mask's
+        conjunctions instead of a scan of the table.
+        """
+        described = []
+        for m in self._prime_masks(target):
+            node = self._descriptions.get(m)
+            if node is None:
+                node = self._descriptions[m] = self.cover_node(m)
+            described.append(node)
+        described.sort(key=lambda c: c.sort_key)
+        return described
+
+    def _prime_masks(self, target: int) -> list[int]:
+        """Masks of the primes inside ``target``.
+
+        A depth-first walk from each node's mask adds the node's features in
+        declaration order, keeping each (mask, next feature) state once.  A
+        branch stops at its first mask inside ``target``, since everything
+        below it is a subset, and is dropped when its mask misses
+        ``target``.  Two more prunes keep every prime reachable:
+
+        * an atom that removes no class outside ``target`` is skipped: the
+          same conjunction without it is inside whenever the one with it is,
+          and denotes a superset;
+        * a state whose classes inside ``target`` all lie under one child of
+          its node is skipped: that child reaches the same masks with the
+          same atoms, from its own walk.
+
+        Every prime is met, together with some inside masks that are not
+        maximal, which the last step filters out.
+        """
+        found: set[int] = set()
+        for node in self.nodes:
+            start = self._node_mask[node]
+            if not start & target or self._under_one_child(node, start & target):
+                continue
+            choices = [self._value_masks[f.name] for f in self._features_at[node]]
+            seen = {(start, 0)}
+            stack = [(start, 0)]
+            while stack:
+                m, i = stack.pop()
+                outside = m & ~target
+                if not outside:
+                    found.add(m)
+                    continue
+                if self._under_one_child(node, m & target):
+                    continue
+                for j in range(i, len(choices)):
+                    for am in choices[j]:
+                        sub = m & am
+                        if (outside & ~am and sub & target
+                                and (sub, j + 1) not in seen):
+                            seen.add((sub, j + 1))
+                            stack.append((sub, j + 1))
+        # a mask strictly inside another found mask is strictly inside a
+        # prime, and primes are met before the smaller masks they contain
+        primes: list[int] = []
+        for m in sorted(found, key=int.bit_count, reverse=True):
+            if not any(m & ~p == 0 for p in primes):
+                primes.append(m)
+        return primes
+
+    def _under_one_child(self, node: str, mask: int) -> bool:
+        """Whether the non-empty ``mask`` lies under one child of ``node``."""
+        low = mask & -mask
+        for child in self._children[node]:
+            child_mask = self._node_mask[child]
+            if child_mask & low:
+                return not mask & ~child_mask
+        return False
 
     def cover_node(self, mask: int) -> CoverNode:
         """Canonical conjunctive description of the classes in ``mask``.
@@ -266,16 +377,6 @@ class TypeGraph:
                tuple(self._value_key[a] for a in atoms))
         return CoverNode(node, atoms, mask=mask,
                          implied_node=implied, sort_key=key)
-
-
-def enumerate_terminal_classes(g: TypeGraph) -> tuple[TerminalClass, ...]:
-    """The closed-world universe, ordered by leaf document order then values."""
-    return g.universe
-
-
-def appropriate_features(g: TypeGraph, node: str) -> tuple[FeatureDecl, ...]:
-    """Features appropriate at ``node``: home equal to it or an ancestor."""
-    return g.features_at(node)
 
 
 # -- parsing -------------------------------------------------------------

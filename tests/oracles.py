@@ -5,13 +5,16 @@ brute-force generate-and-filter over explicit value products, denotations by
 per-class evaluation of the expression tree, rule denotations from a regex
 scrape of the rules fixture, query resolution by plain set algebra over
 frozensets, and conjunctive cover descriptions by a class-by-class scan of
-a compiled universe over the full product of feature choices. Expression trees come from the package parser (the surface
-grammar is shared); every semantic step is recomputed from first principles.
+a compiled universe over the full product of feature choices, with the
+primes of a mask filtered from that full table. Expression trees come from
+the package parser (the surface grammar is shared); every semantic step is
+recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
 the per-token retagger with the package and checks only the streaming I/O.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -382,6 +385,20 @@ def oracle_cover_candidates(graph) -> list[tuple]:
                 masks.add(mask)
     return sorted((oracle_cover_node(graph, m) for m in masks),
                   key=lambda c: c[4])
+
+
+@functools.lru_cache(maxsize=8)
+def _candidate_table(graph) -> tuple[tuple, ...]:
+    return tuple(oracle_cover_candidates(graph))
+
+
+def oracle_primes(graph, mask: int) -> list[tuple]:
+    """Descriptions of the prime conjunctions inside ``mask``, in sort-key
+    order: every candidate of the full table whose mask lies inside
+    ``mask`` and strictly inside no other such candidate's."""
+    inside = [c for c in _candidate_table(graph) if c[2] & ~mask == 0]
+    return [c for c in inside
+            if not any(o[2] != c[2] and c[2] & ~o[2] == 0 for o in inside)]
 
 
 # -- retag command line, read all at once ---------------------------------------

@@ -233,6 +233,32 @@ def test_retag_refuses_to_overwrite_its_corpus(capsys, tmp_path):
     assert corpus.read_text() == "house/NN\n"
 
 
+def test_undecodable_corpus_is_io_error(capsys, tmp_path):
+    corpus = tmp_path / "c.txt"
+    # enough good lines to fill the first read, then a latin-1 byte
+    corpus.write_bytes(b"house/NN\n" * 2000 + b"caf\xe9/NN\n")
+    dest = tmp_path / "out.tsv"
+    code, out, err = run(capsys, "retag", "--tagset", TAGSET, "--rules", RULES,
+                         "--corpus", str(corpus), "-o", str(dest))
+    assert code == 3
+    assert err.startswith("error:") and "decode" in err
+    assert out == ""
+    # the records made before the bad line stay, the summary is not written
+    written = dest.read_text()
+    assert written.startswith("house\tNN\t[n & (common & sg | mass)]")
+    assert "# tokens" not in written
+
+
+def test_undecodable_rules_file_is_io_error(capsys, tmp_path):
+    rules = tmp_path / "bad.rules"
+    rules.write_bytes((FIXTURES / "upenn.rules").read_bytes() + b"# caf\xe9\n")
+    code, out, err = run(capsys, "compile", "--tagset", TAGSET,
+                         "--rules", str(rules))
+    assert code == 3
+    assert err.startswith("error:") and "decode" in err
+    assert out == ""
+
+
 # line pieces for both formats: tokens, exception words, holes, malformed
 # tokens and lines, blanks; each format also meets the other's lines
 _PIECES = ("house/NN", "anybody/NN", "was/VBD", "1/2/CD", "'s/POS",

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from tagmap import (
     CompileError,
-    appropriate_features,
     compile_spec,
-    enumerate_terminal_classes,
+    minimal_cover,
     parse_tagset_definition,
+    render_cover,
 )
 
 from oracles import (
@@ -21,6 +21,7 @@ from oracles import (
     key_of,
     oracle_cover_candidates,
     oracle_cover_node,
+    oracle_primes,
     oracle_universe,
     oracle_universe_keys,
 )
@@ -103,8 +104,9 @@ def test_enumeration_is_deterministic():
     assert a.nodes == b.nodes
 
 
-def test_enumerate_function_matches_attribute(graph):
-    assert enumerate_terminal_classes(graph) == graph.universe
+def test_universe_is_the_full_mask(graph):
+    assert graph.classes(graph.full_mask) == graph.universe
+    assert graph.mask_of(graph.universe) == graph.full_mask
 
 
 def test_restricted_graph_has_fourteen_classes():
@@ -140,7 +142,7 @@ def test_bare_root_graph():
 
 def test_appropriate_features(graph):
     def names(node):
-        return [f.name for f in appropriate_features(graph, node)]
+        return [f.name for f in graph.features_at(node)]
 
     assert names("v") == ["vtype", "vform", "mood", "tense", "pers"]
     assert names("n") == ["ntype", "num", "case"]
@@ -291,6 +293,56 @@ def test_cover_candidates_match_product_enumeration(source):
     g = parse_tagset_definition(source)
     assert [_described(c) for c in g.cover_candidates] == \
         oracle_cover_candidates(g)
+    for node in g.nodes:
+        path = g.ancestry(node)
+        assert g.features_at(node) == tuple(f for f in g.features
+                                            if f.home in path)
+
+
+def _primes(g, mask):
+    return [_described(c) for c in g.primes(mask)]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_primes_match_full_table(name, data):
+    g = GRAPHS[name]
+    mask = data.draw(_masks(g))
+    assert _primes(g, mask) == oracle_primes(g, mask)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_primes_of_candidate_unions_match_full_table(name, data):
+    # unions of a few candidates are the masks rules and queries denote
+    g = GRAPHS[name]
+    picks = data.draw(st.lists(st.sampled_from(g.cover_candidates),
+                               min_size=1, max_size=4))
+    mask = 0
+    for c in picks:
+        mask |= c.mask
+    assert _primes(g, mask) == oracle_primes(g, mask)
+
+
+@given(source=small_tagsets(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_primes_match_full_table_on_random_tagsets(source, data):
+    g = parse_tagset_definition(source)
+    mask = data.draw(_masks(g))
+    assert _primes(g, mask) == oracle_primes(g, mask)
+
+
+def test_the_full_mask_is_its_own_prime(graph):
+    assert [c.render() for c in graph.primes(graph.full_mask)] == ["pos=root"]
+
+
+def test_primes_share_one_description_per_mask(graph):
+    mask = graph.node_mask("v") | graph.node_mask("n")
+    first, again = graph.primes(mask), graph.primes(mask)
+    assert [c.render() for c in first] == ["pos=v", "pos=n"]
+    assert all(a is b for a, b in zip(first, again))
 
 
 # -- size limits ---------------------------------------------------------------
@@ -328,6 +380,20 @@ def test_forty_one_value_features_compile_promptly():
     ]
 
 
+def _ladder(n_features):
+    """``n_features`` features of three values at the root over 3 leaves."""
+    return "tagset ladder hierarchy { l0 l1 l2 }\n" + "\n".join(
+        f"feature f{i} for root {{ v{i}_0, v{i}_1, v{i}_2 }}"
+        for i in range(n_features))
+
+
+def test_seven_feature_ladder_compiles_within_a_second():
+    # the full candidate table of this tagset has 4**7 conjunctions per node
+    with _time_limit(1):
+        g = parse_tagset_definition(_ladder(7))
+    assert len(g.universe) == 3 * 3 ** 7
+
+
 def test_many_features_compile_one_class_per_leaf():
     g = parse_tagset_definition(_one_value_features(1100))
     assert [t.leaf for t in g.universe] == ["a", "b"]
@@ -350,3 +416,16 @@ def test_deep_hierarchy_memory_is_linear_in_depth():
     assert retained < 5 * 1024 * 1024
     assert g.ancestry("n2999") == ("root", *(f"n{i}" for i in range(depth)))
     assert len(g.features_at("n2999")) == 0
+
+
+def test_deep_hierarchy_first_cover_is_prompt():
+    # looking up the features of every node on a chain by walking its root
+    # path costs time quadratic in the depth: about 2 s here
+    depth = 6000
+    source = ("tagset deep hierarchy { "
+              + " ".join(f"n{i} {{" for i in range(depth)) + " }" * depth
+              + " } feature f for root { a, b }")
+    with _time_limit(1):
+        g = parse_tagset_definition(source)
+        cover = minimal_cover(g.atom_mask("f", "a"), g)
+    assert render_cover(cover) == "f=a"
