@@ -121,7 +121,6 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
-        self._features_at = self._feature_table()
         self.universe = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
         self._atom_mask: dict[tuple[str, str], int] = {
@@ -174,26 +173,8 @@ class TypeGraph:
         """Features whose home lies on the root path of ``node``."""
         if node not in self._node_index:
             raise ValueError(f"unknown hierarchy node {node!r}")
-        return self._features_at[node]
-
-    def _feature_table(self) -> dict[str, tuple[FeatureDecl, ...]]:
-        # a node has its parent's features plus those homed at it, in
-        # declaration order; parents come first in node order, and a node
-        # that homes nothing shares its parent's tuple, so the table stays
-        # linear in the hierarchy size
-        position = {f.name: i for i, f in enumerate(self.features)}
-        homed: dict[str, list[FeatureDecl]] = {}
-        for f in self.features:
-            homed.setdefault(f.home, []).append(f)
-        table: dict[str, tuple[FeatureDecl, ...]] = {}
-        for n in self.nodes:
-            parent = self._parents[n]
-            inherited = table[parent] if parent is not None else ()
-            own = homed.get(n)
-            table[n] = (tuple(sorted((*inherited, *own),
-                                     key=lambda f: position[f.name]))
-                        if own else inherited)
-        return table
+        path = set(self._up(node))
+        return tuple(f for f in self.features if f.home in path)
 
     # -- denotation masks ----------------------------------------------
 
@@ -221,7 +202,7 @@ class TypeGraph:
     def _enumerate(self) -> tuple[TerminalClass, ...]:
         out: list[TerminalClass] = []
         for leaf in self.leaves:
-            for assignment in self._expand(self._features_at[leaf]):
+            for assignment in self._expand(self.features_at(leaf)):
                 out.append(TerminalClass(leaf, tuple(assignment.items()),
                                          index=len(out)))
         return tuple(out)
@@ -263,7 +244,7 @@ class TypeGraph:
             # appropriate feature, grown one feature at a time; a mask
             # reached by several conjunctions is kept once
             level = {nmask}
-            for f in self._features_at[node]:
+            for f in self.features_at(node):
                 atom_masks = self._value_masks[f.name]
                 level |= {m & am for m in level for am in atom_masks if m & am}
             masks |= level
@@ -313,9 +294,11 @@ class TypeGraph:
         found: set[int] = set()
         for node in self.nodes:
             start = self._node_mask[node]
+            # pruned before the root path is walked for the node's features,
+            # so on a chain of nodes only the leaf's features are looked up
             if not start & target or self._under_one_child(node, start & target):
                 continue
-            choices = [self._value_masks[f.name] for f in self._features_at[node]]
+            choices = [self._value_masks[f.name] for f in self.features_at(node)]
             seen = {(start, 0)}
             stack = [(start, 0)]
             while stack:
