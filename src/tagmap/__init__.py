@@ -10,7 +10,7 @@ from .diagnostics import (
 )
 from .maprules import CoverageRule, ExceptionEntry, RuleSet, parse_rules
 from .mtree import MTree, build_mtree, render_explain
-from .resolver import Resolution, TagPattern, render_query, resolve
+from .resolver import Resolution, TagPattern, resolve
 from .retagger import (
     CorpusToken,
     RetagRecord,
@@ -68,7 +68,6 @@ __all__ = [
     "parse_tagset_definition",
     "render_cover",
     "render_explain",
-    "render_query",
     "render_spec",
     "resolve",
     "retag_lines",

@@ -242,11 +242,11 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: tuple[str, ...],
                 and c.tokens[c.pos + 2].type in ("COMMA", "RBRACKET"))
     if is_words:
         words = _parse_words(c)
-        _expect_sym(c, "OUTOF", "'<<'")
+        c.expect("OUTOF", "'<<'")
         tag = _parse_tag_head(c, graph, diags)
-        _expect_sym(c, "INTO", "'>>'")
+        c.expect("INTO", "'>>'")
         into = parse_spec_at(c)
-        _expect_sym(c, "DOT", "'.'")
+        c.expect("DOT", "'.'")
         if tag is None:
             return
         if tags and tag not in tags:
@@ -267,9 +267,9 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: tuple[str, ...],
         return
 
     tag = _parse_tag_head(c, graph, diags)
-    _expect_sym(c, "ARROW", "'=>'")
+    c.expect("ARROW", "'=>'")
     target = parse_spec_at(c)
-    _expect_sym(c, "DOT", "'.'")
+    c.expect("DOT", "'.'")
     if tag is None:
         return
     if tags and tag not in tags:
@@ -308,10 +308,6 @@ def _parse_tag_head(c: TokenCursor, graph: TypeGraph,
         "malformed-rule",
         "rule head must name one physical tag, as in [pos = 'NN']", span))
     return None
-
-
-def _expect_sym(c: TokenCursor, type_: str, what: str) -> None:
-    c.expect(type_, what)
 
 
 def _typecheck_target(spec: SpecExpr, graph: TypeGraph,

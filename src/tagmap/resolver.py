@@ -117,7 +117,3 @@ def _render_patterns(patterns: tuple[TagPattern, ...]) -> str:
     if not patterns:
         return "[]"
     return "[(" + "|".join(p.render() for p in patterns) + ")]"
-
-
-def render_query(res: Resolution) -> str:
-    return res.render()

@@ -241,7 +241,6 @@ class TypedSpec:
     expr: SpecExpr
     graph: TypeGraph = field(compare=False, repr=False)
     denotation: int = 0
-    compatible_leaves: frozenset[str] = frozenset()
     dnf: tuple[tuple[Atom, ...], ...] = field(default=(), compare=False)
 
     @property
@@ -280,9 +279,7 @@ def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
         union |= mask
     if diags:
         raise SpecTypeError(diags, disjunct=first_disjunct, conflict=first_core)
-    leaves = frozenset(t.leaf for t in g.classes(union))
-    return TypedSpec(expr=e, graph=g, denotation=union,
-                     compatible_leaves=leaves, dnf=dnf)
+    return TypedSpec(expr=e, graph=g, denotation=union, dnf=dnf)
 
 
 def compile_spec(text: str, g: TypeGraph) -> TypedSpec:

@@ -288,6 +288,10 @@ class TypeGraph:
           its node is skipped: that child reaches the same masks with the
           same atoms, from its own walk.
 
+        A node is not walked at all when the closure of its inside classes
+        (the smallest conjunction containing them) lies inside ``target``:
+        every inside mask of its walk lies in that closure, so the closure
+        is the only prime the walk could yield, and is added in its place.
         Every prime is met, together with some inside masks that are not
         maximal, which the last step filters out.
         """
@@ -296,7 +300,13 @@ class TypeGraph:
             start = self._node_mask[node]
             # pruned before the root path is walked for the node's features,
             # so on a chain of nodes only the leaf's features are looked up
-            if not start & target or self._under_one_child(node, start & target):
+            inside = start & target
+            if not inside or self._under_one_child(node, inside):
+                continue
+            deep, _, by_atoms = self._closure(inside)
+            closed = self._node_mask[deep] & by_atoms
+            if not closed & ~target:
+                found.add(closed)
                 continue
             choices = [self._value_masks[f.name] for f in self.features_at(node)]
             seen = {(start, 0)}
@@ -333,6 +343,25 @@ class TypeGraph:
                 return not mask & ~child_mask
         return False
 
+    def _closure(self, mask: int) -> tuple[str, tuple[tuple[str, str], ...], int]:
+        """The deepest node containing the non-empty ``mask``, the atoms
+        constant across its classes, and the mask of those atoms alone.
+
+        The closure of ``mask``, the smallest conjunction containing it, is
+        the node's mask and the atoms' mask together.
+        """
+        # every class in the mask shares the node and the constant atoms, so
+        # read both off the lowest one
+        lowest = self.universe[(mask & -mask).bit_length() - 1]
+        node = next(n for n in self._up(lowest.leaf)
+                    if self._node_mask[n] & mask == mask)
+        atoms = tuple(a for a in lowest.assignment
+                      if self._atom_mask[a] & mask == mask)
+        by_atoms = self.full_mask
+        for a in atoms:
+            by_atoms &= self._atom_mask[a]
+        return node, atoms, by_atoms
+
     def cover_node(self, mask: int) -> CoverNode:
         """Canonical conjunctive description of the classes in ``mask``.
 
@@ -343,17 +372,8 @@ class TypeGraph:
         """
         if not mask:
             raise ValueError("cannot describe the empty class set")
-        # every class in the mask shares the node and the constant atoms, so
-        # read both off the lowest one
-        lowest = self.universe[(mask & -mask).bit_length() - 1]
-        node = next(n for n in self._up(lowest.leaf)
-                    if self._node_mask[n] & mask == mask)
-        atoms = tuple(a for a in lowest.assignment
-                      if self._atom_mask[a] & mask == mask)
-        inter = self.full_mask
-        for a in atoms:
-            inter &= self._atom_mask[a]
-        implied = bool(atoms) and inter == mask
+        node, atoms, by_atoms = self._closure(mask)
+        implied = bool(atoms) and by_atoms == mask
         # more general descriptions order first, then hierarchy position,
         # then feature/value declaration order
         key = (len(atoms), self._node_index[node],
@@ -503,7 +523,11 @@ def _validate(p: _Parser, parents, order, spans, features: list[FeatureDecl]) ->
     node_set = set(order)
     feature_names: dict[str, Span] = {}
     value_owner: dict[str, str] = {}
-    for i, f in enumerate(features):
+    all_names = {f.name for f in features}
+    # features declared before the one being checked; of two declarations
+    # of one name, the later
+    earlier: dict[str, FeatureDecl] = {}
+    for f in features:
         if f.name in reserved:
             p.diags.append(error("name-collision",
                                  f"feature name {f.name!r} is reserved", f.span))
@@ -534,11 +558,9 @@ def _validate(p: _Parser, parents, order, spans, features: list[FeatureDecl]) ->
                                      f"{value_owner[v]!r}", f.span))
             else:
                 value_owner.setdefault(v, f.name)
-        earlier = {g.name: g for g in features[:i]}
         for cf, cv in f.conditions:
             if cf not in earlier:
-                where = ("later feature" if any(g.name == cf for g in features[i:])
-                         else "unknown feature")
+                where = "later feature" if cf in all_names else "unknown feature"
                 p.diags.append(error("appropriateness",
                                      f"condition of {f.name!r} references {where} {cf!r}; "
                                      "conditions may only use earlier declarations", f.span))
@@ -546,6 +568,7 @@ def _validate(p: _Parser, parents, order, spans, features: list[FeatureDecl]) ->
                 p.diags.append(error("appropriateness",
                                      f"condition of {f.name!r} tests {cf}={cv}, but {cv!r} "
                                      f"is not a value of {cf!r}", f.span))
+        earlier[f.name] = f
     # feature names must not collide with values either, their own included
     for f in features:
         if f.name in value_owner:

@@ -20,7 +20,6 @@ from tagmap import (
     parse_rules,
     parse_tagset_definition,
     render_cover,
-    render_query,
     resolve,
     render_spec,
     retag_lines,
@@ -51,7 +50,7 @@ def normalized(s: str) -> str:
 def test_criterion_1_end_to_end_query(graph, rules):
     started = time.monotonic()
     res = resolve(rules, FLAGSHIP)
-    rendered = render_query(res)
+    rendered = res.render()
     lines = rendered.splitlines()
 
     assert normalized(lines[0]) == normalized(FLAGSHIP_PATTERNS)

@@ -12,7 +12,6 @@ from tagmap import (
     parse_rules,
     parse_spec,
     render_cover,
-    render_query,
     resolve,
 )
 
@@ -23,7 +22,7 @@ FLAGSHIP = "[vtype = con & vform = inf | vtype = prim & tense = past]"
 
 def test_flagship_query_patterns_and_noise(rules):
     res = resolve(rules, FLAGSHIP)
-    assert render_query(res) == (
+    assert res.render() == (
         '[((pos = "VB" & word != "be|do|have")'
         '|(pos = "VBD" & word = "was|were|had|did")'
         '|(pos = "VBN" & word = "been|had|done"))]\n'
@@ -42,14 +41,14 @@ def test_flagship_noise_re_denotes_exactly(rules, graph):
 
 def test_indefinite_pronoun_query(rules):
     res = resolve(rules, "[pos = pron & type = indef]")
-    assert render_query(res) == (
+    assert res.render() == (
         '[(pos = "DT"|(pos = "NN" & word = "anybody|nothing|something|anything"))]\n'
         "WARN noise DT: dtype=art")
 
 
 def test_exact_tag_needs_no_constraint_or_noise(rules):
     res = resolve(rules, "[n & common & pl]")
-    assert render_query(res) == '[(pos = "NNS")]'
+    assert res.render() == '[(pos = "NNS")]'
     assert res.noise == () and res.uncovered == ()
 
 
@@ -57,7 +56,7 @@ def test_exception_only_retrieval(rules):
     # no coverage rule touches primary verbs; all three patterns are
     # word-restricted retrievals through the lexicon
     res = resolve(rules, "[vtype = prim & mood = ind]")
-    assert render_query(res) == (
+    assert res.render() == (
         '[((pos = "VBD" & word = "was|were|had|did")'
         '|(pos = "VBP" & word = "am|are|do|have")'
         '|(pos = "VBZ" & word = "is|does|has"))]')
@@ -65,7 +64,7 @@ def test_exception_only_retrieval(rules):
 
 def test_word_level_noise(rules):
     res = resolve(rules, "[vtype = prim & tense = past & pers = 1]")
-    assert render_query(res) == (
+    assert res.render() == (
         '[((pos = "VBD" & word = "was|were|had|did"))]\n'
         "WARN noise VBD (was|were|had|did): "
         "vtype=prim & vform=fin & mood=ind & tense=past & (pers=2 | pers=3)")
@@ -82,7 +81,7 @@ def test_unmatchable_query_renders_empty(graph):
     holey = parse_rules(src, graph)
     res = resolve(holey, "[pos = pron]")
     assert res.patterns == ()
-    assert render_query(res) == "[]\nWARN uncovered: pos=pron"
+    assert res.render() == "[]\nWARN uncovered: pos=pron"
     assert compile_spec(f"[{render_cover(res.uncovered)}]", graph).denotation == (
         graph.node_mask("pron"))
 
@@ -94,7 +93,7 @@ def test_ill_typed_query_raises(rules):
 
 def test_accepts_compiled_input(rules, graph):
     ts = compile_spec(FLAGSHIP, graph)
-    assert render_query(resolve(rules, ts)) == render_query(resolve(rules, FLAGSHIP))
+    assert resolve(rules, ts).render() == resolve(rules, FLAGSHIP).render()
 
 
 QUERIES = [
@@ -163,7 +162,7 @@ def test_equal_denotations_resolve_identically(rules, graph):
     rebuilt = " | ".join(
         " & ".join(f"{x.feature}{x.op}{x.value}" for x in d) for d in ts.dnf)
     b = resolve(rules, f"[{rebuilt}]")
-    assert render_query(a).splitlines()[0] == render_query(b).splitlines()[0]
+    assert a.render().splitlines()[0] == b.render().splitlines()[0]
     assert [(n.tag, n.words) for n in a.noise] == [(n.tag, n.words) for n in b.noise]
 
 

@@ -334,6 +334,24 @@ def test_primes_match_full_table_on_random_tagsets(source, data):
     assert _primes(g, mask) == oracle_primes(g, mask)
 
 
+def _assert_conjunctions_are_their_own_primes(g):
+    for c in g.cover_candidates:
+        primes = _primes(g, c.mask)
+        assert primes == oracle_primes(g, c.mask)
+        assert [p[2] for p in primes] == [c.mask]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_every_conjunction_is_its_own_only_prime(name):
+    _assert_conjunctions_are_their_own_primes(GRAPHS[name])
+
+
+@given(small_tagsets())
+@settings(max_examples=80, deadline=None)
+def test_every_conjunction_is_its_own_only_prime_on_random_tagsets(source):
+    _assert_conjunctions_are_their_own_primes(parse_tagset_definition(source))
+
+
 def test_the_full_mask_is_its_own_prime(graph):
     assert [c.render() for c in graph.primes(graph.full_mask)] == ["pos=root"]
 
@@ -392,6 +410,16 @@ def test_seven_feature_ladder_compiles_within_a_second():
     with _time_limit(1):
         g = parse_tagset_definition(_ladder(7))
     assert len(g.universe) == 3 * 3 ** 7
+
+
+def test_conjunction_cover_on_eight_feature_ladder_is_prompt():
+    # a cover search that walks every conjunction of the root straddling
+    # this mask visits about 4**7 states, 0.7 s here
+    g = parse_tagset_definition(_ladder(8))
+    spec = compile_spec("[f4=v4_2 & f5=v5_0]", g)
+    with _time_limit(0.1):
+        cover = minimal_cover(spec.denotation, g)
+    assert render_cover(cover) == "f4=v4_2 & f5=v5_0"
 
 
 def test_many_features_compile_one_class_per_leaf():
