@@ -1,14 +1,17 @@
-"""Tokenizer shared by the tagset, rule-file and spec-expression parsers.
+"""Tokenizer and token cursor shared by the tagset, rule-file and
+spec-expression parsers.
 
 All three surface languages use one token alphabet: names, numbers, quoted
 strings and a small punctuation set.  ``#`` starts a comment running to the
 end of the line.  Input is whitespace-insensitive apart from line/column
-tracking for diagnostics.
+tracking for diagnostics.  Each parser walks its tokens with one
+:class:`TokenCursor`, whose expectations fail with :class:`SpecSyntaxError`.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .diagnostics import Span, SpecSyntaxError, error
 
@@ -85,3 +88,38 @@ def tokenize(source: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("EOF", "", Span(line, col)))
     return tokens
+
+
+class TokenCursor:
+    """A position in a token list ending with EOF; it never moves past EOF."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    @property
+    def cur(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.type != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, type_: str, what: str) -> Token:
+        """Consume a token of ``type_``; ``what`` names it in the error."""
+        if self.cur.type != type_:
+            self._fail(what)
+        return self.advance()
+
+    def keyword(self, word: str) -> Token:
+        """Consume the name ``word``."""
+        if self.cur.type != "NAME" or self.cur.text != word:
+            self._fail(repr(word))
+        return self.advance()
+
+    def _fail(self, what: str) -> NoReturn:
+        raise SpecSyntaxError([
+            error("syntax", f"expected {what}, found {self.cur.text or 'end of input'!r}",
+                  self.cur.span)])

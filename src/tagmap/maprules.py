@@ -26,11 +26,10 @@ from .diagnostics import (
     error,
     warning,
 )
-from .lexer import Token, tokenize
+from .lexer import TokenCursor, tokenize
 from .specexpr import (
     Atom,
     SpecExpr,
-    TokenCursor,
     TypedSpec,
     parse_spec_at,
     render_spec,
@@ -74,20 +73,20 @@ class RuleSet:
     coverage: dict[str, CoverageRule]
     exceptions: tuple[ExceptionEntry, ...]
     warnings: list[Diagnostic] = field(default_factory=list)
-    word_index: dict[tuple[str, str], ExceptionEntry] = field(default_factory=dict)
-    _by_tag: dict[str, list[ExceptionEntry]] = field(default_factory=dict)
+    word_index: dict[tuple[str, str], ExceptionEntry] = field(init=False)
+    _by_tag: dict[str, tuple[ExceptionEntry, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.word_index:
-            for entry in self.exceptions:
-                for w in entry.words:
-                    self.word_index[(w, entry.tag)] = entry
-        if not self._by_tag:
-            for entry in self.exceptions:
-                self._by_tag.setdefault(entry.tag, []).append(entry)
+        self.word_index = {}
+        by_tag: dict[str, list[ExceptionEntry]] = {}
+        for entry in self.exceptions:
+            for w in entry.words:
+                self.word_index[(w, entry.tag)] = entry
+            by_tag.setdefault(entry.tag, []).append(entry)
+        self._by_tag = {tag: tuple(entries) for tag, entries in by_tag.items()}
 
     def exceptions_for(self, tag: str) -> tuple[ExceptionEntry, ...]:
-        return tuple(self._by_tag.get(tag, ()))
+        return self._by_tag.get(tag, ())
 
     def lookup(self, tag: str,
                word: str | None = None) -> ExceptionEntry | CoverageRule | None:
@@ -106,12 +105,6 @@ class RuleSet:
         if found is None:
             raise UnknownTagError(tag)
         return found.typed
-
-    def denotation(self, tag: str) -> int:
-        rule = self.coverage.get(tag)
-        if rule is None:
-            raise UnknownTagError(tag)
-        return rule.typed.denotation
 
 
 def parse_rules(source: str, graph: TypeGraph,
@@ -183,10 +176,10 @@ def parse_rules(source: str, graph: TypeGraph,
 
 
 def _parse_header(c: TokenCursor) -> tuple[str, str]:
-    _expect_word(c, "mapping")
+    c.keyword("mapping")
     name = c.expect("NAME", "a mapping name").text
-    _expect_word(c, "for")
-    _expect_word(c, "tagset")
+    c.keyword("for")
+    c.keyword("tagset")
     graph_name = c.expect("NAME", "a tagset name").text
     return name, graph_name
 
@@ -211,15 +204,6 @@ def _parse_inventory(c: TokenCursor, diags: list[Diagnostic]) -> tuple[str, ...]
             break
         c.advance()
     return tuple(tags)
-
-
-def _expect_word(c: TokenCursor, word: str) -> None:
-    tok = c.cur
-    if tok.type != "NAME" or tok.text != word:
-        raise SpecSyntaxError([
-            error("syntax", f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                  tok.span)])
-    c.advance()
 
 
 def _sync(c: TokenCursor) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maprules import ExceptionEntry, RuleSet
+from .maprules import RuleSet
 from .specexpr import SpecExpr, TypedSpec, compile_spec, minimal_cover, render_cover, typecheck
 from .typegraph import CoverNode
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Span, SpecSyntaxError, SpecTypeError, error
-from .lexer import Token, tokenize
+from .lexer import Token, TokenCursor, tokenize
 from .typegraph import POS_FEATURE, CoverNode, TypeGraph
 
 _DEFAULT_SPAN = Span(1, 1)
@@ -80,32 +80,6 @@ SpecExpr = Atom | BareAtom | And | Or | Not
 
 
 # -- parsing ---------------------------------------------------------------
-
-
-class TokenCursor:
-    """Shared cursor over a token list for the expression-bearing parsers."""
-
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, type_: str, what: str) -> Token:
-        if self.cur.type != type_:
-            raise SpecSyntaxError([
-                error("syntax",
-                      f"expected {what}, found {self.cur.text or 'end of input'!r}",
-                      self.cur.span)])
-        return self.advance()
 
 
 def parse_spec(text: str) -> SpecExpr:
@@ -479,8 +453,7 @@ def render_cover(cover: tuple[CoverNode, ...]) -> str:
     """Factored disjunctive rendering of a cover, shared atoms pulled out."""
     if not cover:
         return ""
-    units = [tuple(c.render().split(" & ")) for c in cover]
-    return _factor(units)
+    return _factor([c.parts() for c in cover])
 
 
 def _factor(units: list[tuple[str, ...]]) -> str:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .diagnostics import CompileError, Diagnostic, Span, error
-from .lexer import Token, tokenize
+from .diagnostics import CompileError, Diagnostic, Span, SpecSyntaxError, error
+from .lexer import TokenCursor, tokenize
 
 POS_FEATURE = "pos"
 ROOT = "root"
@@ -55,12 +55,6 @@ class TerminalClass:
     assignment: tuple[tuple[str, str], ...]
     index: int = field(compare=False, default=-1)
 
-    def value(self, feature: str) -> str | None:
-        for f, v in self.assignment:
-            if f == feature:
-                return v
-        return None
-
     def render(self) -> str:
         parts = [f"{POS_FEATURE}={self.leaf}"]
         parts += [f"{f}={v}" for f, v in self.assignment]
@@ -83,12 +77,16 @@ class CoverNode:
     implied_node: bool = field(compare=False, default=False)
     sort_key: tuple = field(compare=False, default=())
 
+    def parts(self) -> tuple[str, ...]:
+        """The rendered conjuncts: ``pos=<node>`` unless implied, then the
+        atoms as ``feature=value``."""
+        atoms = tuple(f"{f}={v}" for f, v in self.atoms)
+        if atoms and self.implied_node:
+            return atoms
+        return (f"{POS_FEATURE}={self.node}",) + atoms
+
     def render(self) -> str:
-        parts = []
-        if not self.atoms or not self.implied_node:
-            parts.append(f"{POS_FEATURE}={self.node}")
-        parts += [f"{f}={v}" for f, v in self.atoms]
-        return " & ".join(parts)
+        return " & ".join(self.parts())
 
 
 class TypeGraph:
@@ -149,12 +147,6 @@ class TypeGraph:
     def is_node(self, name: str) -> bool:
         return name in self._node_index
 
-    def is_leaf(self, name: str) -> bool:
-        return name in self._node_index and not self._children[name]
-
-    def children(self, node: str) -> tuple[str, ...]:
-        return tuple(self._children[node])
-
     def ancestry(self, node: str) -> tuple[str, ...]:
         """Path from the root down to ``node``, inclusive."""
         return tuple(self._up(node))[::-1]
@@ -190,12 +182,6 @@ class TypeGraph:
 
     def classes(self, mask: int) -> tuple[TerminalClass, ...]:
         return tuple(t for t in self.universe if mask >> t.index & 1)
-
-    def mask_of(self, classes) -> int:
-        mask = 0
-        for t in classes:
-            mask |= 1 << t.index
-        return mask
 
     # -- enumeration ----------------------------------------------------
 
@@ -385,37 +371,6 @@ class TypeGraph:
 # -- parsing -------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
-        self.diags: list[Diagnostic] = []
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, type_: str, what: str) -> Token:
-        if self.cur.type != type_:
-            raise CompileError(self.diags + [
-                error("syntax", f"expected {what}, found {self.cur.text or 'end of input'!r}",
-                      self.cur.span)])
-        return self.advance()
-
-    def keyword(self, word: str) -> Token:
-        if self.cur.type != "NAME" or self.cur.text != word:
-            raise CompileError(self.diags + [
-                error("syntax", f"expected {word!r}, found {self.cur.text or 'end of input'!r}",
-                      self.cur.span)])
-        return self.advance()
-
-
 def parse_tagset_definition(source: str) -> TypeGraph:
     """Compile a tagset definition, raising :class:`CompileError` on failure.
 
@@ -423,40 +378,43 @@ def parse_tagset_definition(source: str) -> TypeGraph:
     bad appropriateness references) are collected exhaustively before the
     error is raised.
     """
-    p = _Parser(source)
-    p.keyword("tagset")
-    name_tok = p.expect("NAME", "tagset name")
-
+    p = TokenCursor(tokenize(source))
+    diags: list[Diagnostic] = []
     parents: dict[str, str | None] = {ROOT: None}
     order: list[str] = [ROOT]
     spans: dict[str, Span] = {}
-
-    p.keyword("hierarchy")
-    p.expect("LBRACE", "'{'")
-    _parse_nodes(p, ROOT, parents, order, spans)
-    p.expect("RBRACE", "'}'")
-
     raw_features: list[FeatureDecl] = []
-    while p.cur.type == "NAME" and p.cur.text == "feature":
-        raw_features.append(_parse_feature(p))
+    try:
+        p.keyword("tagset")
+        name_tok = p.expect("NAME", "tagset name")
+        p.keyword("hierarchy")
+        p.expect("LBRACE", "'{'")
+        _parse_nodes(p, diags, ROOT, parents, order, spans)
+        p.expect("RBRACE", "'}'")
+        while p.cur.type == "NAME" and p.cur.text == "feature":
+            raw_features.append(_parse_feature(p))
+    except SpecSyntaxError as exc:
+        # keep the semantic diagnostics found before the syntax error
+        raise CompileError(diags + exc.diagnostics) from None
     if p.cur.type != "EOF":
-        p.diags.append(error("syntax", f"unexpected trailing input {p.cur.text!r}", p.cur.span))
+        diags.append(error("syntax", f"unexpected trailing input {p.cur.text!r}", p.cur.span))
 
-    _validate(p, parents, order, spans, raw_features)
-    if p.diags:
-        raise CompileError(p.diags)
+    _validate(diags, parents, order, spans, raw_features)
+    if diags:
+        raise CompileError(diags)
     return TypeGraph(name_tok.text, parents, tuple(order), tuple(raw_features))
 
 
-def _parse_nodes(p: _Parser, parent: str, parents, order, spans) -> None:
+def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parent: str,
+                 parents, order, spans) -> None:
     # an explicit stack of open braces, so nesting depth costs no recursion
     stack = [parent]
     while True:
         if p.cur.type == "NAME":
             tok = p.advance()
             if tok.text in parents:
-                p.diags.append(error("duplicate-node",
-                                     f"duplicate hierarchy node {tok.text!r}", tok.span))
+                diags.append(error("duplicate-node",
+                                   f"duplicate hierarchy node {tok.text!r}", tok.span))
             else:
                 parents[tok.text] = stack[-1]
                 order.append(tok.text)
@@ -471,7 +429,7 @@ def _parse_nodes(p: _Parser, parent: str, parents, order, spans) -> None:
             return
 
 
-def _parse_feature(p: _Parser) -> FeatureDecl:
+def _parse_feature(p: TokenCursor) -> FeatureDecl:
     p.keyword("feature")
     name = p.expect("NAME", "feature name")
     p.keyword("for")
@@ -483,7 +441,7 @@ def _parse_feature(p: _Parser) -> FeatureDecl:
             cf = p.expect("NAME", "condition feature")
             p.expect("EQ", "'='")
             if p.cur.type not in ("NAME", "NUMBER"):
-                raise CompileError(p.diags + [
+                raise SpecSyntaxError([
                     error("syntax", "expected condition value", p.cur.span)])
             cv = p.advance()
             conditions.append((cf.text, cv.text))
@@ -493,14 +451,12 @@ def _parse_feature(p: _Parser) -> FeatureDecl:
             break
     p.expect("LBRACE", "'{'")
     values: list[str] = []
-    value_spans: list[Span] = []
     while True:
         if p.cur.type not in ("NAME", "NUMBER"):
-            raise CompileError(p.diags + [
+            raise SpecSyntaxError([
                 error("syntax", "expected feature value", p.cur.span)])
         tok = p.advance()
         values.append(tok.text)
-        value_spans.append(tok.span)
         if p.cur.type == "COMMA":
             p.advance()
             if p.cur.type == "RBRACE":
@@ -508,18 +464,18 @@ def _parse_feature(p: _Parser) -> FeatureDecl:
             continue
         break
     p.expect("RBRACE", "'}'")
-    decl = FeatureDecl(name.text, home.text, tuple(values),
+    return FeatureDecl(name.text, home.text, tuple(values),
                        tuple(conditions), span=name.span)
-    return decl
 
 
-def _validate(p: _Parser, parents, order, spans, features: list[FeatureDecl]) -> None:
+def _validate(diags: list[Diagnostic], parents, order, spans,
+              features: list[FeatureDecl]) -> None:
     reserved = {POS_FEATURE}
     for node in order:
         if node in reserved and node != ROOT:
-            p.diags.append(error("name-collision",
-                                 f"{node!r} is reserved for the position pseudo-feature",
-                                 spans.get(node, Span(1, 1))))
+            diags.append(error("name-collision",
+                               f"{node!r} is reserved for the position pseudo-feature",
+                               spans.get(node, Span(1, 1))))
     node_set = set(order)
     feature_names: dict[str, Span] = {}
     value_owner: dict[str, str] = {}
@@ -529,49 +485,49 @@ def _validate(p: _Parser, parents, order, spans, features: list[FeatureDecl]) ->
     earlier: dict[str, FeatureDecl] = {}
     for f in features:
         if f.name in reserved:
-            p.diags.append(error("name-collision",
-                                 f"feature name {f.name!r} is reserved", f.span))
+            diags.append(error("name-collision",
+                               f"feature name {f.name!r} is reserved", f.span))
         if f.name in node_set:
-            p.diags.append(error("name-collision",
-                                 f"feature {f.name!r} collides with a hierarchy node", f.span))
+            diags.append(error("name-collision",
+                               f"feature {f.name!r} collides with a hierarchy node", f.span))
         if f.name in feature_names:
-            p.diags.append(error("duplicate-feature",
-                                 f"duplicate feature {f.name!r}", f.span))
+            diags.append(error("duplicate-feature",
+                               f"duplicate feature {f.name!r}", f.span))
         else:
             feature_names[f.name] = f.span
         if f.home not in node_set:
-            p.diags.append(error("dangling-home",
-                                 f"feature {f.name!r} declared for unknown node {f.home!r}",
-                                 f.span))
+            diags.append(error("dangling-home",
+                               f"feature {f.name!r} declared for unknown node {f.home!r}",
+                               f.span))
         seen_values: set[str] = set()
         for v in f.values:
             if v in seen_values:
-                p.diags.append(error("duplicate-value",
-                                     f"feature {f.name!r} repeats value {v!r}", f.span))
+                diags.append(error("duplicate-value",
+                                   f"feature {f.name!r} repeats value {v!r}", f.span))
             seen_values.add(v)
             if v in node_set or v in reserved:
-                p.diags.append(error("name-collision",
-                                     f"value {v!r} collides with a hierarchy node name", f.span))
+                diags.append(error("name-collision",
+                                   f"value {v!r} collides with a hierarchy node name", f.span))
             elif v in value_owner and value_owner[v] != f.name:
-                p.diags.append(error("ambiguous-value",
-                                     f"value {v!r} already belongs to feature "
-                                     f"{value_owner[v]!r}", f.span))
+                diags.append(error("ambiguous-value",
+                                   f"value {v!r} already belongs to feature "
+                                   f"{value_owner[v]!r}", f.span))
             else:
                 value_owner.setdefault(v, f.name)
         for cf, cv in f.conditions:
             if cf not in earlier:
                 where = "later feature" if cf in all_names else "unknown feature"
-                p.diags.append(error("appropriateness",
-                                     f"condition of {f.name!r} references {where} {cf!r}; "
-                                     "conditions may only use earlier declarations", f.span))
+                diags.append(error("appropriateness",
+                                   f"condition of {f.name!r} references {where} {cf!r}; "
+                                   "conditions may only use earlier declarations", f.span))
             elif cv not in earlier[cf].values:
-                p.diags.append(error("appropriateness",
-                                     f"condition of {f.name!r} tests {cf}={cv}, but {cv!r} "
-                                     f"is not a value of {cf!r}", f.span))
+                diags.append(error("appropriateness",
+                                   f"condition of {f.name!r} tests {cf}={cv}, but {cv!r} "
+                                   f"is not a value of {cf!r}", f.span))
         earlier[f.name] = f
     # feature names must not collide with values either, their own included
     for f in features:
         if f.name in value_owner:
-            p.diags.append(error("name-collision",
-                                 f"feature {f.name!r} collides with a value of "
-                                 f"{value_owner[f.name]!r}", f.span))
+            diags.append(error("name-collision",
+                               f"feature {f.name!r} collides with a value of "
+                               f"{value_owner[f.name]!r}", f.span))

@@ -99,7 +99,7 @@ def test_exceptions_for(rules):
 
 
 def test_denotation_helper(rules, graph):
-    assert rules.denotation("MD") == graph.atom_mask("vtype", "aux")
+    assert rules.coverage["MD"].typed.denotation == graph.atom_mask("vtype", "aux")
 
 
 def test_parse_is_deterministic(graph):
@@ -125,6 +125,13 @@ def test_tagset_name_must_match(graph):
     with pytest.raises(CompileError) as exc:
         parse_rules(src, graph)
     assert exc.value.diagnostics[0].kind == "tagset-mismatch"
+
+
+def test_header_keyword_is_checked(graph):
+    with pytest.raises(CompileError) as exc:
+        parse_rules("mapping m fur tagset eagles-en", graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [syntax] at 1:11: expected 'for', found 'fur'"]
 
 
 def _expect_kind(graph, body, kind):

@@ -46,7 +46,7 @@ def test_assignments_cover_each_denotation_exactly(tree, rules):
         union = 0
         for node in cover:
             union |= node.mask
-        assert union == rules.denotation(tag), tag
+        assert union == rules.coverage[tag].typed.denotation, tag
 
 
 def test_vb_assignment_renders_factored(tree):

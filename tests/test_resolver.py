@@ -36,7 +36,7 @@ def test_flagship_noise_re_denotes_exactly(rules, graph):
     assert note.tag == "VB" and note.words == ()
     m = compile_spec(f"[{render_cover(note.cover)}]", graph).denotation
     s = compile_spec(FLAGSHIP, graph).denotation
-    assert m == rules.denotation("VB") & ~s
+    assert m == rules.coverage["VB"].typed.denotation & ~s
 
 
 def test_indefinite_pronoun_query(rules):
@@ -145,7 +145,7 @@ def test_inclusion_is_intersection_nonempty(rules, graph):
     s = denote(parse_spec("[case = gen]"), graph)
     included = {p.tag for p in resolve(rules, "[case = gen]").patterns if p.op != "="}
     for tag in rules.inventory:
-        overlaps = rules.denotation(tag) & s != 0
+        overlaps = rules.coverage[tag].typed.denotation & s != 0
         assert (tag in included) == overlaps, tag
 
 

@@ -70,8 +70,9 @@ def test_within_leaf_declaration_order(graph):
         feats = [f for f in graph.features if f.home in graph.ancestry(leaf)]
 
         def vector(t):
+            assigned = dict(t.assignment)
             return tuple(
-                f.values.index(t.value(f.name)) if t.value(f.name) is not None else -1
+                f.values.index(assigned[f.name]) if f.name in assigned else -1
                 for f in feats
             )
 
@@ -106,7 +107,7 @@ def test_enumeration_is_deterministic():
 
 def test_universe_is_the_full_mask(graph):
     assert graph.classes(graph.full_mask) == graph.universe
-    assert graph.mask_of(graph.universe) == graph.full_mask
+    assert sum(1 << t.index for t in graph.universe) == graph.full_mask
 
 
 def test_restricted_graph_has_fourteen_classes():
@@ -164,7 +165,7 @@ def test_node_masks_partition_by_leaf(graph):
 
 def test_mask_classes_round_trip(graph):
     m = graph.node_mask("pron") | graph.atom_mask("vtype", "aux")
-    assert graph.mask_of(graph.classes(m)) == m
+    assert sum(1 << t.index for t in graph.classes(m)) == m
 
 
 BAD = [
@@ -209,6 +210,21 @@ def test_errors_are_collected_not_first_only():
         parse_tagset_definition(source)
     kinds = {d.kind for d in exc.value.diagnostics}
     assert {"dangling-home", "duplicate-value"} <= kinds
+
+
+@pytest.mark.parametrize("source,rendered", [
+    ("tagset t hierarchy { v n v } feature", [
+        "error [duplicate-node] at 1:26: duplicate hierarchy node 'v'",
+        "error [syntax] at 1:37: expected feature name, found 'end of input'"]),
+    ("tagset t hierarchy { v n v } feature f for v when g = { a }", [
+        "error [duplicate-node] at 1:26: duplicate hierarchy node 'v'",
+        "error [syntax] at 1:55: expected condition value"]),
+    ("tagsets t", ["error [syntax] at 1:1: expected 'tagset', found 'tagsets'"]),
+])
+def test_syntax_error_keeps_earlier_diagnostics(source, rendered):
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition(source)
+    assert [d.render() for d in exc.value.diagnostics] == rendered
 
 
 def test_diagnostic_positions_point_into_source():
