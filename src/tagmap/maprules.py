@@ -107,13 +107,8 @@ class RuleSet:
         return found.typed
 
 
-def parse_rules(source: str, graph: TypeGraph,
-                inventory: tuple[str, ...] | None = None) -> RuleSet:
-    """Parse and typecheck a rules file against ``graph``.
-
-    ``inventory`` cross-checks the file's ``tags`` header when given; the two
-    must list the same tags in the same order.
-    """
+def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
+    """Parse and typecheck a rules file against ``graph``."""
     c = TokenCursor(tokenize(source))
     diags: list[Diagnostic] = []
     warns: list[Diagnostic] = []
@@ -128,13 +123,6 @@ def parse_rules(source: str, graph: TypeGraph,
             f"rules target tagset {graph_name!r} but were compiled against "
             f"{graph.name!r}", c.cur.span))
     tags = _parse_inventory(c, diags)
-    if inventory is not None and tags and tuple(inventory) != tags:
-        diags.append(error(
-            "inventory-mismatch",
-            "tag inventory given by the caller disagrees with the file's "
-            "tags header", c.cur.span))
-    if not tags and inventory is not None:
-        tags = tuple(inventory)
 
     coverage: dict[str, CoverageRule] = {}
     entries: list[ExceptionEntry] = []

@@ -28,6 +28,7 @@ rejects the whole specification.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Span, SpecSyntaxError, SpecTypeError, error
@@ -393,60 +394,67 @@ def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]
 
 
 def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
-    """Smallest set of conjunctive descriptions denoting exactly ``mask``.
+    """Smallest set of conjunctive descriptions denoting exactly ``mask``,
+    ordered by ``sort_key``.
 
-    Candidates are the graph's prime conjunctive descriptions inside
-    ``mask`` (:meth:`TypeGraph.primes`); an exact branch-and-bound set cover
-    over them finds a minimum-size solution, with ties broken by declaration
-    order.  Results are cached on the graph.
+    The cover is made of primes, the maximal conjunctions inside ``mask``.
+    It has the fewest primes of any cover; of the covers of that size, it is
+    the one whose sorted list of sort keys is lexicographically least,
+    so it depends on the mask alone.  A branch-and-bound search, seeded with
+    a greedy cover, branches on the lowest uncovered class over the primes
+    containing it (:meth:`TypeGraph.primes_containing`), each class's primes
+    found once per call.  Results are cached on the graph.
     """
     if mask == 0:
         return ()
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
-    primes = g.primes(mask)
-    # greedy solution bounds the exact search
-    best = _greedy_cover(mask, primes)
-    best_len = len(best)
-    chosen: list[CoverNode] = []
+    primes_of: dict[int, list[CoverNode]] = {}
+
+    def primes(covered: int) -> list[CoverNode]:
+        missing = mask & ~covered
+        low = (missing & -missing).bit_length() - 1
+        found = primes_of.get(low)
+        if found is None:
+            found = primes_of[low] = g.primes_containing(low, mask)
+        return found
+
+    # the greedy cover bounds the exact search
+    best: list[CoverNode] = []
+    covered = 0
+    while covered != mask:
+        pick = max(primes(covered),
+                   key=lambda c: (c.mask & ~covered).bit_count())
+        best.append(pick)
+        covered |= pick.mask
+    best.sort(key=_sort_key)
+    best_keys = [c.sort_key for c in best]
+    chosen: list[CoverNode] = []        # in sort-key order
 
     def search(covered: int) -> None:
-        nonlocal best, best_len
+        nonlocal best, best_keys
         if covered == mask:
-            if len(chosen) < best_len:
-                best = list(chosen)
-                best_len = len(chosen)
+            keys = [c.sort_key for c in chosen]
+            if len(keys) < len(best_keys) or keys < best_keys:
+                best, best_keys = list(chosen), keys
             return
-        if len(chosen) + 1 > best_len:
+        if len(chosen) + 1 > len(best):
             return
-        missing = mask & ~covered
-        bit = missing & -missing
-        for c in primes:
-            if c.mask & bit:
-                chosen.append(c)
-                search(covered | c.mask)
-                chosen.pop()
+        for c in primes(covered):
+            at = bisect.bisect(chosen, c.sort_key, key=_sort_key)
+            chosen.insert(at, c)
+            search(covered | c.mask)
+            del chosen[at]
 
     search(0)
-    result = tuple(sorted(best, key=lambda c: c.sort_key))
+    result = tuple(best)
     g._cover_cache[mask] = result
     return result
 
 
-def _greedy_cover(mask: int, primes: list[CoverNode]) -> list[CoverNode]:
-    out: list[CoverNode] = []
-    covered = 0
-    while covered != mask:
-        gain, pick = -1, None
-        for c in primes:
-            new = (c.mask & ~covered).bit_count()
-            if new > gain:
-                gain, pick = new, c
-        assert pick is not None and gain > 0
-        out.append(pick)
-        covered |= pick.mask
-    return out
+def _sort_key(c: CoverNode) -> tuple:
+    return c.sort_key
 
 
 def render_cover(cover: tuple[CoverNode, ...]) -> str:

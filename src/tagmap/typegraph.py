@@ -106,12 +106,8 @@ class TypeGraph:
         self.features = features
         self.feature_map = {f.name: f for f in features}
         self._node_index = {n: i for i, n in enumerate(order)}
-        self._children: dict[str, list[str]] = {n: [] for n in order}
-        for n in order:
-            p = self._parents[n]
-            if p is not None:
-                self._children[p].append(n)
-        self.leaves = tuple(n for n in order if not self._children[n])
+        inner = set(self._parents.values())
+        self.leaves = tuple(n for n in order if n not in inner)
         self.value_index = {}
         # (feature, value) -> (feature position, value position)
         self._value_key: dict[tuple[str, str], tuple[int, int]] = {}
@@ -220,7 +216,8 @@ class TypeGraph:
         """Every conjunctive description: one per distinct non-empty mask of a
         node and at most one value per appropriate feature, ordered by
         ``sort_key``.  Built on first read; covers do not need the table,
-        since :meth:`primes` searches the conjunctions of one mask."""
+        since :meth:`primes_containing` searches the conjunctions of one
+        class."""
         masks: set[int] = set()
         for node in self.nodes:
             nmask = self._node_mask[node]
@@ -238,96 +235,68 @@ class TypeGraph:
         nodes.sort(key=lambda c: c.sort_key)
         return tuple(nodes)
 
-    def primes(self, target: int) -> list[CoverNode]:
-        """Descriptions of the prime conjunctions inside ``target``, ordered
-        by ``sort_key``.
+    def primes_containing(self, index: int, target: int) -> list[CoverNode]:
+        """Descriptions of the primes inside ``target`` that contain the
+        class ``index``, ordered by ``sort_key``; the class lies in ``target``.
 
         A conjunction of a node and at most one value per appropriate feature
-        is inside ``target`` when its mask is non-empty and a subset of it;
-        it is prime when no other inside conjunction has a strictly larger
-        mask.  The primes are the maximal inside members of
-        :attr:`cover_candidates`, found by a search of this mask's
-        conjunctions instead of a scan of the table.
+        is inside ``target`` when its mask is a subset of it; it is prime when
+        no other inside conjunction has a strictly larger mask.  One that
+        contains the class is an ancestor of the class's leaf with some of the
+        class's own atoms, so only those are searched.  An ancestor with no
+        more classes inside ``target`` than the node below it has only that
+        node's inside conjunctions, so it is skipped; from each other one:
+
+        * when the closure of the ancestor's classes in ``target`` (the
+          smallest conjunction containing them) lies inside ``target``, every
+          inside conjunction of the ancestor lies in it, and it is the only
+          prime the ancestor can give;
+        * otherwise the class's atoms are added depth-first in declaration
+          order.  A branch stops at its first mask inside ``target``; an atom
+          is added only if it removes a class outside ``target``, since a
+          prime reached with an atom that does not is reached without it; a
+          state is dropped when even all the atoms left admit a class outside.
+
+        The maximal masks found are the primes.
         """
+        t = self.universe[index]
+        atom_masks = [self._atom_mask[a] for a in t.assignment]
+        # rest[i]: the classes that every atom from position i on admits
+        rest = [self.full_mask] * (len(atom_masks) + 1)
+        for i in range(len(atom_masks) - 1, -1, -1):
+            rest[i] = rest[i + 1] & atom_masks[i]
+        found: set[int] = set()
+        below = 0
+        for node in self._up(t.leaf):
+            inside = self._node_mask[node] & target
+            if inside == below:
+                continue
+            below = inside
+            deep, _, by_atoms = self._closure(inside)
+            closed = self._node_mask[deep] & by_atoms
+            if not closed & ~target:
+                found.add(closed)
+                continue
+            stack = [(self._node_mask[node], 0)]
+            while stack:
+                m, i = stack.pop()
+                outside = m & ~target
+                if not outside:
+                    found.add(m)
+                elif not outside & rest[i]:
+                    stack += [(m & am, j + 1)
+                              for j, am in enumerate(atom_masks[i:], i)
+                              if outside & ~am]
         described = []
-        for m in self._prime_masks(target):
+        for m in found:
+            if any(m != o and not m & ~o for o in found):
+                continue
             node = self._descriptions.get(m)
             if node is None:
                 node = self._descriptions[m] = self.cover_node(m)
             described.append(node)
         described.sort(key=lambda c: c.sort_key)
         return described
-
-    def _prime_masks(self, target: int) -> list[int]:
-        """Masks of the primes inside ``target``.
-
-        A depth-first walk from each node's mask adds the node's features in
-        declaration order, keeping each (mask, next feature) state once.  A
-        branch stops at its first mask inside ``target``, since everything
-        below it is a subset, and is dropped when its mask misses
-        ``target``.  Two more prunes keep every prime reachable:
-
-        * an atom that removes no class outside ``target`` is skipped: the
-          same conjunction without it is inside whenever the one with it is,
-          and denotes a superset;
-        * a state whose classes inside ``target`` all lie under one child of
-          its node is skipped: that child reaches the same masks with the
-          same atoms, from its own walk.
-
-        A node is not walked at all when the closure of its inside classes
-        (the smallest conjunction containing them) lies inside ``target``:
-        every inside mask of its walk lies in that closure, so the closure
-        is the only prime the walk could yield, and is added in its place.
-        Every prime is met, together with some inside masks that are not
-        maximal, which the last step filters out.
-        """
-        found: set[int] = set()
-        for node in self.nodes:
-            start = self._node_mask[node]
-            # pruned before the root path is walked for the node's features,
-            # so on a chain of nodes only the leaf's features are looked up
-            inside = start & target
-            if not inside or self._under_one_child(node, inside):
-                continue
-            deep, _, by_atoms = self._closure(inside)
-            closed = self._node_mask[deep] & by_atoms
-            if not closed & ~target:
-                found.add(closed)
-                continue
-            choices = [self._value_masks[f.name] for f in self.features_at(node)]
-            seen = {(start, 0)}
-            stack = [(start, 0)]
-            while stack:
-                m, i = stack.pop()
-                outside = m & ~target
-                if not outside:
-                    found.add(m)
-                    continue
-                if self._under_one_child(node, m & target):
-                    continue
-                for j in range(i, len(choices)):
-                    for am in choices[j]:
-                        sub = m & am
-                        if (outside & ~am and sub & target
-                                and (sub, j + 1) not in seen):
-                            seen.add((sub, j + 1))
-                            stack.append((sub, j + 1))
-        # a mask strictly inside another found mask is strictly inside a
-        # prime, and primes are met before the smaller masks they contain
-        primes: list[int] = []
-        for m in sorted(found, key=int.bit_count, reverse=True):
-            if not any(m & ~p == 0 for p in primes):
-                primes.append(m)
-        return primes
-
-    def _under_one_child(self, node: str, mask: int) -> bool:
-        """Whether the non-empty ``mask`` lies under one child of ``node``."""
-        low = mask & -mask
-        for child in self._children[node]:
-            child_mask = self._node_mask[child]
-            if child_mask & low:
-                return not mask & ~child_mask
-        return False
 
     def _closure(self, mask: int) -> tuple[str, tuple[tuple[str, str], ...], int]:
         """The deepest node containing the non-empty ``mask``, the atoms

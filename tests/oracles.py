@@ -6,7 +6,8 @@ per-class evaluation of the expression tree, rule denotations from a regex
 scrape of the rules fixture, query resolution by plain set algebra over
 frozensets, and conjunctive cover descriptions by a class-by-class scan of
 a compiled universe over the full product of feature choices, with the
-primes of a mask filtered from that full table. Expression trees come from
+primes of a mask filtered from that full table and its minimum cover found
+by trying every combination of them. Expression trees come from
 the package parser (the surface grammar is shared); every semantic step is
 recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
@@ -399,6 +400,23 @@ def oracle_primes(graph, mask: int) -> list[tuple]:
     inside = [c for c in _candidate_table(graph) if c[2] & ~mask == 0]
     return [c for c in inside
             if not any(o[2] != c[2] and c[2] & ~o[2] == 0 for o in inside)]
+
+
+def oracle_minimal_cover(graph, mask: int) -> list[tuple]:
+    """The canonical minimum cover of ``mask``: the fewest of its
+    :func:`oracle_primes` whose masks unite to ``mask``, and of those covers
+    the one whose sorted sort keys are lexicographically least.
+
+    Combinations of the sort-key ordered primes are tried smallest size
+    first, each size in lexicographic order, so the first one that covers
+    is the answer.
+    """
+    primes = oracle_primes(graph, mask) if mask else []
+    for size in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, size):
+            if functools.reduce(lambda m, c: m | c[2], combo, 0) == mask:
+                return list(combo)
+    raise AssertionError("the primes of a mask cover it")
 
 
 # -- retag command line, read all at once ---------------------------------------

@@ -112,14 +112,6 @@ def test_parse_is_deterministic(graph):
         e.typed.denotation for e in b.exceptions]
 
 
-def test_explicit_inventory_must_agree(graph):
-    src = header() + "tags AA, BB\n[pos = 'AA'] => [mass].\n[pos = 'BB'] => [sg].\n"
-    parse_rules(src, graph, inventory=("AA", "BB"))
-    with pytest.raises(CompileError) as exc:
-        parse_rules(src, graph, inventory=("AA",))
-    assert exc.value.diagnostics[0].kind == "inventory-mismatch"
-
-
 def test_tagset_name_must_match(graph):
     src = header("other-set") + "tags AA\n[pos = 'AA'] => [mass].\n"
     with pytest.raises(CompileError) as exc:

@@ -21,6 +21,7 @@ from oracles import (
     key_of,
     oracle_cover_candidates,
     oracle_cover_node,
+    oracle_minimal_cover,
     oracle_primes,
     oracle_universe,
     oracle_universe_keys,
@@ -242,6 +243,13 @@ def _described(c):
     return c.node, c.atoms, c.mask, c.implied_node, c.sort_key
 
 
+def _ladder(n_features):
+    """``n_features`` features of three values at the root over 3 leaves."""
+    return "tagset ladder hierarchy { l0 l1 l2 }\n" + "\n".join(
+        f"feature f{i} for root {{ v{i}_0, v{i}_1, v{i}_2 }}"
+        for i in range(n_features))
+
+
 GRAPHS = {
     "fixture": parse_tagset_definition((FIXTURES / "eagles-en.tagset").read_text()),
     "restricted": parse_tagset_definition(RESTRICTED),
@@ -315,8 +323,13 @@ def test_cover_candidates_match_product_enumeration(source):
                                             if f.home in path)
 
 
-def _primes(g, mask):
-    return [_described(c) for c in g.primes(mask)]
+def _assert_primes_match(g, mask):
+    """Each class of ``mask`` has, in order, the full table's primes of
+    ``mask`` that contain it."""
+    expected = oracle_primes(g, mask)
+    for t in g.classes(mask):
+        assert [_described(c) for c in g.primes_containing(t.index, mask)] == \
+            [c for c in expected if c[2] >> t.index & 1]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -325,7 +338,7 @@ def _primes(g, mask):
 def test_primes_match_full_table(name, data):
     g = GRAPHS[name]
     mask = data.draw(_masks(g))
-    assert _primes(g, mask) == oracle_primes(g, mask)
+    _assert_primes_match(g, mask)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -339,7 +352,7 @@ def test_primes_of_candidate_unions_match_full_table(name, data):
     mask = 0
     for c in picks:
         mask |= c.mask
-    assert _primes(g, mask) == oracle_primes(g, mask)
+    _assert_primes_match(g, mask)
 
 
 @given(source=small_tagsets(), data=st.data())
@@ -347,14 +360,15 @@ def test_primes_of_candidate_unions_match_full_table(name, data):
 def test_primes_match_full_table_on_random_tagsets(source, data):
     g = parse_tagset_definition(source)
     mask = data.draw(_masks(g))
-    assert _primes(g, mask) == oracle_primes(g, mask)
+    _assert_primes_match(g, mask)
 
 
 def _assert_conjunctions_are_their_own_primes(g):
     for c in g.cover_candidates:
-        primes = _primes(g, c.mask)
-        assert primes == oracle_primes(g, c.mask)
-        assert [p[2] for p in primes] == [c.mask]
+        _assert_primes_match(g, c.mask)
+        for t in g.classes(c.mask):
+            assert [p.mask for p in g.primes_containing(t.index, c.mask)] == \
+                [c.mask]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -369,14 +383,67 @@ def test_every_conjunction_is_its_own_only_prime_on_random_tagsets(source):
 
 
 def test_the_full_mask_is_its_own_prime(graph):
-    assert [c.render() for c in graph.primes(graph.full_mask)] == ["pos=root"]
+    for t in graph.universe:
+        assert [c.render() for c in
+                graph.primes_containing(t.index, graph.full_mask)] == ["pos=root"]
 
 
 def test_primes_share_one_description_per_mask(graph):
     mask = graph.node_mask("v") | graph.node_mask("n")
-    first, again = graph.primes(mask), graph.primes(mask)
-    assert [c.render() for c in first] == ["pos=v", "pos=n"]
-    assert all(a is b for a, b in zip(first, again))
+    verb = graph.classes(graph.node_mask("v"))[0].index
+    noun = graph.classes(graph.node_mask("n"))[0].index
+    first = graph.primes_containing(verb, mask)
+    again = graph.primes_containing(verb, mask)
+    assert [c.render() for c in first] == ["pos=v"]
+    assert [c.render() for c in graph.primes_containing(noun, mask)] == ["pos=n"]
+    assert first[0] is again[0]
+    # the description is shared between the classes of one prime too
+    other = graph.classes(graph.node_mask("v"))[-1].index
+    assert graph.primes_containing(other, mask)[0] is first[0]
+
+
+# -- minimum covers ------------------------------------------------------------
+
+
+LADDER = parse_tagset_definition(_ladder(2))
+
+
+def _assert_canonical_cover(g, mask):
+    assert [_described(c) for c in minimal_cover(mask, g)] == \
+        oracle_minimal_cover(g, mask)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cover_is_canonical_on_ladder_masks(data):
+    # dense masks, the full one less a few classes, have the most primes
+    few = st.sets(st.integers(0, len(LADDER.universe) - 1), min_size=1,
+                  max_size=5).map(lambda bits: sum(1 << b for b in bits))
+    mask = data.draw(st.one_of(st.integers(1, LADDER.full_mask),
+                               few.map(lambda m: LADDER.full_mask & ~m)))
+    _assert_canonical_cover(LADDER, mask)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cover_is_canonical_on_candidate_unions(name, data):
+    g = GRAPHS[name]
+    picks = data.draw(st.lists(st.sampled_from(g.cover_candidates),
+                               min_size=1, max_size=3))
+    mask = 0
+    for c in picks:
+        mask |= c.mask
+    _assert_canonical_cover(g, mask)
+
+
+def test_cover_ties_go_to_the_least_sort_keys():
+    # two covers of six primes; the one whose sorted keys come first wins
+    mask = LADDER.full_mask & ~(1 << 9 | 1 << 12 | 1 << 25)
+    _assert_canonical_cover(LADDER, mask)
+    assert render_cover(minimal_cover(mask, LADDER)) == (
+        "pos=l0 | f1=v1_2 | pos=l1 & f0=v0_2 | pos=l2 & f1=v1_0"
+        " | f0=v0_0 & f1=v1_1 | f0=v0_1 & f1=v1_1")
 
 
 # -- size limits ---------------------------------------------------------------
@@ -414,13 +481,6 @@ def test_forty_one_value_features_compile_promptly():
     ]
 
 
-def _ladder(n_features):
-    """``n_features`` features of three values at the root over 3 leaves."""
-    return "tagset ladder hierarchy { l0 l1 l2 }\n" + "\n".join(
-        f"feature f{i} for root {{ v{i}_0, v{i}_1, v{i}_2 }}"
-        for i in range(n_features))
-
-
 def test_seven_feature_ladder_compiles_within_a_second():
     # the full candidate table of this tagset has 4**7 conjunctions per node
     with _time_limit(1):
@@ -436,6 +496,16 @@ def test_conjunction_cover_on_eight_feature_ladder_is_prompt():
     with _time_limit(0.1):
         cover = minimal_cover(spec.denotation, g)
     assert render_cover(cover) == "f4=v4_2 & f5=v5_0"
+
+
+def test_union_cover_on_eight_feature_ladder_is_prompt():
+    # the straddling conjunctions of a union number about 4**7 per node; the
+    # primes of each class the cover search branches on are a few
+    g = parse_tagset_definition(_ladder(8))
+    spec = compile_spec("[pos=l0 | f1=v1_0]", g)
+    with _time_limit(0.05):
+        cover = minimal_cover(spec.denotation, g)
+    assert render_cover(cover) == "pos=l0 | f1=v1_0"
 
 
 def test_many_features_compile_one_class_per_leaf():
