@@ -428,7 +428,7 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
                    key=lambda c: (c.mask & ~covered).bit_count())
         best.append(pick)
         covered |= pick.mask
-    best.sort(key=_sort_key)
+    best.sort(key=lambda c: c.sort_key)
     best_keys = [c.sort_key for c in best]
     chosen: list[CoverNode] = []        # in sort-key order
 
@@ -442,7 +442,7 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
         if len(chosen) + 1 > len(best):
             return
         for c in primes(covered):
-            at = bisect.bisect(chosen, c.sort_key, key=_sort_key)
+            at = bisect.bisect(chosen, c.sort_key, key=lambda o: o.sort_key)
             chosen.insert(at, c)
             search(covered | c.mask)
             del chosen[at]
@@ -451,10 +451,6 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     result = tuple(best)
     g._cover_cache[mask] = result
     return result
-
-
-def _sort_key(c: CoverNode) -> tuple:
-    return c.sort_key
 
 
 def render_cover(cover: tuple[CoverNode, ...]) -> str:

@@ -239,35 +239,37 @@ class TypeGraph:
         """Descriptions of the primes inside ``target`` that contain the
         class ``index``, ordered by ``sort_key``; the class lies in ``target``.
 
-        A conjunction of a node and at most one value per appropriate feature
-        is inside ``target`` when its mask is a subset of it; it is prime when
-        no other inside conjunction has a strictly larger mask.  One that
-        contains the class is an ancestor of the class's leaf with some of the
-        class's own atoms, so only those are searched.  An ancestor with no
+        A conjunction (a node and at most one value per appropriate feature)
+        inside ``target`` is prime when no other one inside has a larger
+        mask.  One containing the class is an ancestor of its leaf with some
+        of the class's atoms appropriate there (homed on its root path); an
+        atom homed lower gives no mask its home does not.  An ancestor with no
         more classes inside ``target`` than the node below it has only that
-        node's inside conjunctions, so it is skipped; from each other one:
+        node's inside conjunctions and is skipped; from each other one:
 
         * when the closure of the ancestor's classes in ``target`` (the
-          smallest conjunction containing them) lies inside ``target``, every
-          inside conjunction of the ancestor lies in it, and it is the only
+          smallest conjunction containing them) lies inside ``target``, it
+          holds every inside conjunction of the ancestor and is the only
           prime the ancestor can give;
-        * otherwise the class's atoms are added depth-first in declaration
-          order.  A branch stops at its first mask inside ``target``; an atom
-          is added only if it removes a class outside ``target``, since a
-          prime reached with an atom that does not is reached without it; a
-          state is dropped when even all the atoms left admit a class outside.
-
-        The maximal masks found are the primes.
+        * otherwise the appropriate atoms are added depth-first in
+          declaration order.  A branch stops at its first mask inside
+          ``target``; an atom is added only if it removes a class outside,
+          since a prime reached with one that does not is reached without it;
+          a state is dropped when all the atoms left still admit a class
+          outside.  The maximal masks found are the primes.
         """
         t = self.universe[index]
-        atom_masks = [self._atom_mask[a] for a in t.assignment]
-        # rest[i]: the classes that every atom from position i on admits
-        rest = [self.full_mask] * (len(atom_masks) + 1)
-        for i in range(len(atom_masks) - 1, -1, -1):
-            rest[i] = rest[i + 1] & atom_masks[i]
+        # the class's atoms with their features' homes
+        homed = [(self.feature_map[f].home, self._atom_mask[(f, v)])
+                 for f, v in t.assignment]
+        homes = {h for h, _ in homed}
         found: set[int] = set()
-        below = 0
+        below, child = 0, None
         for node in self._up(t.leaf):
+            if child in homes:
+                # atoms homed at the node below are not appropriate here
+                homed = [(h, m) for h, m in homed if h != child]
+            child = node
             inside = self._node_mask[node] & target
             if inside == below:
                 continue
@@ -277,6 +279,11 @@ class TypeGraph:
             if not closed & ~target:
                 found.add(closed)
                 continue
+            atom_masks = [m for _, m in homed]
+            # rest[i]: the classes that every atom from position i on admits
+            rest = [self.full_mask] * (len(atom_masks) + 1)
+            for i in range(len(atom_masks) - 1, -1, -1):
+                rest[i] = rest[i + 1] & atom_masks[i]
             stack = [(self._node_mask[node], 0)]
             while stack:
                 m, i = stack.pop()

@@ -508,6 +508,24 @@ def test_union_cover_on_eight_feature_ladder_is_prompt():
     assert render_cover(cover) == "pos=l0 | f1=v1_0"
 
 
+def test_union_cover_on_deep_chain_is_prompt():
+    # hierarchy { b1 a1 { b2 a2 { ... } } } with a one-value feature homed at
+    # every a<i>: a search from the root over the atoms of features homed
+    # below it visits every increasing subset of them, about 2**28 states
+    depth = 30
+    source = ("tagset chain hierarchy { "
+              + " ".join(f"b{i} a{i} {{" for i in range(1, depth + 1))
+              + " }" * depth + " }\n"
+              + "\n".join(f"feature g{i} for a{i} {{ w{i} }}"
+                          for i in range(1, depth + 1)))
+    g = parse_tagset_definition(source)
+    mask = g.node_mask("b1") | g.node_mask("a30")
+    with _time_limit(0.25):
+        cover = minimal_cover(mask, g)
+    assert render_cover(cover) == "pos=b1 | " + " & ".join(
+        f"g{i}=w{i}" for i in range(1, depth + 1))
+
+
 def test_many_features_compile_one_class_per_leaf():
     g = parse_tagset_definition(_one_value_features(1100))
     assert [t.leaf for t in g.universe] == ["a", "b"]
