@@ -431,23 +431,31 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     best.sort(key=lambda c: c.sort_key)
     best_keys = [c.sort_key for c in best]
     chosen: list[CoverNode] = []        # in sort-key order
-
-    def search(covered: int) -> None:
-        nonlocal best, best_keys
+    # a stack of levels, one more than the primes in ``chosen``, so that a
+    # cover of many primes costs no recursion: each holds the classes
+    # covered there, the primes left to try and the position in ``chosen``
+    # of the prime that opened it
+    levels = [(0, iter(primes(0)), None)]
+    while levels:
+        covered, options, opened = levels[-1]
+        c = next(options, None)
+        if c is None:
+            levels.pop()
+            if opened is not None:
+                del chosen[opened]
+            continue
+        at = bisect.bisect(chosen, c.sort_key, key=lambda o: o.sort_key)
+        chosen.insert(at, c)
+        covered |= c.mask
         if covered == mask:
-            keys = [c.sort_key for c in chosen]
+            keys = [o.sort_key for o in chosen]
             if len(keys) < len(best_keys) or keys < best_keys:
                 best, best_keys = list(chosen), keys
-            return
-        if len(chosen) + 1 > len(best):
-            return
-        for c in primes(covered):
-            at = bisect.bisect(chosen, c.sort_key, key=lambda o: o.sort_key)
-            chosen.insert(at, c)
-            search(covered | c.mask)
-            del chosen[at]
+        elif len(chosen) < len(best):
+            levels.append((covered, iter(primes(covered)), at))
+            continue
+        del chosen[at]
 
-    search(0)
     result = tuple(best)
     g._cover_cache[mask] = result
     return result

@@ -22,7 +22,9 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import count, repeat
+from operator import or_
 
 from .diagnostics import CompileError, Diagnostic, Span, SpecSyntaxError, error
 from .lexer import TokenCursor, tokenize
@@ -47,7 +49,7 @@ class FeatureDecl:
     span: Span = field(default_factory=lambda: Span(1, 1), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminalClass:
     """A maximal consistent assignment at one hierarchy leaf."""
 
@@ -115,24 +117,23 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
-        self.universe = self._enumerate()
+        self.universe, self._atom_mask, leaf_span = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
-        self._atom_mask: dict[tuple[str, str], int] = {
-            (f.name, v): 0 for f in features for v in f.values
-        }
-        self._feature_mask: dict[str, int] = {f.name: 0 for f in features}
-        self._node_mask: dict[str, int] = {n: 0 for n in order}
-        for t in self.universe:
-            bit = 1 << t.index
-            for f, v in t.assignment:
-                self._atom_mask[(f, v)] |= bit
-                self._feature_mask[f] |= bit
-            for n in self._up(t.leaf):
-                self._node_mask[n] |= bit
         # atom masks of each feature, in value declaration order
         self._value_masks = {f.name: tuple(self._atom_mask[(f.name, v)]
                                            for v in f.values)
                              for f in features}
+        self._feature_mask = {name: reduce(or_, masks, 0)
+                              for name, masks in self._value_masks.items()}
+        # a leaf's classes are consecutive; every node follows its parent
+        # in ``order``, so a node's mask is complete before it is passed up
+        self._node_mask = dict.fromkeys(order, 0)
+        for leaf, (start, stop) in leaf_span.items():
+            self._node_mask[leaf] = ((1 << stop - start) - 1) << start
+        for node in reversed(order):
+            parent = self._parents[node]
+            if parent is not None:
+                self._node_mask[parent] |= self._node_mask[node]
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
         # prime descriptions, one per conjunction mask met by a cover search,
         # so covers share them as they shared the candidate table
@@ -181,31 +182,53 @@ class TypeGraph:
 
     # -- enumeration ----------------------------------------------------
 
-    def _enumerate(self) -> tuple[TerminalClass, ...]:
-        out: list[TerminalClass] = []
-        for leaf in self.leaves:
-            for assignment in self._expand(self.features_at(leaf)):
-                out.append(TerminalClass(leaf, tuple(assignment.items()),
-                                         index=len(out)))
-        return tuple(out)
+    def _enumerate(self) -> tuple[tuple[TerminalClass, ...],
+                                  dict[tuple[str, str], int],
+                                  dict[str, tuple[int, int]]]:
+        """The terminal classes, leaf by leaf, with the mask of each atom and
+        the index range of each leaf's classes.
+
+        Each atom's mask is written as a binary numeral, one digit per class,
+        and converted to an integer once: a fixed amount of work per class
+        and atom, where or-ing bits into a universe-wide integer one at a
+        time would cost time quadratic in the number of classes.
+        """
+        by_leaf = [(leaf, self._expand(self.features_at(leaf)))
+                   for leaf in self.leaves]
+        width = sum(len(assignments) for _, assignments in by_leaf)
+        # digit i of an atom's numeral is "1" when class i holds the atom
+        digits = {a: bytearray(b"0") * width for a in self._value_key}
+        universe: list[TerminalClass] = []
+        leaf_span: dict[str, tuple[int, int]] = {}
+        for leaf, assignments in by_leaf:
+            start = len(universe)
+            universe += map(TerminalClass, repeat(leaf), assignments,
+                            count(start))
+            for i, assignment in enumerate(assignments, start):
+                for a in assignment:
+                    digits[a][i] = 49               # ord("1")
+            leaf_span[leaf] = start, len(universe)
+        # the numeral is read most significant digit first
+        atom_mask = {a: int(d[::-1], 2) for a, d in digits.items()}
+        return tuple(universe), atom_mask, leaf_span
 
     @staticmethod
-    def _expand(feats) -> list[dict[str, str]]:
+    def _expand(feats) -> list[tuple[tuple[str, str], ...]]:
         """Every consistent assignment to ``feats``, in value declaration order.
 
         Partial assignments are extended one feature at a time, each by every
         value of the feature in turn, so the result is ordered by the value
         positions of the earliest features first.
         """
-        partial: list[dict[str, str]] = [{}]
+        partial: list[tuple[tuple[str, str], ...]] = [()]
         for f in feats:
-            grown: list[dict[str, str]] = []
+            atoms = [((f.name, v),) for v in f.values]
+            grown: list[tuple[tuple[str, str], ...]] = []
             for seen in partial:
-                if f.conditions and not any(seen.get(cf) == cv
-                                            for cf, cv in f.conditions):
+                if f.conditions and not any(c in seen for c in f.conditions):
                     grown.append(seen)
                 else:
-                    grown.extend({**seen, f.name: v} for v in f.values)
+                    grown += [seen + a for a in atoms]
             partial = grown
         return partial
 
@@ -262,13 +285,11 @@ class TypeGraph:
         # the class's atoms with their features' homes
         homed = [(self.feature_map[f].home, self._atom_mask[(f, v)])
                  for f, v in t.assignment]
-        homes = {h for h, _ in homed}
         found: set[int] = set()
         below, child = 0, None
+        passed: set[str | None] = set()     # the nodes below ``node``
         for node in self._up(t.leaf):
-            if child in homes:
-                # atoms homed at the node below are not appropriate here
-                homed = [(h, m) for h, m in homed if h != child]
+            passed.add(child)
             child = node
             inside = self._node_mask[node] & target
             if inside == below:
@@ -279,7 +300,8 @@ class TypeGraph:
             if not closed & ~target:
                 found.add(closed)
                 continue
-            atom_masks = [m for _, m in homed]
+            # atoms homed at a node passed are not appropriate here
+            atom_masks = [m for h, m in homed if h not in passed]
             # rest[i]: the classes that every atom from position i on admits
             rest = [self.full_mask] * (len(atom_masks) + 1)
             for i in range(len(atom_masks) - 1, -1, -1):

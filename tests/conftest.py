@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,11 @@ import pytest
 from tagmap import build_mtree, parse_rules, parse_tagset_definition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "tagmap" / "fixtures"
+# the benchmark's input generators (``perfbench/gen.py``), which tests read
+# as ``gen`` and never edit
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
 
 _ACCEPTANCE = {
     "test_criterion_1": "end-to-end query reproduction (patterns + noise)",

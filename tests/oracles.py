@@ -4,12 +4,13 @@ Nothing here reuses the package's set machinery. Universes are rebuilt by
 brute-force generate-and-filter over explicit value products, denotations by
 per-class evaluation of the expression tree, rule denotations from a regex
 scrape of the rules fixture, query resolution by plain set algebra over
-frozensets, and conjunctive cover descriptions by a class-by-class scan of
-a compiled universe over the full product of feature choices, with the
-primes of a mask filtered from that full table and its minimum cover found
-by trying every combination of them. Expression trees come from
-the package parser (the surface grammar is shared); every semantic step is
-recomputed from first principles.
+frozensets, the atom, feature and node masks of a compiled universe by
+or-ing in its classes one at a time, and conjunctive cover descriptions by
+a class-by-class scan of a compiled universe over the full product of
+feature choices, with the primes of a mask filtered from that full table
+and its minimum cover found by trying every combination of them.
+Expression trees come from the package parser (the surface grammar is
+shared); every semantic step is recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
 the per-token retagger with the package and checks only the streaming I/O.
 """
@@ -330,6 +331,24 @@ def key_of(terminal) -> ClassKey:
 
 def mask_keys(graph, mask: int) -> frozenset:
     return frozenset(key_of(t) for t in graph.classes(mask))
+
+
+def oracle_masks(graph) -> tuple[dict, dict, dict]:
+    """The masks of every atom, feature and hierarchy node of ``graph``, or-ed
+    together one bit at a time from a scan of its universe, class by class:
+    an atom's mask holds the classes assigning it, a feature's the classes
+    assigning it any value and a node's the classes of the leaves below it."""
+    atoms = {(f.name, v): 0 for f in graph.features for v in f.values}
+    features = {f.name: 0 for f in graph.features}
+    nodes = {n: 0 for n in graph.nodes}
+    for t in graph.universe:
+        bit = 1 << t.index
+        for f, v in t.assignment:
+            atoms[(f, v)] |= bit
+            features[f] |= bit
+        for n in graph.ancestry(t.leaf):
+            nodes[n] |= bit
+    return atoms, features, nodes
 
 
 # -- conjunctive descriptions by per-class scan ----------------------------------

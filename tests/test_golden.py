@@ -1,24 +1,27 @@
 """CLI output stays byte-identical to the files in ``tests/golden/``.
 
-The files hold the fixture ``explain`` output and the stdout, stderr and exit
-status of ``query --batch --strict`` over the first 100 queries of the
-benchmark's seed-1 fixture pool, as an earlier version of the program wrote
-them.  The pool comes from ``perfbench/gen.py``, which is read, not edited.
-A deliberate change of output replaces the files and says why.
+The files hold, as an earlier version of the program wrote them:
+
+* the fixture ``explain`` output;
+* the stdout, stderr and exit status of ``query --batch --strict`` over the
+  first 100 queries of the benchmark's seed-1 fixture pool;
+* the ``explain`` output of the benchmark's 6-feature ladder tagset with the
+  rules of seeds 1 to 3;
+* the ``compile`` line of that tagset.
+
+The pool, the ladder tagset and its rules come from ``perfbench/gen.py``,
+which is read, not edited.  A deliberate change of output replaces the files
+and says why.
 """
 import random
-import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.append(str(PERFBENCH))
+import gen
+import pytest
 
-import gen  # noqa: E402
+from tagmap import cli
 
-from tagmap import cli  # noqa: E402
-
-from oracles import FEATURES, FIXTURES, LEAF_PATHS, oracle_universe  # noqa: E402
+from oracles import FEATURES, FIXTURES, LEAF_PATHS, oracle_universe
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = ["--tagset", str(FIXTURES / "eagles-en.tagset"),
@@ -54,3 +57,25 @@ def test_fixture_pool_queries_are_unchanged(tmp_path, capsys):
     assert out == (GOLDEN / "pool1-query.out").read_text()
     assert err == (GOLDEN / "pool1-query.err").read_text()
     assert f"{code}\n" == (GOLDEN / "pool1-query.status").read_text()
+
+
+def _ladder_files(tmp_path, seed: int) -> list[str]:
+    tagset = tmp_path / "ladder.tagset"
+    tagset.write_text(gen.ladder_tagset())
+    rules = tmp_path / "ladder.rules"
+    rules.write_text(gen.ladder_rules(random.Random(f"{seed}:rules")).text)
+    return ["--tagset", str(tagset), "--rules", str(rules)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ladder_explain_is_unchanged(seed, tmp_path, capsys):
+    code, out, err = _run(capsys, ["explain", *_ladder_files(tmp_path, seed)])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"ladder{seed}-explain.out").read_text()
+
+
+def test_ladder_compile_is_unchanged(tmp_path, capsys):
+    tagset_only = _ladder_files(tmp_path, 1)[:2]
+    code, out, err = _run(capsys, ["compile", *tagset_only])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "ladder-compile.out").read_text()

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
+import gen
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from oracles import (
     key_of,
     oracle_cover_candidates,
     oracle_cover_node,
+    oracle_masks,
     oracle_minimal_cover,
     oracle_primes,
     oracle_universe,
@@ -323,6 +325,34 @@ def test_cover_candidates_match_product_enumeration(source):
                                             if f.home in path)
 
 
+def _assert_masks_match(g):
+    atoms, features, nodes = oracle_masks(g)
+    assert {a: g.atom_mask(*a) for a in atoms} == atoms
+    assert {f: g.feature_mask(f) for f in features} == features
+    assert {n: g.node_mask(n) for n in nodes} == nodes
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_masks_match_class_scan(name):
+    _assert_masks_match(GRAPHS[name])
+
+
+@given(small_tagsets())
+@settings(max_examples=80, deadline=None)
+def test_masks_match_class_scan_on_random_tagsets(source):
+    _assert_masks_match(parse_tagset_definition(source))
+
+
+@pytest.mark.parametrize("n_features", [5, 6])
+def test_ladder_universe_matches_the_benchmark_classes(n_features):
+    g = parse_tagset_definition(gen.ladder_tagset(n_features))
+    assert [(t.leaf, dict(t.assignment)) for t in g.universe] == \
+        gen.ladder_classes(n_features)
+    assert [[f for f, _ in t.assignment] for t in g.universe] == \
+        [[f"f{i}" for i in range(n_features)]] * len(g.universe)
+    _assert_masks_match(g)
+
+
 def _assert_primes_match(g, mask):
     """Each class of ``mask`` has, in order, the full table's primes of
     ``mask`` that contain it."""
@@ -488,6 +518,16 @@ def test_seven_feature_ladder_compiles_within_a_second():
     assert len(g.universe) == 3 * 3 ** 7
 
 
+def test_nine_feature_ladder_compiles_in_time_linear_in_its_classes():
+    # 59,049 classes; or-ing every class's bit into universe-wide masks one
+    # at a time took about 1 s here, writing each mask as a numeral and
+    # converting it once about 0.2 s
+    with _time_limit(1):
+        g = parse_tagset_definition(_ladder(9))
+    assert len(g.universe) == 3 ** 10
+    assert g.atom_mask("f8", "v8_2").bit_count() == 3 ** 9
+
+
 def test_conjunction_cover_on_eight_feature_ladder_is_prompt():
     # a cover search that walks every conjunction of the root straddling
     # this mask visits about 4**7 states, 0.7 s here
@@ -526,6 +566,20 @@ def test_union_cover_on_deep_chain_is_prompt():
         f"g{i}=w{i}" for i in range(1, depth + 1))
 
 
+def test_cover_of_many_primes_needs_no_recursion():
+    # every other class of a 2,400-value feature over two leaves: the cover
+    # is one prime per value kept, more than a search that recursed once per
+    # chosen prime could stack
+    g = parse_tagset_definition(
+        "tagset wide hierarchy { a b }\nfeature f for root { "
+        + ", ".join(f"v{i}" for i in range(2400)) + " }")
+    mask = sum(1 << i for i in range(0, len(g.universe), 2))
+    cover = minimal_cover(mask, g)
+    assert len(cover) == 1200
+    assert render_cover(cover) == " | ".join(f"f=v{i}"
+                                             for i in range(0, 2400, 2))
+
+
 def test_many_features_compile_one_class_per_leaf():
     g = parse_tagset_definition(_one_value_features(1100))
     assert [t.leaf for t in g.universe] == ["a", "b"]
@@ -536,8 +590,9 @@ def test_deep_hierarchy_memory_is_linear_in_depth():
     # a chain with a one-value feature homed at every node: storing every
     # root path, or every node's feature tuple, costs depth**2 / 2
     # references, 35 to 40 MB (linear storage keeps about 4 MB), and a cover
-    # search that walks the root path of every node for its features takes
-    # time quadratic in the depth, about 0.8 s here
+    # search that walks the root path of every node for its features, or
+    # filters the class's atoms afresh at every ancestor, takes time
+    # quadratic in the depth, 0.4 to 0.8 s here
     depth = 3000
     source = ("tagset deep hierarchy { "
               + " ".join(f"n{i} {{" for i in range(depth))
@@ -551,7 +606,8 @@ def test_deep_hierarchy_memory_is_linear_in_depth():
     finally:
         tracemalloc.stop()
     assert retained < 5 * 1024 * 1024
-    # about 5 ms when only the leaf's features are looked up
+    # 4 to 9 ms here when only the leaf's features are looked up, and only
+    # at the ancestors searched
     with _time_limit(0.25):
         cover = minimal_cover(g.atom_mask("f", "a"), g)
     # the one class with f=a has every one-value feature, so its
