@@ -23,9 +23,7 @@ from .specexpr import (
     TypedSpec,
     compile_spec,
     denote,
-    minimal_cover,
     parse_spec,
-    render_cover,
     render_spec,
     typecheck,
 )
@@ -33,7 +31,9 @@ from .typegraph import (
     FeatureDecl,
     TerminalClass,
     TypeGraph,
+    minimal_cover,
     parse_tagset_definition,
+    render_cover,
 )
 
 __version__ = "0.1.0"

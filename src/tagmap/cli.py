@@ -173,7 +173,7 @@ def _cmd_retag(args) -> int:
             and os.path.samefile(args.corpus, args.output)):
         raise OSError(f"output {args.output} is the corpus itself; retag "
                       "streams its input and cannot overwrite it")
-    summary = RetagSummary()
+    summary = RetagSummary(notes=rules.notes)
     # records are written as they are made, so memory does not grow with the
     # corpus; the corpus is opened first so that a missing one leaves the
     # output file untouched

@@ -6,10 +6,13 @@ A rules file has the shape::
     tags T1, T2, ...
     [pos = 'T1'] => <spec> .
     [w1, w2] << [pos = 'T2'] >> <spec> .
+    note T1 "<text>" .
 
 A coverage rule assigns a standard reading to every occurrence of a physical
 tag; an exception entry reroutes the listed words under that tag to a
-different reading. Parsing collects every diagnostic it can before failing.
+different reading; a note, at most one per inventory tag, is printed once in
+a retag summary when the tag first occurs. Parsing collects every diagnostic
+it can before failing.
 """
 from __future__ import annotations
 
@@ -73,6 +76,7 @@ class RuleSet:
     coverage: dict[str, CoverageRule]
     exceptions: tuple[ExceptionEntry, ...]
     warnings: list[Diagnostic] = field(default_factory=list)
+    notes: dict[str, str] = field(default_factory=dict)     # tag -> note
     word_index: dict[tuple[str, str], ExceptionEntry] = field(init=False)
     _by_tag: dict[str, tuple[ExceptionEntry, ...]] = field(init=False)
 
@@ -126,19 +130,24 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
 
     coverage: dict[str, CoverageRule] = {}
     entries: list[ExceptionEntry] = []
+    notes: dict[str, str] = {}
     seen_rule: set[str] = set()
     seen_word: set[tuple[str, str]] = set()
 
     while c.cur.type != "EOF":
-        if c.cur.type != "LBRACKET":
+        is_note = c.cur.type == "NAME" and c.cur.text == "note"
+        if not is_note and c.cur.type != "LBRACKET":
             diags.append(error("syntax",
                                f"expected a rule, found {c.cur.text!r}",
                                c.cur.span))
             _sync(c)
             continue
         try:
-            _parse_rule(c, graph, tags, coverage, entries,
-                        seen_rule, seen_word, diags, warns)
+            if is_note:
+                _parse_note(c, tags, notes, diags)
+            else:
+                _parse_rule(c, graph, tags, coverage, entries,
+                            seen_rule, seen_word, diags, warns)
         except SpecSyntaxError as exc:
             diags.extend(exc.diagnostics)
             _sync(c)
@@ -160,7 +169,7 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
         raise CompileError(diags + warns)
     return RuleSet(name=name, graph=graph, inventory=tags,
                    coverage=coverage, exceptions=tuple(entries),
-                   warnings=warns)
+                   warnings=warns, notes=notes)
 
 
 def _parse_header(c: TokenCursor) -> tuple[str, str]:
@@ -256,6 +265,22 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: tuple[str, ...],
     if typed is None:
         return
     coverage[tag] = CoverageRule(tag=tag, spec=target, typed=typed, span=start)
+
+
+def _parse_note(c: TokenCursor, tags: tuple[str, ...],
+                notes: dict[str, str], diags: list[Diagnostic]) -> None:
+    start = c.keyword("note").span
+    tag = c.expect("NAME", "a tag name").text
+    text = c.expect("QUOTED", "a quoted note").value
+    c.expect("DOT", "'.'")
+    if tags and tag not in tags:
+        diags.append(error("unknown-tag",
+                           f"tag {tag} is not in the inventory", start))
+    elif tag in notes:
+        diags.append(error("duplicate-note",
+                           f"tag {tag} already has a note", start))
+    else:
+        notes[tag] = text
 
 
 def _parse_words(c: TokenCursor) -> tuple[str, ...]:

@@ -21,8 +21,13 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, warning
 from .maprules import RuleSet
-from .specexpr import minimal_cover, render_cover
-from .typegraph import CoverNode, TerminalClass, TypeGraph
+from .typegraph import (
+    CoverNode,
+    TerminalClass,
+    TypeGraph,
+    minimal_cover,
+    render_cover,
+)
 
 
 @dataclass

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maprules import RuleSet
-from .specexpr import SpecExpr, TypedSpec, compile_spec, minimal_cover, render_cover, typecheck
-from .typegraph import CoverNode
+from .specexpr import SpecExpr, TypedSpec, compile_spec, typecheck
+from .typegraph import CoverNode, minimal_cover, render_cover
 
 
 @dataclass(frozen=True)

@@ -48,31 +48,34 @@ class RetagRecord:
 
 @dataclass
 class RetagSummary:
+    """Counts over a retag run.  ``notes`` maps a tag to the note of the rule
+    set's ``note`` line; each is printed once, in the order the tags are
+    first retagged."""
+
     tokens: int = 0
     exceptions: int = 0
     underspecified: int = 0
     holes: int = 0
     malformed: int = 0
     holes_by_tag: dict[str, int] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    notes: dict[str, str] = field(default_factory=dict)
+    noted: dict[str, str] = field(default_factory=dict, init=False)
 
     def add(self, item: "RetagRecord | Diagnostic") -> None:
         if isinstance(item, Diagnostic):
             self.malformed += 1
             return
         self.tokens += 1
+        tag = item.token.tag
         if item.provenance == "exception":
             self.exceptions += 1
         if "underspecified" in item.flags:
             self.underspecified += 1
         if "hole" in item.flags:
             self.holes += 1
-            tag = item.token.tag
             self.holes_by_tag[tag] = self.holes_by_tag.get(tag, 0) + 1
-        if item.token.tag == "POS" and not self.notes:
-            self.notes.append(
-                "clitic possessives ('s/POS) are separate tokens; their "
-                "reading is the possessive-marker class")
+        if tag in self.notes and tag not in self.noted:
+            self.noted[tag] = self.notes[tag]
 
     def render(self) -> str:
         holes = f"# holes: {self.holes}"
@@ -87,7 +90,7 @@ class RetagSummary:
             holes,
             f"# malformed: {self.malformed}",
         ]
-        lines += [f"# note: {n}" for n in self.notes]
+        lines += [f"# note: {n}" for n in self.noted.values()]
         return "\n".join(lines)
 
 
@@ -107,14 +110,25 @@ def parse_corpus_line(text: str, lineno: int,
     if fmt != "slash":
         raise ValueError(f"unknown corpus format {fmt!r}")
     tokens = []
-    for piece in text.split():
+    pieces = text.split()
+    for piece in pieces:
         word, sep, tag = piece.rpartition("/")
         if not sep or not word or not tag:
             return error("malformed-token",
                          f"token {piece!r} has no word/TAG split",
-                         Span(lineno, text.find(piece) + 1))
+                         Span(lineno, _column(text, pieces[:len(tokens) + 1])))
         tokens.append(CorpusToken(word, tag, lineno))
     return tokens
+
+
+def _column(text: str, pieces: list[str]) -> int:
+    """Column of the last of ``pieces``, the first pieces of ``text.split()``;
+    each is searched for from the end of the one before."""
+    end = 0
+    for piece in pieces:
+        start = text.find(piece, end)
+        end = start + len(piece)
+    return start + 1
 
 
 def retag_token(rules: RuleSet, token: CorpusToken) -> RetagRecord:

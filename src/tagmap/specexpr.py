@@ -24,16 +24,16 @@ bitsets over the graph universe:
 
 An expression is well-typed when every disjunct of its disjunctive normal
 form denotes at least one terminal class; a single contradictory disjunct
-rejects the whole specification.
+rejects the whole specification.  The way back, from a set of classes to a
+description, is :func:`tagmap.typegraph.minimal_cover`.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Span, SpecSyntaxError, SpecTypeError, error
 from .lexer import Token, TokenCursor, tokenize
-from .typegraph import POS_FEATURE, CoverNode, TypeGraph
+from .typegraph import POS_FEATURE, TypeGraph
 
 _DEFAULT_SPAN = Span(1, 1)
 
@@ -388,104 +388,3 @@ def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]
         if unsat(trial):
             core = trial
     return tuple(core)
-
-
-# -- minimal covers ----------------------------------------------------------
-
-
-def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
-    """Smallest set of conjunctive descriptions denoting exactly ``mask``,
-    ordered by ``sort_key``.
-
-    The cover is made of primes, the maximal conjunctions inside ``mask``.
-    It has the fewest primes of any cover; of the covers of that size, it is
-    the one whose sorted list of sort keys is lexicographically least,
-    so it depends on the mask alone.  A branch-and-bound search, seeded with
-    a greedy cover, branches on the lowest uncovered class over the primes
-    containing it (:meth:`TypeGraph.primes_containing`), each class's primes
-    found once per call.  Results are cached on the graph.
-    """
-    if mask == 0:
-        return ()
-    cached = g._cover_cache.get(mask)
-    if cached is not None:
-        return cached
-    primes_of: dict[int, list[CoverNode]] = {}
-
-    def primes(covered: int) -> list[CoverNode]:
-        missing = mask & ~covered
-        low = (missing & -missing).bit_length() - 1
-        found = primes_of.get(low)
-        if found is None:
-            found = primes_of[low] = g.primes_containing(low, mask)
-        return found
-
-    # the greedy cover bounds the exact search
-    best: list[CoverNode] = []
-    covered = 0
-    while covered != mask:
-        pick = max(primes(covered),
-                   key=lambda c: (c.mask & ~covered).bit_count())
-        best.append(pick)
-        covered |= pick.mask
-    best.sort(key=lambda c: c.sort_key)
-    best_keys = [c.sort_key for c in best]
-    chosen: list[CoverNode] = []        # in sort-key order
-    # a stack of levels, one more than the primes in ``chosen``, so that a
-    # cover of many primes costs no recursion: each holds the classes
-    # covered there, the primes left to try and the position in ``chosen``
-    # of the prime that opened it
-    levels = [(0, iter(primes(0)), None)]
-    while levels:
-        covered, options, opened = levels[-1]
-        c = next(options, None)
-        if c is None:
-            levels.pop()
-            if opened is not None:
-                del chosen[opened]
-            continue
-        at = bisect.bisect(chosen, c.sort_key, key=lambda o: o.sort_key)
-        chosen.insert(at, c)
-        covered |= c.mask
-        if covered == mask:
-            keys = [o.sort_key for o in chosen]
-            if len(keys) < len(best_keys) or keys < best_keys:
-                best, best_keys = list(chosen), keys
-        elif len(chosen) < len(best):
-            levels.append((covered, iter(primes(covered)), at))
-            continue
-        del chosen[at]
-
-    result = tuple(best)
-    g._cover_cache[mask] = result
-    return result
-
-
-def render_cover(cover: tuple[CoverNode, ...]) -> str:
-    """Factored disjunctive rendering of a cover, shared atoms pulled out."""
-    if not cover:
-        return ""
-    return _factor([c.parts() for c in cover])
-
-
-def _factor(units: list[tuple[str, ...]]) -> str:
-    if len(units) == 1:
-        return " & ".join(units[0])
-    common = [u for u in units[0] if all(u in rest for rest in units[1:])]
-    if common:
-        rest = [tuple(u for u in row if u not in common) for row in units]
-        return " & ".join(common) + " & (" + _factor_groups(rest) + ")"
-    return _factor_groups(units)
-
-
-def _factor_groups(units: list[tuple[str, ...]]) -> str:
-    groups: dict[str, list[tuple[str, ...]]] = {}
-    for row in units:
-        groups.setdefault(row[0], []).append(row)
-    parts = []
-    for rows in groups.values():
-        if len(rows) == 1:
-            parts.append(" & ".join(rows[0]))
-        else:
-            parts.append(_factor(rows))
-    return " | ".join(parts)

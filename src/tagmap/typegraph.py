@@ -5,7 +5,9 @@ features, each appropriate at one hierarchy node and optionally guarded by
 appropriateness conditions on earlier features.  Compiling it yields a
 :class:`TypeGraph` whose terminal classes, the maximal consistent feature
 assignments per leaf, form the closed-world universe that every
-specification expression denotes into.
+specification expression denotes into.  :func:`minimal_cover` describes a
+set of classes by the fewest primes, the maximal conjunctions inside it, and
+:func:`render_cover` writes that cover out.
 
 Definition file format::
 
@@ -95,9 +97,10 @@ class TypeGraph:
     """A compiled tagset definition.
 
     Instances are immutable after construction and safe to read from several
-    threads; the only internal mutations are idempotent caches of covers and
-    prime descriptions, and the candidate table, built on first read.  Build
-    one with :func:`parse_tagset_definition`, not directly.
+    threads; the only internal mutations are idempotent caches: the covers
+    :func:`minimal_cover` found, by mask; the prime descriptions those
+    covers share, by mask; and the candidate table, built on first read.
+    Build one with :func:`parse_tagset_definition`, not directly.
     """
 
     def __init__(self, name: str, parents: dict[str, str | None],
@@ -364,6 +367,98 @@ class TypeGraph:
                tuple(self._value_key[a] for a in atoms))
         return CoverNode(node, atoms, mask=mask,
                          implied_node=implied, sort_key=key)
+
+
+# -- minimal covers ----------------------------------------------------------
+
+
+def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
+    """Smallest set of conjunctive descriptions denoting exactly ``mask``,
+    ordered by ``sort_key``.
+
+    The cover is made of primes, the maximal conjunctions inside ``mask``.
+    It has the fewest primes of any cover; of the covers of that size, it is
+    the one whose sorted list of sort keys is lexicographically least,
+    so it depends on the mask alone.  A depth-first branch-and-bound
+    branches on the lowest uncovered class over the primes containing it
+    (:meth:`TypeGraph.primes_containing`), each class's primes found once
+    per call; the first complete cover is the first bound, with no seed.
+    Results are cached per graph.
+    """
+    if mask == 0:
+        return ()
+    cached = g._cover_cache.get(mask)
+    if cached is not None:
+        return cached
+    primes_of: dict[int, list[CoverNode]] = {}
+
+    def primes(covered: int) -> list[CoverNode]:
+        missing = mask & ~covered
+        low = (missing & -missing).bit_length() - 1
+        found = primes_of.get(low)
+        if found is None:
+            found = primes_of[low] = g.primes_containing(low, mask)
+        return found
+
+    best: list[CoverNode] = []
+    best_keys: list[tuple] = []
+    chosen: list[CoverNode] = []
+    # a stack of levels, one more than the primes in ``chosen``, so that a
+    # cover of many primes costs no recursion: each holds the classes
+    # covered there and the primes left to try
+    levels = [(0, iter(primes(0)))]
+    while levels:
+        covered, options = levels[-1]
+        c = next(options, None)
+        if c is None:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(c)
+        covered |= c.mask
+        if covered == mask:
+            keys = sorted(o.sort_key for o in chosen)
+            if not best or (len(keys), keys) < (len(best_keys), best_keys):
+                best, best_keys = list(chosen), keys
+        elif not best or len(chosen) < len(best):
+            levels.append((covered, iter(primes(covered))))
+            continue
+        chosen.pop()
+
+    result = tuple(sorted(best, key=lambda c: c.sort_key))
+    g._cover_cache[mask] = result
+    return result
+
+
+def render_cover(cover: tuple[CoverNode, ...]) -> str:
+    """Factored disjunctive rendering of a cover, shared atoms pulled out."""
+    if not cover:
+        return ""
+    return _factor([c.parts() for c in cover])
+
+
+def _factor(units: list[tuple[str, ...]]) -> str:
+    if len(units) == 1:
+        return " & ".join(units[0])
+    common = [u for u in units[0] if all(u in rest for rest in units[1:])]
+    if common:
+        rest = [tuple(u for u in row if u not in common) for row in units]
+        return " & ".join(common) + " & (" + _factor_groups(rest) + ")"
+    return _factor_groups(units)
+
+
+def _factor_groups(units: list[tuple[str, ...]]) -> str:
+    groups: dict[str, list[tuple[str, ...]]] = {}
+    for row in units:
+        groups.setdefault(row[0], []).append(row)
+    parts = []
+    for rows in groups.values():
+        if len(rows) == 1:
+            parts.append(" & ".join(rows[0]))
+        else:
+            parts.append(_factor(rows))
+    return " | ".join(parts)
 
 
 # -- parsing -------------------------------------------------------------

@@ -447,7 +447,7 @@ def oracle_retag_cli(rules, corpus: Path, fmt: str = "slash",
     """Exit status, stdout and stderr of ``tagmap retag`` as it ran before it
     streamed: the corpus is read and split in one piece, and every record is
     held until the whole body is written, to ``output`` when given."""
-    summary = RetagSummary()
+    summary = RetagSummary(notes=rules.notes)
     records: list[str] = []
     err = ""
     for item in retag_lines(rules, corpus.read_text().splitlines(), fmt):

@@ -175,6 +175,30 @@ def test_rule_head_must_be_quoted_tag(graph):
     _expect_kind(graph, "tags AA\n[mass] => [sg].\n", "syntax")
 
 
+def test_note_for_tag_outside_inventory(graph):
+    _expect_kind(graph, "tags AA\n[pos = 'AA'] => [n].\nnote ZZ \"z\".\n",
+                 "unknown-tag")
+
+
+def test_second_note_for_a_tag(graph):
+    body = ("tags AA\nnote AA \"first\".\n[pos = 'AA'] => [n].\n"
+            "note AA 'second'.\n")
+    with pytest.raises(CompileError) as exc:
+        parse_rules(header() + body, graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [duplicate-note] at 5:1: tag AA already has a note"]
+
+
+def test_notes_map_tags_to_text(rules, graph):
+    assert rules.notes == {"POS": "clitic possessives ('s/POS) are separate "
+                           "tokens; their reading is the possessive-marker class"}
+    # a malformed note is skipped to its '.', and parsing goes on
+    body = "tags AA\nnote AA bad.\nnote ZZ 'z'.\n[pos = 'AA'] => [n].\n"
+    with pytest.raises(CompileError) as exc:
+        parse_rules(header() + body, graph)
+    assert [d.kind for d in exc.value.diagnostics] == ["syntax", "unknown-tag"]
+
+
 def test_ill_typed_rule_target_is_reported(graph):
     with pytest.raises(CompileError) as exc:
         parse_rules(header() + "tags AA\n[pos = 'AA'] => [sg & mass].\n", graph)

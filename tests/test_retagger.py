@@ -2,17 +2,20 @@
 
 import random
 
+import pytest
+
 from tagmap import (
     CorpusToken,
     Diagnostic,
     RetagRecord,
     RetagSummary,
     parse_corpus_line,
+    parse_rules,
     retag_lines,
     retag_token,
 )
 
-from oracles import oracle_rules
+from oracles import FIXTURES, oracle_rules
 
 
 def test_slash_line_splits_tokens():
@@ -32,6 +35,16 @@ def test_slashless_token_is_malformed():
     assert isinstance(d, Diagnostic)
     assert d.kind == "malformed-token"
     assert d.span.line == 7
+
+
+@pytest.mark.parametrize("line, column", [
+    ("ab/NN b", 7),             # the bad piece also occurs inside an earlier one
+    ("x/NN  xy/NN x", 13),
+])
+def test_malformed_token_column(line, column):
+    d = parse_corpus_line(line, 3)
+    assert d.kind == "malformed-token"
+    assert (d.span.line, d.span.column) == (3, column)
 
 
 def test_blank_lines_produce_nothing():
@@ -126,20 +139,34 @@ def test_summary_counts_and_hole_breakdown(rules):
     assert "# malformed: 1" in text
 
 
-def test_possessive_clitic_note(rules):
-    summary = RetagSummary()
-    for item in retag_lines(rules, ["Peter/NP 's/POS house/NN"]):
+def _notes(rules, notes, lines):
+    summary = RetagSummary(notes=notes)
+    for item in retag_lines(rules, lines):
         summary.add(item)
-    notes = [l for l in summary.render().splitlines() if l.startswith("# note:")]
-    assert len(notes) == 1
-    assert "'s/POS" in notes[0]
+    return [l for l in summary.render().splitlines() if l.startswith("# note:")]
+
+
+def test_possessive_clitic_note(rules):
+    # the note is the rule set's, read from the fixture's ``note POS`` line
+    (note,) = _notes(rules, rules.notes, ["Peter/NP 's/POS house/NN"])
+    assert note == "# note: " + rules.notes["POS"]
+    assert "'s/POS" in note
 
 
 def test_note_emitted_once(rules):
-    summary = RetagSummary()
-    for item in retag_lines(rules, ["a/POS b/POS c/POS"]):
-        summary.add(item)
-    assert len(summary.notes) == 1
+    notes = {"POS": "possessive", "NN": "noun"}
+    assert _notes(rules, notes, ["a/POS b/NN c/POS", "d/NN"]) == [
+        "# note: possessive", "# note: noun"]
+    assert _notes(rules, notes, ["a/RB"]) == []
+
+
+def test_no_notes_without_note_lines(graph):
+    # the fixture less its note line: generic code adds no note for POS
+    source = "\n".join(l for l in (FIXTURES / "upenn.rules").read_text()
+                       .splitlines() if not l.startswith("note "))
+    bare = parse_rules(source, graph)
+    assert bare.notes == {}
+    assert _notes(bare, bare.notes, ["Peter/NP 's/POS house/NN"]) == []
 
 
 def test_synthetic_corpus_exception_count(rules):
