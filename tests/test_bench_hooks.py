@@ -37,7 +37,8 @@ def test_traced_fixture_session_reports_every_layer():
         tracer.uninstall()
     m = layers.metrics(tracer)
     assert m["typegraph.candidates"] == 224
-    assert m["lexer.tokens"] > 0
+    # 187 tagset + 832 rules + 10 query tokens, EOF tokens included
+    assert m["lexer.tokens"] == 1029
     for key in ("maprules.typecheck_calls", "specexpr.dnf_disjuncts",
                 "specexpr.cover_calls", "mtree.build_s", "resolver.resolve_s"):
         assert key in m, key

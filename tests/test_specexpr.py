@@ -181,6 +181,8 @@ def test_negation_is_not_set_complement(graph):
     assert m == denote(A("vform", "!=", "inf"), graph)
     assert m | denote(A("vform", "=", "inf"), graph) == graph.feature_mask("vform")
     assert m != graph.full_mask & ~denote(A("vform", "=", "inf"), graph)
+    assert denote(parse_spec("[!!case = gen]"), graph) == (
+        denote(parse_spec("[case = gen]"), graph))
 
 
 def test_tautology_within_feature_domain(graph):
@@ -253,6 +255,28 @@ def test_unknown_names_are_type_errors(graph):
         with pytest.raises(SpecTypeError) as exc:
             compile_spec(text, graph)
         assert needle in exc.value.diagnostics[0].message
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[!(foo & !(v | bar)) | baz]",
+     [("unknown-name", 1, 4), ("unknown-name", 1, 16), ("unknown-name", 1, 24)]),
+    ("[pos = v &\n\t!(foo | mood = bar)]",
+     [("unknown-name", 2, 4), ("unknown-value", 2, 10)]),
+])
+@pytest.mark.parametrize("check", [typecheck, denote])
+def test_name_errors_in_source_order_under_negation(graph, check, text, expected):
+    with pytest.raises(SpecTypeError) as exc:
+        check(parse_spec(text), graph)
+    assert [(d.kind, d.span.line, d.span.column)
+            for d in exc.value.diagnostics] == expected
+
+
+def test_negated_atom_keeps_its_name_position(graph):
+    with pytest.raises(SpecTypeError) as exc:
+        compile_spec("[!(case = gen)\n & pos = v]", graph)
+    (d,) = exc.value.diagnostics
+    assert (d.kind, d.span.line, d.span.column) == ("ill-typed", 1, 4)
+    assert exc.value.disjunct == "case!=gen & pos=v"
 
 
 def test_dnf_preserves_denotation(graph):
