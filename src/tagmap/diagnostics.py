@@ -1,29 +1,21 @@
 """Shared diagnostic records for every compiler stage.
 
 All parsers and checkers in this package report problems as :class:`Diagnostic`
-values carrying a position inside the offending source text.  Fatal problems
-are raised as :class:`CompileError`, which bundles the full diagnostic list so
-callers can print everything that was found, not just the first failure.
+values carrying the position where the offending source text starts.  Fatal
+problems are raised as :class:`CompileError`, which bundles the full diagnostic
+list so callers can print everything that was found, not just the first failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """Start/end position of a source region, 1-based lines and columns."""
+class Span(NamedTuple):
+    """Start of a source region: 1-based line and column (a tab is one column)."""
 
     line: int
     column: int
-    end_line: int = 0
-    end_column: int = 0
-
-    def __post_init__(self) -> None:
-        if self.end_line == 0:
-            object.__setattr__(self, "end_line", self.line)
-        if self.end_column == 0:
-            object.__setattr__(self, "end_column", self.column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -34,18 +26,18 @@ class Diagnostic:
     severity: str            # "error" or "warning"
     kind: str                # stable machine-readable category
     message: str
-    span: Span = field(default_factory=lambda: Span(1, 1))
+    span: Span = Span(1, 1)
 
     def render(self) -> str:
         return f"{self.severity} [{self.kind}] at {self.span}: {self.message}"
 
 
-def error(kind: str, message: str, span: Span | None = None) -> Diagnostic:
-    return Diagnostic("error", kind, message, span or Span(1, 1))
+def error(kind: str, message: str, span: Span = Span(1, 1)) -> Diagnostic:
+    return Diagnostic("error", kind, message, span)
 
 
-def warning(kind: str, message: str, span: Span | None = None) -> Diagnostic:
-    return Diagnostic("warning", kind, message, span or Span(1, 1))
+def warning(kind: str, message: str, span: Span = Span(1, 1)) -> Diagnostic:
+    return Diagnostic("warning", kind, message, span)
 
 
 class CompileError(Exception):

@@ -3,15 +3,17 @@ spec-expression parsers.
 
 All three surface languages use one token alphabet: names, numbers, quoted
 strings and a small punctuation set.  ``#`` starts a comment running to the
-end of the line.  Input is whitespace-insensitive apart from line/column
-tracking for diagnostics.  Each parser walks its tokens with one
-:class:`TokenCursor`, whose expectations fail with :class:`SpecSyntaxError`.
+end of the line.  Input is whitespace-insensitive apart from the line and
+column of each token, which diagnostics report.  :func:`tokenize` scans the
+source in one regular-expression pass; comments and quoted strings stop at a
+newline, so only whitespace moves the line forward.  Each parser walks its
+tokens with one :class:`TokenCursor`, whose expectations fail with
+:class:`SpecSyntaxError`.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .diagnostics import Span, SpecSyntaxError, error
 
@@ -39,13 +41,13 @@ _TOKEN_RE = re.compile(
     | (?P<RBRACE>  \}                   )
     | (?P<COMMA>   ,                    )
     | (?P<DOT>     \.                   )
+    | (?P<BAD>     .                    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     text: str
     span: Span
@@ -64,29 +66,21 @@ def tokenize(source: str) -> list[Token]:
     Raises :class:`SpecSyntaxError` on a character outside the alphabet.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
+    line, line_start = 1, 0      # line number and the offset where it starts
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "WS":
+            newline = source.rfind("\n", m.start(), m.end())
+            if newline >= 0:
+                line += m.group().count("\n")
+                line_start = newline + 1
+        elif kind == "BAD":
             raise SpecSyntaxError([
-                error("syntax", f"unexpected character {source[pos]!r}", Span(line, col))
-            ])
-        kind = m.lastgroup or ""
-        text = m.group()
-        newlines = text.count("\n")
-        if newlines:
-            end_line = line + newlines
-            end_col = len(text) - text.rfind("\n")
-        else:
-            end_line = line
-            end_col = col + len(text)
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, text, Span(line, col, end_line, end_col - 1)))
-        line, col = end_line, end_col
-        pos = m.end()
-    tokens.append(Token("EOF", "", Span(line, col)))
+                error("syntax", f"unexpected character {m.group()!r}",
+                      Span(line, m.start() - line_start + 1))])
+        elif kind != "COMMENT":
+            tokens.append(Token(kind, m.group(), Span(line, m.start() - line_start + 1)))
+    tokens.append(Token("EOF", "", Span(line, len(source) - line_start + 1)))
     return tokens
 
 

@@ -46,7 +46,7 @@ class CoverageRule:
     tag: str
     spec: SpecExpr
     typed: TypedSpec = field(compare=False, repr=False)
-    span: Span = field(compare=False, default_factory=lambda: Span(1, 1))
+    span: Span = field(default=Span(1, 1), compare=False)
 
     @cached_property
     def reading(self) -> str:
@@ -59,7 +59,7 @@ class ExceptionEntry:
     tag: str
     into: SpecExpr
     typed: TypedSpec = field(compare=False, repr=False)
-    span: Span = field(compare=False, default_factory=lambda: Span(1, 1))
+    span: Span = field(default=Span(1, 1), compare=False)
 
     @cached_property
     def reading(self) -> str:

@@ -35,8 +35,6 @@ from .diagnostics import Diagnostic, Span, SpecSyntaxError, SpecTypeError, error
 from .lexer import Token, TokenCursor, tokenize
 from .typegraph import POS_FEATURE, TypeGraph
 
-_DEFAULT_SPAN = Span(1, 1)
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -44,7 +42,7 @@ class Atom:
     op: str                      # "=" or "!="
     value: str
     quoted: bool = False         # value was a quoted literal (physical tag)
-    span: Span = field(default_factory=lambda: _DEFAULT_SPAN, compare=False)
+    span: Span = field(default=Span(1, 1), compare=False)
 
     def render(self) -> str:
         value = f"'{self.value}'" if self.quoted else self.value
@@ -54,7 +52,7 @@ class Atom:
 @dataclass(frozen=True)
 class BareAtom:
     name: str
-    span: Span = field(default_factory=lambda: _DEFAULT_SPAN, compare=False)
+    span: Span = field(default=Span(1, 1), compare=False)
 
     def render(self) -> str:
         return self.name
@@ -105,8 +103,9 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 # The parsers below return each subtree with its height, the number of
 # '!', '&' and '|' nodes on its longest path, and take the number of open
 # parentheses around it. Both are capped: parsing recurses three frames per
-# parenthesis, and typechecking, DNF conversion and rendering one or two per
-# level of height, so every tree the parser accepts stays inside the default
+# parenthesis, and each later walk one or two per level of height: the
+# typing walk that resolves names and pushes negation down, DNF conversion,
+# and rendering. So every tree the parser accepts stays inside the default
 # recursion limit. Rendering parenthesises nested negations, '!!a' as
 # '!(!a)', which stays within the cap as well.
 MAX_SPEC_DEPTH = 150
@@ -171,9 +170,7 @@ def _parse_atom(c: TokenCursor) -> Atom | BareAtom:
             error("syntax", "expected a value after the comparison",
                   c.cur.span)])
     val = c.advance()
-    span = Span(name.span.line, name.span.column,
-                val.span.end_line, val.span.end_column)
-    return Atom(name.text, op, val.value, quoted=val.type == "QUOTED", span=span)
+    return Atom(name.text, op, val.value, quoted=val.type == "QUOTED", span=name.span)
 
 
 # -- rendering --------------------------------------------------------------
@@ -229,8 +226,7 @@ class TypedSpec:
 def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
     """Resolve, normalise and check ``e``; raise :class:`SpecTypeError` if any
     disjunctive-normal-form disjunct is unsatisfiable in ``g``."""
-    resolved = _resolve(e, g)
-    dnf = _to_dnf(_to_nnf(resolved))
+    dnf = _to_dnf(_resolve(e, g))
     diags: list[Diagnostic] = []
     first_disjunct = ""
     first_core: tuple[str, ...] = ()
@@ -264,79 +260,54 @@ def compile_spec(text: str, g: TypeGraph) -> TypedSpec:
 
 def denote(e: SpecExpr, g: TypeGraph) -> int:
     """Denotation bitset of ``e`` without the satisfiability requirement."""
-    resolved = _resolve(e, g)
-    return _denote_nnf(_to_nnf(resolved), g)
+    return _denote_nnf(_resolve(e, g), g)
 
 
 def _resolve(e: SpecExpr, g: TypeGraph) -> SpecExpr:
+    """Resolve the names of ``e`` and push its negations down to the atoms;
+    raise :class:`SpecTypeError` with every unknown name in source order."""
     diags: list[Diagnostic] = []
-    resolved = _resolve_walk(e, g, diags)
+    nnf = _resolve_walk(e, g, False, diags)
     if diags:
         raise SpecTypeError(diags)
-    return resolved
+    return nnf
 
 
-def _resolve_walk(e: SpecExpr, g: TypeGraph, diags: list[Diagnostic]) -> SpecExpr:
+def _resolve_walk(e: SpecExpr, g: TypeGraph, negated: bool,
+                  diags: list[Diagnostic]) -> SpecExpr:
+    if isinstance(e, Not):
+        return _resolve_walk(e.child, g, not negated, diags)
+    if isinstance(e, (And, Or)):
+        left = _resolve_walk(e.left, g, negated, diags)
+        right = _resolve_walk(e.right, g, negated, diags)
+        # De Morgan: a negated '&' becomes '|' and a negated '|' becomes '&'
+        return (Or if isinstance(e, And) == negated else And)(left, right)
     if isinstance(e, BareAtom):
-        if g.is_node(e.name):
-            return Atom(POS_FEATURE, "=", e.name, span=e.span)
-        owner = g.value_index.get(e.name)
-        if owner is not None:
-            return Atom(owner, "=", e.name, span=e.span)
-        diags.append(error("unknown-name",
-                           f"{e.name!r} is neither a hierarchy node nor a feature value",
-                           e.span))
-        return e
-    if isinstance(e, Atom):
-        if e.quoted:
-            diags.append(error("unknown-value",
-                               f"quoted value {e.value!r} is a physical tag and cannot "
-                               "appear in a standard-tagset specification", e.span))
-            return e
-        if e.feature == POS_FEATURE:
-            if not g.is_node(e.value):
-                diags.append(error("unknown-value",
-                                   f"{e.value!r} is not a hierarchy node", e.span))
-            return e
-        decl = g.feature_map.get(e.feature)
-        if decl is None:
-            diags.append(error("unknown-feature",
-                               f"unknown feature {e.feature!r}", e.span))
-            return e
-        if e.value not in decl.values:
-            diags.append(error("unknown-value",
-                               f"{e.value!r} is not a value of feature {e.feature!r}",
+        feature = POS_FEATURE if g.is_node(e.name) else g.value_index.get(e.name)
+        if feature is None:
+            diags.append(error("unknown-name",
+                               f"{e.name!r} is neither a hierarchy node nor a feature value",
                                e.span))
-        return e
-    if isinstance(e, Not):
-        return Not(_resolve_walk(e.child, g, diags))
-    if isinstance(e, And):
-        return And(_resolve_walk(e.left, g, diags), _resolve_walk(e.right, g, diags))
-    return Or(_resolve_walk(e.left, g, diags), _resolve_walk(e.right, g, diags))
-
-
-def _to_nnf(e: SpecExpr) -> SpecExpr:
-    if isinstance(e, Atom):
-        return e
-    if isinstance(e, And):
-        return And(_to_nnf(e.left), _to_nnf(e.right))
-    if isinstance(e, Or):
-        return Or(_to_nnf(e.left), _to_nnf(e.right))
-    if isinstance(e, Not):
-        return _negate(e.child)
-    raise AssertionError(f"unresolved node {e!r}")
-
-
-def _negate(e: SpecExpr) -> SpecExpr:
-    if isinstance(e, Atom):
+            return e
+        e = Atom(feature, "=", e.name, span=e.span)
+    elif e.quoted:
+        diags.append(error("unknown-value",
+                           f"quoted value {e.value!r} is a physical tag and cannot "
+                           "appear in a standard-tagset specification", e.span))
+    elif e.feature == POS_FEATURE:
+        if not g.is_node(e.value):
+            diags.append(error("unknown-value",
+                               f"{e.value!r} is not a hierarchy node", e.span))
+    elif (decl := g.feature_map.get(e.feature)) is None:
+        diags.append(error("unknown-feature",
+                           f"unknown feature {e.feature!r}", e.span))
+    elif e.value not in decl.values:
+        diags.append(error("unknown-value",
+                           f"{e.value!r} is not a value of feature {e.feature!r}",
+                           e.span))
+    if negated:
         return Atom(e.feature, "!=" if e.op == "=" else "=", e.value, span=e.span)
-    if isinstance(e, Not):
-        return _to_nnf(e.child)
-    if isinstance(e, And):
-        return Or(_negate(e.left), _negate(e.right))
-    if isinstance(e, Or):
-        return And(_negate(e.left), _negate(e.right))
-    raise AssertionError(f"unresolved node {e!r}")
+    return e
 
 
 def _to_dnf(e: SpecExpr) -> tuple[tuple[Atom, ...], ...]:

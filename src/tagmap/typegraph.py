@@ -48,7 +48,7 @@ class FeatureDecl:
     home: str
     values: tuple[str, ...]
     conditions: tuple[tuple[str, str], ...] = ()
-    span: Span = field(default_factory=lambda: Span(1, 1), compare=False)
+    span: Span = field(default=Span(1, 1), compare=False)
 
 
 @dataclass(frozen=True, slots=True)
