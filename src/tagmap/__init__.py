@@ -6,9 +6,8 @@ from .diagnostics import (
     Span,
     SpecSyntaxError,
     SpecTypeError,
-    UnknownTagError,
 )
-from .maprules import CoverageRule, ExceptionEntry, RuleSet, parse_rules
+from .maprules import Rule, RuleSet, parse_rules
 from .mtree import MTree, build_mtree, render_explain
 from .resolver import Resolution, TagPattern, resolve
 from .retagger import (
@@ -41,14 +40,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CompileError",
     "CorpusToken",
-    "CoverageRule",
     "Diagnostic",
-    "ExceptionEntry",
     "FeatureDecl",
     "MTree",
     "Resolution",
     "RetagRecord",
     "RetagSummary",
+    "Rule",
     "RuleSet",
     "Span",
     "SpecSyntaxError",
@@ -57,7 +55,6 @@ __all__ = [
     "TerminalClass",
     "TypeGraph",
     "TypedSpec",
-    "UnknownTagError",
     "build_mtree",
     "compile_spec",
     "denote",

@@ -1,9 +1,10 @@
 """Shared diagnostic records for every compiler stage.
 
 All parsers and checkers in this package report problems as :class:`Diagnostic`
-values carrying the position where the offending source text starts.  Fatal
-problems are raised as :class:`CompileError`, which bundles the full diagnostic
-list so callers can print everything that was found, not just the first failure.
+values carrying the position where the offending source text starts, if any.
+Fatal problems are raised as :class:`CompileError`, which bundles the full
+diagnostic list so callers can print everything that was found, not just the
+first failure.
 """
 from __future__ import annotations
 
@@ -26,17 +27,19 @@ class Diagnostic:
     severity: str            # "error" or "warning"
     kind: str                # stable machine-readable category
     message: str
-    span: Span = Span(1, 1)
+    span: Span | None = Span(1, 1)     # None: about no one place in a source
 
     def render(self) -> str:
-        return f"{self.severity} [{self.kind}] at {self.span}: {self.message}"
+        at = f" at {self.span}" if self.span is not None else ""
+        return f"{self.severity} [{self.kind}]{at}: {self.message}"
 
 
 def error(kind: str, message: str, span: Span = Span(1, 1)) -> Diagnostic:
     return Diagnostic("error", kind, message, span)
 
 
-def warning(kind: str, message: str, span: Span = Span(1, 1)) -> Diagnostic:
+def warning(kind: str, message: str,
+            span: Span | None = Span(1, 1)) -> Diagnostic:
     return Diagnostic("warning", kind, message, span)
 
 
@@ -70,17 +73,3 @@ class SpecTypeError(CompileError):
         self.disjunct = disjunct
         self.conflict = conflict
 
-
-class UnknownTagError(KeyError):
-    """A physical tag without any mapping rule was met at runtime.
-
-    This is the runtime face of a definition hole: the rule set has no
-    coverage rule and no exception entry for the tag.
-    """
-
-    def __init__(self, tag: str):
-        super().__init__(tag)
-        self.tag = tag
-
-    def __str__(self) -> str:
-        return f"definition hole at runtime: no rule for physical tag {self.tag!r}"

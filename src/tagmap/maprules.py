@@ -9,10 +9,13 @@ A rules file has the shape::
     note T1 "<text>" .
 
 A coverage rule assigns a standard reading to every occurrence of a physical
-tag; an exception entry reroutes the listed words under that tag to a
-different reading; a note, at most one per inventory tag, is printed once in
-a retag summary when the tag first occurs. Parsing collects every diagnostic
-it can before failing.
+tag; an exception entry is the same kind of rule restricted to the listed
+words under that tag, which it reroutes to a different reading.  Both are a
+:class:`Rule`, an exception entry one with ``words``, and
+:meth:`RuleSet.lookup` finds the one that gives a token its reading.  A
+note, at most one per inventory tag, is printed once in a retag summary when
+the tag first occurs.  Parsing collects every diagnostic it can before
+failing.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .diagnostics import (
     Span,
     SpecSyntaxError,
     SpecTypeError,
-    UnknownTagError,
     error,
     warning,
 )
@@ -42,28 +44,18 @@ from .typegraph import POS_FEATURE, TypeGraph
 
 
 @dataclass(frozen=True)
-class CoverageRule:
+class Rule:
+    """The reading of a physical tag: a coverage rule when ``words`` is
+    empty, else an exception entry for those words under the tag."""
+
     tag: str
-    spec: SpecExpr
-    typed: TypedSpec = field(compare=False, repr=False)
+    typed: TypedSpec
+    words: tuple[str, ...] = ()
     span: Span = field(default=Span(1, 1), compare=False)
 
     @cached_property
     def reading(self) -> str:
-        return render_spec(self.spec)
-
-
-@dataclass(frozen=True)
-class ExceptionEntry:
-    words: tuple[str, ...]
-    tag: str
-    into: SpecExpr
-    typed: TypedSpec = field(compare=False, repr=False)
-    span: Span = field(default=Span(1, 1), compare=False)
-
-    @cached_property
-    def reading(self) -> str:
-        return render_spec(self.into)
+        return render_spec(self.typed.expr)
 
 
 @dataclass
@@ -73,42 +65,35 @@ class RuleSet:
     name: str
     graph: TypeGraph
     inventory: tuple[str, ...]
-    coverage: dict[str, CoverageRule]
-    exceptions: tuple[ExceptionEntry, ...]
+    coverage: dict[str, Rule]
+    exceptions: tuple[Rule, ...]
+    tag_spans: dict[str, Span]      # each inventory tag's position
     warnings: list[Diagnostic] = field(default_factory=list)
     notes: dict[str, str] = field(default_factory=dict)     # tag -> note
-    word_index: dict[tuple[str, str], ExceptionEntry] = field(init=False)
-    _by_tag: dict[str, tuple[ExceptionEntry, ...]] = field(init=False)
+    word_index: dict[tuple[str, str], Rule] = field(init=False)
+    _by_tag: dict[str, tuple[Rule, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.word_index = {}
-        by_tag: dict[str, list[ExceptionEntry]] = {}
+        by_tag: dict[str, list[Rule]] = {}
         for entry in self.exceptions:
             for w in entry.words:
                 self.word_index[(w, entry.tag)] = entry
             by_tag.setdefault(entry.tag, []).append(entry)
         self._by_tag = {tag: tuple(entries) for tag, entries in by_tag.items()}
 
-    def exceptions_for(self, tag: str) -> tuple[ExceptionEntry, ...]:
+    def exceptions_for(self, tag: str) -> tuple[Rule, ...]:
         return self._by_tag.get(tag, ())
 
-    def lookup(self, tag: str,
-               word: str | None = None) -> ExceptionEntry | CoverageRule | None:
-        """The exception entry or coverage rule that gives ``word`` occurring
-        with ``tag`` its reading, or None for a definition hole; the exception
-        lexicon takes precedence over the tag's coverage rule."""
+    def lookup(self, tag: str, word: str | None = None) -> Rule | None:
+        """The rule that gives ``word`` occurring with ``tag`` its reading,
+        or None for a definition hole; an exception entry for the word takes
+        precedence over the tag's coverage rule."""
         if word is not None:
             entry = self.word_index.get((word, tag))
             if entry is not None:
                 return entry
         return self.coverage.get(tag)
-
-    def standard_reading(self, tag: str, word: str | None = None) -> TypedSpec:
-        """Reading of ``word`` occurring with ``tag``, as :meth:`lookup`."""
-        found = self.lookup(tag, word)
-        if found is None:
-            raise UnknownTagError(tag)
-        return found.typed
 
 
 def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
@@ -128,8 +113,8 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
             f"{graph.name!r}", c.cur.span))
     tags = _parse_inventory(c, diags)
 
-    coverage: dict[str, CoverageRule] = {}
-    entries: list[ExceptionEntry] = []
+    coverage: dict[str, Rule] = {}
+    entries: list[Rule] = []
     notes: dict[str, str] = {}
     seen_rule: set[str] = set()
     seen_word: set[tuple[str, str]] = set()
@@ -147,7 +132,7 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
                 _parse_note(c, tags, notes, diags)
             else:
                 _parse_rule(c, graph, tags, coverage, entries,
-                            seen_rule, seen_word, diags, warns)
+                            seen_rule, seen_word, diags)
         except SpecSyntaxError as exc:
             diags.extend(exc.diagnostics)
             _sync(c)
@@ -167,9 +152,9 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
 
     if any(d.severity == "error" for d in diags):
         raise CompileError(diags + warns)
-    return RuleSet(name=name, graph=graph, inventory=tags,
+    return RuleSet(name=name, graph=graph, inventory=tuple(tags),
                    coverage=coverage, exceptions=tuple(entries),
-                   warnings=warns, notes=notes)
+                   tag_spans=tags, warnings=warns, notes=notes)
 
 
 def _parse_header(c: TokenCursor) -> tuple[str, str]:
@@ -181,26 +166,26 @@ def _parse_header(c: TokenCursor) -> tuple[str, str]:
     return name, graph_name
 
 
-def _parse_inventory(c: TokenCursor, diags: list[Diagnostic]) -> tuple[str, ...]:
+def _parse_inventory(c: TokenCursor,
+                     diags: list[Diagnostic]) -> dict[str, Span]:
+    """The inventory's tags, in order, with the position of each."""
     if not (c.cur.type == "NAME" and c.cur.text == "tags"):
         diags.append(error("syntax", "expected a tags header", c.cur.span))
-        return ()
+        return {}
     c.advance()
-    tags: list[str] = []
-    seen: set[str] = set()
+    tags: dict[str, Span] = {}
     while True:
         tok = c.expect("NAME", "a tag name")
-        if tok.text in seen:
+        if tok.text in tags:
             diags.append(error("duplicate-tag",
                                f"tag {tok.text} listed twice in the inventory",
                                tok.span))
         else:
-            seen.add(tok.text)
-            tags.append(tok.text)
+            tags[tok.text] = tok.span
         if c.cur.type != "COMMA":
             break
         c.advance()
-    return tuple(tags)
+    return tags
 
 
 def _sync(c: TokenCursor) -> None:
@@ -211,44 +196,23 @@ def _sync(c: TokenCursor) -> None:
         c.advance()
 
 
-def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: tuple[str, ...],
-                coverage: dict[str, CoverageRule],
-                entries: list[ExceptionEntry],
+def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: dict[str, Span],
+                coverage: dict[str, Rule], entries: list[Rule],
                 seen_rule: set[str], seen_word: set[tuple[str, str]],
-                diags: list[Diagnostic], warns: list[Diagnostic]) -> None:
+                diags: list[Diagnostic]) -> None:
     start = c.cur.span
     # a word list is a bracketed comma or ']'-terminated run of names; a rule
     # head is a bracketed spec
-    is_words = (c.tokens[c.pos + 1].type == "NAME"
-                and c.tokens[c.pos + 2].type in ("COMMA", "RBRACKET"))
-    if is_words:
+    words: tuple[str, ...] = ()
+    if (c.tokens[c.pos + 1].type == "NAME"
+            and c.tokens[c.pos + 2].type in ("COMMA", "RBRACKET")):
         words = _parse_words(c)
         c.expect("OUTOF", "'<<'")
-        tag = _parse_tag_head(c, graph, diags)
-        c.expect("INTO", "'>>'")
-        into = parse_spec_at(c)
-        c.expect("DOT", "'.'")
-        if tag is None:
-            return
-        if tags and tag not in tags:
-            diags.append(error("unknown-tag",
-                               f"tag {tag} is not in the inventory", start))
-        typed = _typecheck_target(into, graph, diags)
-        if typed is None:
-            return
-        for w in words:
-            if (w, tag) in seen_word:
-                diags.append(error(
-                    "duplicate-word",
-                    f"word {w!r} under tag {tag} already has an exception entry",
-                    start))
-            seen_word.add((w, tag))
-        entries.append(ExceptionEntry(words=words, tag=tag, into=into,
-                                      typed=typed, span=start))
-        return
-
     tag = _parse_tag_head(c, graph, diags)
-    c.expect("ARROW", "'=>'")
+    if words:
+        c.expect("INTO", "'>>'")
+    else:
+        c.expect("ARROW", "'=>'")
     target = parse_spec_at(c)
     c.expect("DOT", "'.'")
     if tag is None:
@@ -256,18 +220,30 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: tuple[str, ...],
     if tags and tag not in tags:
         diags.append(error("unknown-tag",
                            f"tag {tag} is not in the inventory", start))
-    if tag in seen_rule:
-        diags.append(error("duplicate-rule",
-                           f"tag {tag} already has a coverage rule", start))
-        return
-    seen_rule.add(tag)
+    if not words:
+        if tag in seen_rule:
+            diags.append(error("duplicate-rule",
+                               f"tag {tag} already has a coverage rule", start))
+            return
+        seen_rule.add(tag)
     typed = _typecheck_target(target, graph, diags)
     if typed is None:
         return
-    coverage[tag] = CoverageRule(tag=tag, spec=target, typed=typed, span=start)
+    for w in words:
+        if (w, tag) in seen_word:
+            diags.append(error(
+                "duplicate-word",
+                f"word {w!r} under tag {tag} already has an exception entry",
+                start))
+        seen_word.add((w, tag))
+    rule = Rule(tag, typed, words, start)
+    if words:
+        entries.append(rule)
+    else:
+        coverage[tag] = rule
 
 
-def _parse_note(c: TokenCursor, tags: tuple[str, ...],
+def _parse_note(c: TokenCursor, tags: dict[str, Span],
                 notes: dict[str, str], diags: list[Diagnostic]) -> None:
     start = c.keyword("note").span
     tag = c.expect("NAME", "a tag name").text

@@ -21,19 +21,12 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, warning
 from .maprules import RuleSet
-from .typegraph import (
-    CoverNode,
-    TerminalClass,
-    TypeGraph,
-    minimal_cover,
-    render_cover,
-)
+from .typegraph import CoverNode, TerminalClass, minimal_cover, render_cover
 
 
 @dataclass
 class MTree:
     rules: RuleSet
-    graph: TypeGraph
     assignments: dict[str, tuple[CoverNode, ...]]
     diagnostics: list[Diagnostic] = field(default_factory=list)
     unreachable: tuple[CoverNode, ...] = ()    # cover of the target holes
@@ -44,15 +37,6 @@ class MTree:
         return tuple(tag for tag in self.rules.inventory
                      if tag in self.rules.coverage
                      and self.rules.coverage[tag].typed.denotation & bit)
-
-    def class_of(self, terminal: TerminalClass) -> str | None:
-        """The covering tag of ``terminal``, or None on a definition hole.
-
-        With disjoint coverage rules the covering tag is unique; otherwise
-        the first one in inventory order is returned.
-        """
-        tags = self.tags_of(terminal)
-        return tags[0] if tags else None
 
 
 def build_mtree(rules: RuleSet) -> MTree:
@@ -69,7 +53,7 @@ def build_mtree(rules: RuleSet) -> MTree:
     diags += target_diags
     diags += _check_nondisjoint(rules)
     diags += _check_hierarchical(rules, assignments)
-    return MTree(rules=rules, graph=g, assignments=assignments,
+    return MTree(rules=rules, assignments=assignments,
                  diagnostics=diags, unreachable=unreachable)
 
 
@@ -80,7 +64,7 @@ def _check_source_holes(rules: RuleSet) -> list[Diagnostic]:
             out.append(warning(
                 "definition_hole_source",
                 f"tag {tag} has no coverage rule; its occurrences have no "
-                "standard reading"))
+                "standard reading", rules.tag_spans[tag]))
     return out
 
 
@@ -99,7 +83,7 @@ def _check_target_holes(
     diag = warning(
         "definition_hole_target",
         f"no physical tag reaches {render_cover(cover)} "
-        f"[{_plural(missing.bit_count())}]")
+        f"[{_plural(missing.bit_count())}]", None)
     return [diag], cover
 
 
@@ -108,14 +92,16 @@ def _check_nondisjoint(rules: RuleSet) -> list[Diagnostic]:
     out = []
     covered = [t for t in rules.inventory if t in rules.coverage]
     for i, a in enumerate(covered):
-        da = rules.coverage[a].typed.denotation
+        ra = rules.coverage[a]
         for b in covered[i + 1:]:
-            shared = da & rules.coverage[b].typed.denotation
+            rb = rules.coverage[b]
+            shared = ra.typed.denotation & rb.typed.denotation
             if shared:
                 out.append(warning(
                     "nondisjunctive",
                     f"tags {a} and {b} overlap on "
-                    f"{render_cover(minimal_cover(shared, g))}"))
+                    f"{render_cover(minimal_cover(shared, g))}",
+                    max(ra.span, rb.span)))
     return out
 
 
@@ -137,7 +123,8 @@ def _check_hierarchical(rules: RuleSet,
                 out.append(warning(
                     "hierarchical",
                     f"covering node {node.render()} of tag {outer} strictly "
-                    f"contains coverage of {', '.join(inner)}"))
+                    f"contains coverage of {', '.join(inner)}",
+                    rules.coverage[outer].span))
     return out
 
 

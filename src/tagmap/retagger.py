@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostic, Span, error
-from .maprules import ExceptionEntry, RuleSet
+from .maprules import RuleSet
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def retag_token(rules: RuleSet, token: CorpusToken) -> RetagRecord:
     found = rules.lookup(token.tag, token.word)
     if found is None:
         return RetagRecord(token, None, "-", ("hole",))
-    provenance = "exception" if isinstance(found, ExceptionEntry) else "coverage"
+    provenance = "exception" if found.words else "coverage"
     flags = ("underspecified",) if found.typed.denotation.bit_count() > 1 else ()
     return RetagRecord(token, found.reading, provenance, flags)
 

@@ -211,16 +211,12 @@ class TypedSpec:
     """A well-typed specification with its materialised denotation."""
 
     expr: SpecExpr
-    graph: TypeGraph = field(compare=False, repr=False)
     denotation: int = 0
     dnf: tuple[tuple[Atom, ...], ...] = field(default=(), compare=False)
 
     @property
     def text(self) -> str:
         return render_spec(self.expr)
-
-    def classes(self):
-        return self.graph.classes(self.denotation)
 
 
 def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
@@ -250,7 +246,7 @@ def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
         union |= mask
     if diags:
         raise SpecTypeError(diags, disjunct=first_disjunct, conflict=first_core)
-    return TypedSpec(expr=e, graph=g, denotation=union, dnf=dnf)
+    return TypedSpec(expr=e, denotation=union, dnf=dnf)
 
 
 def compile_spec(text: str, g: TypeGraph) -> TypedSpec:

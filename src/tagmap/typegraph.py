@@ -383,6 +383,9 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     branches on the lowest uncovered class over the primes containing it
     (:meth:`TypeGraph.primes_containing`), each class's primes found once
     per call; the first complete cover is the first bound, with no seed.
+    As in Knuth's Algorithm X, the branch for a class's i-th prime excludes
+    its first i - 1 from the whole subtree, so each set of primes is reached
+    once, and a class whose primes are all excluded ends its branch.
     Results are cached per graph.
     """
     if mask == 0:
@@ -391,30 +394,38 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     if cached is not None:
         return cached
     primes_of: dict[int, list[CoverNode]] = {}
+    excluded: set[int] = set()          # masks of the primes excluded
 
-    def primes(covered: int) -> list[CoverNode]:
+    def level(covered: int) -> list:
         missing = mask & ~covered
         low = (missing & -missing).bit_length() - 1
         found = primes_of.get(low)
         if found is None:
             found = primes_of[low] = g.primes_containing(low, mask)
-        return found
+        return [covered, [p for p in found if p.mask not in excluded], 0]
 
     best: list[CoverNode] = []
     best_keys: list[tuple] = []
     chosen: list[CoverNode] = []
     # a stack of levels, one more than the primes in ``chosen``, so that a
     # cover of many primes costs no recursion: each holds the classes
-    # covered there and the primes left to try
-    levels = [(0, iter(primes(0)))]
+    # covered there, the primes of its class not excluded above it, and the
+    # position of the next one to try.  A prime tried at a level is excluded
+    # below it from then until the level is left.
+    levels = [level(0)]
     while levels:
-        covered, options = levels[-1]
-        c = next(options, None)
-        if c is None:
+        top = levels[-1]
+        covered, options, i = top
+        if i:
+            excluded.add(options[i - 1].mask)
+        if i == len(options):
+            excluded.difference_update(o.mask for o in options)
             levels.pop()
             if chosen:
                 chosen.pop()
             continue
+        top[2] = i + 1
+        c = options[i]
         chosen.append(c)
         covered |= c.mask
         if covered == mask:
@@ -422,7 +433,7 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
             if not best or (len(keys), keys) < (len(best_keys), best_keys):
                 best, best_keys = list(chosen), keys
         elif not best or len(chosen) < len(best):
-            levels.append((covered, iter(primes(covered))))
+            levels.append(level(covered))
             continue
         chosen.pop()
 

@@ -1,0 +1,159 @@
+"""Compare the command-line behaviour of two revisions of tagmap.
+
+    python tests/differential.py REV [REV2]
+
+Each revision's ``src/`` is extracted with ``git archive`` into a temporary
+directory; ``REV2`` defaults to the working tree, whose ``src/`` is used in
+place.  The repository itself is only read.  Both sides run ``python -m
+tagmap.cli`` on the same inputs:
+
+* fixture ``compile``, ``explain`` and ``retag`` (a generated corpus plus a
+  line with a noted tag and a tag without a rule);
+* ``query --batch --strict`` over the benchmark's fixture pools of seeds 1
+  and 2;
+* ``compile`` and ``explain`` of the six-feature ladder tagset with the
+  ladder rules of seeds 1 to 3;
+* the first 150 queries of the seed-1 ladder stream, one command each, with
+  the seed-1 rules.
+
+Stdout, stderr and exit status are compared.  A command still running after
+``TIMEOUT_S`` seconds on either side is reported as a time-out, not as a
+difference.  The exit status is 1 when any command differs, else 0.
+
+The inputs come from ``perfbench/gen.py`` and ``tests/oracles.py``, which are
+read, not edited.  Pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import difflib
+import io
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+import oracles  # noqa: E402
+
+TIMEOUT_S = 10
+LADDER_QUERIES = 150
+CORPUS_TOKENS = 20_000
+
+
+def extract(rev: str, into: Path) -> Path:
+    """``src/`` of ``rev`` written under ``into``; the path of that ``src``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                          rev, "src"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+def inputs(work: Path) -> list[tuple[str, list[str]]]:
+    """Every command to compare, as a name and the CLI arguments."""
+    fixtures = ROOT / "src" / "tagmap" / "fixtures"
+    fixture = ["--tagset", str(fixtures / "eagles-en.tagset"),
+               "--rules", str(fixtures / "upenn.rules")]
+    commands = [("fixture compile", ["compile", *fixture]),
+                ("fixture explain", ["explain", *fixture])]
+
+    rules = oracles.oracle_rules()
+    pairs = [(w, tag) for words, tag, _ in rules.exceptions for w in words]
+    corpus = work / "corpus.txt"
+    lines = gen.corpus_lines(random.Random("1:corpus"), rules.inventory,
+                             pairs, CORPUS_TOKENS)
+    corpus.write_text("".join(line.text + "\n" for line in lines)
+                      + "John/NP 's/POS house/NN ./XYZ\n")
+    commands.append(("fixture retag",
+                     ["retag", *fixture, "--corpus", str(corpus)]))
+
+    model = gen.FixtureModel(
+        leaf_paths=oracles.LEAF_PATHS,
+        features={f.name: f.values for f in oracles.FEATURES},
+        homes={f.name: f.home for f in oracles.FEATURES},
+        classes=tuple(oracles.oracle_universe()))
+    for seed in (1, 2):
+        pool = work / f"pool{seed}.txt"
+        pool.write_text("\n".join(
+            gen.fixture_pool(random.Random(f"{seed}:pool"), model)) + "\n")
+        commands.append((f"fixture pool {seed}", [
+            "query", *fixture, "--batch", str(pool), "--strict"]))
+
+    tagset = work / "ladder.tagset"
+    tagset.write_text(gen.ladder_tagset())
+    for seed in (1, 2, 3):
+        path = work / f"ladder{seed}.rules"
+        path.write_text(gen.ladder_rules(random.Random(f"{seed}:rules")).text)
+        ladder = ["--tagset", str(tagset), "--rules", str(path)]
+        commands += [(f"ladder {seed} compile", ["compile", *ladder]),
+                     (f"ladder {seed} explain", ["explain", *ladder])]
+
+    ladder = ["--tagset", str(tagset), "--rules", str(work / "ladder1.rules")]
+    stream = gen.ladder_queries(random.Random("1:stream"))
+    for i, text in enumerate(islice(stream, LADDER_QUERIES)):
+        commands.append((f"ladder query {i}", ["query", *ladder, "-e", text]))
+    return commands
+
+
+def run(src: Path, args: list[str], cwd: Path):
+    """Exit status, stdout and stderr of the CLI, or None on a time-out."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run([sys.executable, "-m", "tagmap.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=cwd, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode, done.stdout, done.stderr
+
+
+def differences(a, b) -> list[str]:
+    out = []
+    if a[0] != b[0]:
+        out.append(f"  exit status {a[0]} != {b[0]}")
+    for stream, x, y in (("stdout", a[1], b[1]), ("stderr", a[2], b[2])):
+        if x != y:
+            diff = difflib.unified_diff(x.splitlines(), y.splitlines(),
+                                        "a/" + stream, "b/" + stream,
+                                        lineterm="", n=0)
+            out += ["  " + line for line in islice(diff, 40)]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print("usage: python tests/differential.py REV [REV2]", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src_a = extract(argv[0], tmp / "a")
+        src_b = extract(argv[1], tmp / "b") if len(argv) == 2 else ROOT / "src"
+        work = tmp / "inputs"
+        work.mkdir()
+        differ = timed_out = same = 0
+        for name, args in inputs(work):
+            a, b = run(src_a, args, work), run(src_b, args, work)
+            if a is None or b is None:
+                timed_out += 1
+                sides = " and ".join(side for side, r in (("a", a), ("b", b))
+                                     if r is None)
+                print(f"TIMEOUT {name}: {sides} ran past {TIMEOUT_S} s")
+            elif a != b:
+                differ += 1
+                print(f"DIFF {name}")
+                print("\n".join(differences(a, b)))
+            else:
+                same += 1
+    print(f"{same} same, {differ} different, {timed_out} timed out")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

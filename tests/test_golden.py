@@ -7,7 +7,8 @@ The files hold, as an earlier version of the program wrote them:
   first 100 queries of the benchmark's seed-1 fixture pool;
 * the ``explain`` output of the benchmark's 6-feature ladder tagset with the
   rules of seeds 1 to 3;
-* the ``compile`` line of that tagset.
+* the ``compile`` line of that tagset, and the warnings of ``compile`` with
+  the seed-1 rules.
 
 The pool, the ladder tagset and its rules come from ``perfbench/gen.py``,
 which is read, not edited.  A deliberate change of output replaces the files
@@ -79,3 +80,9 @@ def test_ladder_compile_is_unchanged(tmp_path, capsys):
     code, out, err = _run(capsys, ["compile", *tagset_only])
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "ladder-compile.out").read_text()
+
+
+def test_ladder_compile_warnings_are_unchanged(tmp_path, capsys):
+    code, out, err = _run(capsys, ["compile", *_ladder_files(tmp_path, 1)])
+    assert (code, out) == (0, "tags: 11, classes: 2187, warnings: 10\n")
+    assert err == (GOLDEN / "ladder1-compile.err").read_text()

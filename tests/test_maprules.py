@@ -4,7 +4,6 @@ import pytest
 
 from tagmap import (
     CompileError,
-    UnknownTagError,
     parse_rules,
     parse_tagset_definition,
 )
@@ -53,11 +52,13 @@ def test_readings_render_compact(rules):
 
 
 def test_standard_reading_prefers_word_entry(rules):
-    exceptional = rules.standard_reading("NN", "anybody")
-    plain = rules.standard_reading("NN", "house")
-    assert exceptional.text == "[pos=pron & antec=prs & type=indef]"
-    assert plain.text == "[n & (common & sg | mass)]"
-    assert rules.standard_reading("NN") is plain
+    exceptional = rules.lookup("NN", "anybody")
+    plain = rules.lookup("NN", "house")
+    assert exceptional.reading == "[pos=pron & antec=prs & type=indef]"
+    assert exceptional.words == ("anybody", "nothing", "something", "anything")
+    assert plain.reading == "[n & (common & sg | mass)]"
+    assert plain.words == ()
+    assert rules.lookup("NN") is plain
 
 
 def test_lookup_returns_the_entry_or_rule(rules):
@@ -78,16 +79,8 @@ def test_readings_render_once(rules):
 
 def test_exception_entries_are_tag_scoped(rules):
     # anybody is exceptional under NN only
-    assert rules.standard_reading("VB", "anybody") is rules.standard_reading("VB")
+    assert rules.lookup("VB", "anybody") is rules.lookup("VB")
     assert ("anybody", "VB") not in rules.word_index
-
-
-def test_unknown_tag_raises_hole(rules):
-    with pytest.raises(UnknownTagError) as exc:
-        rules.standard_reading("XYZ")
-    assert exc.value.tag == "XYZ"
-    assert "definition hole at runtime" in str(exc.value)
-    assert "XYZ" in str(exc.value)
 
 
 def test_exceptions_for(rules):
@@ -238,7 +231,7 @@ def test_exception_order_independent_of_rule_order(graph):
             "[pos = 'AA'] => [n].\n")
     rs = parse_rules(header() + body, graph)
     assert rs.warnings == []
-    assert rs.standard_reading("AA", "be").text == "[mass]"
+    assert rs.lookup("AA", "be").reading == "[mass]"
 
 
 def test_multi_word_entry_preserves_order(rules):

@@ -63,12 +63,6 @@ def test_tags_of_matches_oracle(tree, graph):
         assert tree.tags_of(t) == expect, t.render()
 
 
-def test_class_of_is_first_covering_tag(tree, graph):
-    for t in graph.universe:
-        tags = tree.tags_of(t)
-        assert tree.class_of(t) == (tags[0] if tags else None)
-
-
 def test_coverage_partition_counts(tree, graph):
     """89 = 15 exception-only classes + 74 singly covered + 0 shared.
 
@@ -219,3 +213,21 @@ def test_plural_rendering(graph):
     txt = render_explain(t)
     assert "AA -> ctype=coord [1 class]" in txt
     assert "BB -> pos=conj [2 classes]" in txt
+
+
+def test_warnings_point_at_their_source(graph):
+    t = _tree(graph, "mapping x for tagset eagles-en\n"
+                     "tags AA, VBX, VBG\n"
+                     "[pos = 'VBX'] => [vtype = con & vform = part].\n"
+                     "[pos = 'VBG'] => [vtype = con & vform = part & tense = pres].\n")
+    # the source hole at its inventory entry, the overlap at the later of
+    # the two rules, the hierarchical warning at the outer tag's rule, and
+    # the target hole, which has no one source, at no position
+    assert [(d.kind, d.span) for d in t.diagnostics] == [
+        ("definition_hole_source", (2, 6)),
+        ("definition_hole_target", None),
+        ("nondisjunctive", (4, 1)),
+        ("hierarchical", (3, 1)),
+    ]
+    assert t.diagnostics[1].render().startswith(
+        "warning [definition_hole_target]: no physical tag reaches ")

@@ -1,20 +1,28 @@
 """Hierarchy compilation and terminal-class enumeration."""
 
+import random
 import signal
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from hashlib import sha256
+from itertools import islice
+from operator import or_
 
 import gen
 import pytest
+import ref
 from hypothesis import example, given, settings, strategies as st
 
 from tagmap import (
     CompileError,
     compile_spec,
     minimal_cover,
+    parse_rules,
     parse_tagset_definition,
     render_cover,
+    resolve,
 )
 
 from oracles import (
@@ -579,6 +587,42 @@ def test_cover_of_many_primes_needs_no_recursion():
     assert len(cover) == 1200
     assert render_cover(cover) == " | ".join(f"f=v{i}"
                                              for i in range(0, 2400, 2))
+
+
+# the digest of each rendered cover is that of the search before it excluded
+# the primes already branched on, which reached every cover in 28 s and 1.6 s
+@pytest.mark.parametrize("seed, size, digest", [
+    (1, 473, "e748c7db58e0d43ace26b801f42d55bdf351d773e7288104133fa2c57a797c51"),
+    (2, 461, "f8941aeec73e9c6c9254a7487cafc113395c9b8e82b1871e5aa275e2e6c64743"),
+], ids=["seed1", "seed2"])
+def test_sparse_random_ladder_cover_is_prompt(seed, size, digest):
+    # about 30% of the 2,187 classes of the six-feature ladder; a search
+    # that reaches one set of primes in every order of its choices takes
+    # seconds
+    g = parse_tagset_definition(gen.ladder_tagset())
+    rng = random.Random(seed)
+    mask = sum(1 << i for i in range(len(g.universe)) if rng.random() < 0.3)
+    with _time_limit(0.5):
+        cover = minimal_cover(mask, g)
+    assert len(cover) == size
+    assert reduce(or_, (c.mask for c in cover)) == mask
+    assert sha256(render_cover(cover).encode()).hexdigest() == digest
+
+
+def test_ladder_query_noise_covers_are_prompt():
+    # query 11 of the benchmark's seed-1 ladder stream: one of its noise
+    # masks has 24 primes, which a search without exclusion reached as
+    # 41,455 complete covers in 1.75 s
+    rules_gen = gen.ladder_rules(random.Random("1:rules"))
+    g = parse_tagset_definition(gen.ladder_tagset())
+    rules = parse_rules(rules_gen.text, g)
+    text = next(islice(gen.ladder_queries(random.Random("1:stream")), 11, None))
+    assert text == "(f4=v4_2 & f2=v2_1) | (f3=v3_2 & f5=v5_2)"
+    with _time_limit(1):
+        res = resolve(rules, text)
+    reference = ref.ladder_reference(gen.ladder_classes(), gen.LADDER_LEAVES,
+                                     rules_gen)
+    assert ref.check_query(reference, g, text, res, res.render()) == []
 
 
 def test_many_features_compile_one_class_per_leaf():
