@@ -31,7 +31,7 @@ from .diagnostics import (
     error,
     warning,
 )
-from .lexer import TokenCursor, tokenize
+from .lexer import Token, TokenCursor, tokenize
 from .specexpr import (
     Atom,
     SpecExpr,
@@ -103,14 +103,14 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
     warns: list[Diagnostic] = []
 
     try:
-        name, graph_name = _parse_header(c)
+        name, target = _parse_header(c)
     except SpecSyntaxError as exc:
         raise CompileError(exc.diagnostics) from None
-    if graph_name and graph_name != graph.name:
+    if target.text != graph.name:
         diags.append(error(
             "tagset-mismatch",
-            f"rules target tagset {graph_name!r} but were compiled against "
-            f"{graph.name!r}", c.cur.span))
+            f"rules target tagset {target.text!r} but were compiled against "
+            f"{graph.name!r}", target.span))
     tags = _parse_inventory(c, diags)
 
     coverage: dict[str, Rule] = {}
@@ -157,13 +157,13 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
                    tag_spans=tags, warnings=warns, notes=notes)
 
 
-def _parse_header(c: TokenCursor) -> tuple[str, str]:
+def _parse_header(c: TokenCursor) -> tuple[str, Token]:
+    """The mapping's name and the token naming its target tagset."""
     c.keyword("mapping")
     name = c.expect("NAME", "a mapping name").text
     c.keyword("for")
     c.keyword("tagset")
-    graph_name = c.expect("NAME", "a tagset name").text
-    return name, graph_name
+    return name, c.expect("NAME", "a tagset name")
 
 
 def _parse_inventory(c: TokenCursor,
@@ -175,7 +175,15 @@ def _parse_inventory(c: TokenCursor,
     c.advance()
     tags: dict[str, Span] = {}
     while True:
-        tok = c.expect("NAME", "a tag name")
+        try:
+            tok = c.expect("NAME", "a tag name")
+        except SpecSyntaxError as exc:
+            # keep the tags read so far and resume at the next rule or note
+            diags.extend(exc.diagnostics)
+            while (c.cur.type not in ("LBRACKET", "EOF")
+                   and c.cur.text != "note"):
+                c.advance()
+            break
         if tok.text in tags:
             diags.append(error("duplicate-tag",
                                f"tag {tok.text} listed twice in the inventory",

@@ -14,14 +14,22 @@ tagmap.cli`` on the same inputs:
 * ``compile`` and ``explain`` of the six-feature ladder tagset with the
   ladder rules of seeds 1 to 3;
 * the first 150 queries of the seed-1 ladder stream, one command each, with
-  the seed-1 rules.
+  the seed-1 rules;
+* ``compile`` and ``explain`` of positional rule sets from
+  ``tests/support.py``: 243 full-conjunction tags over the five-feature
+  ladder and 729 over the six-feature one, each with coarser tags nested
+  above them and sparse tags across them, so that overlap and containment
+  warnings appear;
+* ``compile`` of a rules file for another tagset whose ``tags`` line is
+  broken after a duplicate tag.
 
 Stdout, stderr and exit status are compared.  A command still running after
 ``TIMEOUT_S`` seconds on either side is reported as a time-out, not as a
 difference.  The exit status is 1 when any command differs, else 0.
 
-The inputs come from ``perfbench/gen.py`` and ``tests/oracles.py``, which are
-read, not edited.  Pytest does not collect this file.
+The inputs come from ``perfbench/gen.py``, ``tests/oracles.py`` and
+``tests/support.py``, which are read, not edited.  Pytest does not collect
+this file.
 """
 from __future__ import annotations
 
@@ -41,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 import oracles  # noqa: E402
+import support  # noqa: E402
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
@@ -99,6 +108,23 @@ def inputs(work: Path) -> list[tuple[str, list[str]]]:
     stream = gen.ladder_queries(random.Random("1:stream"))
     for i, text in enumerate(islice(stream, LADDER_QUERIES)):
         commands.append((f"ladder query {i}", ["query", *ladder, "-e", text]))
+
+    for n_features in (5, 6):
+        tagset = work / f"ladder{n_features}.tagset"
+        tagset.write_text(gen.ladder_tagset(n_features))
+        path = work / f"positional{n_features}.rules"
+        path.write_text(support.positional_rules(
+            n_features, n_features - 1, coarse=(1, 2), sparse=(1, 2)))
+        positional = ["--tagset", str(tagset), "--rules", str(path)]
+        name = f"positional {3 ** n_features}"
+        commands += [(f"{name} compile", ["compile", *positional]),
+                     (f"{name} explain", ["explain", *positional])]
+
+    broken = work / "broken.rules"
+    broken.write_text("mapping m for tagset other\ntags AA, AA,\n"
+                      "[pos = 'AA'] => [mass].\n")
+    commands.append(("broken inventory compile",
+                     ["compile", *fixture[:2], "--rules", str(broken)]))
     return commands
 
 

@@ -13,6 +13,9 @@ Expression trees come from the package parser (the surface grammar is
 shared); every semantic step is recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
 the per-token retagger with the package and checks only the streaming I/O.
+The overlap and containment checks of a mapping tree are kept in their
+former pairwise form, every tag against every other; they share cover
+rendering with the package and check only how candidates are found.
 """
 from __future__ import annotations
 
@@ -22,9 +25,10 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from tagmap.diagnostics import Diagnostic
+from tagmap.diagnostics import Diagnostic, warning
 from tagmap.retagger import RetagSummary, retag_lines
 from tagmap.specexpr import And, Atom, BareAtom, Not, Or, SpecExpr, parse_spec
+from tagmap.typegraph import minimal_cover, render_cover
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "tagmap" / "fixtures"
 
@@ -436,6 +440,51 @@ def oracle_minimal_cover(graph, mask: int) -> list[tuple]:
             if functools.reduce(lambda m, c: m | c[2], combo, 0) == mask:
                 return list(combo)
     raise AssertionError("the primes of a mask cover it")
+
+
+# -- consistency checks, every pair of tags -------------------------------------
+
+
+def oracle_nondisjoint(rules) -> list[Diagnostic]:
+    """The ``nondisjunctive`` warnings of ``rules``: every pair of coverage
+    denotations that meet, in inventory order of the first tag, then of the
+    second."""
+    g = rules.graph
+    out = []
+    covered = [t for t in rules.inventory if t in rules.coverage]
+    for i, a in enumerate(covered):
+        ra = rules.coverage[a]
+        for b in covered[i + 1:]:
+            rb = rules.coverage[b]
+            shared = ra.typed.denotation & rb.typed.denotation
+            if shared:
+                out.append(warning(
+                    "nondisjunctive",
+                    f"tags {a} and {b} overlap on "
+                    f"{render_cover(minimal_cover(shared, g))}",
+                    max(ra.span, rb.span)))
+    return out
+
+
+def oracle_hierarchical(rules, assignments) -> list[Diagnostic]:
+    """The ``hierarchical`` warnings of ``rules``: for each cover node of each
+    tag, the other tags with a cover node strictly inside it, every node
+    tested against every other."""
+    out = []
+    covered = [t for t in rules.inventory if t in rules.coverage]
+    for outer in covered:
+        for node in assignments[outer]:
+            inner = [t for t in covered
+                     if t != outer
+                     and any(c.mask != node.mask and c.mask & ~node.mask == 0
+                             for c in assignments[t])]
+            if inner:
+                out.append(warning(
+                    "hierarchical",
+                    f"covering node {node.render()} of tag {outer} strictly "
+                    f"contains coverage of {', '.join(inner)}",
+                    rules.coverage[outer].span))
+    return out
 
 
 # -- retag command line, read all at once ---------------------------------------

@@ -1,0 +1,62 @@
+"""Helpers shared by several test modules: a time limit for the size tests
+and a generator of positional rule sets over the benchmark's ladder tagset.
+"""
+from __future__ import annotations
+
+import itertools
+import signal
+from contextlib import contextmanager
+
+import gen
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def positional_rules(n_features: int, fixed: int, coarse: tuple[int, ...] = (),
+                     sparse: tuple[int, ...] = ()) -> str:
+    """A rules file for ``gen.ladder_tagset(n_features)`` whose tags are
+    positional, as MULTEXT-East morphosyntactic descriptions are: each name
+    spells a leaf and feature values as digits.
+
+    * ``P`` tags, one per leaf and values of ``f0`` to ``f{fixed-1}``, each a
+      full conjunction of them; they are disjoint and cover the universe.
+    * ``C`` tags, for each ``k`` in ``coarse`` one per leaf and values of the
+      first ``k`` features; each strictly contains the ``P`` tags below it.
+    * ``S`` tags, for each ``k`` in ``sparse`` one per values of the last
+      ``k`` features under any leaf; they cut across every other tag, and a
+      shorter one contains the longer ones that extend it.
+    """
+    values = range(gen.LADDER_VALUES)
+    coverage: dict[str, list[tuple[str, str]]] = {}
+    for prefix, k in [("P", fixed)] + [("C", k) for k in coarse]:
+        for li, leaf in enumerate(gen.LADDER_LEAVES):
+            for combo in itertools.product(values, repeat=k):
+                coverage[prefix + str(li) + "".join(map(str, combo))] = [
+                    ("pos", leaf),
+                    *((f"f{f}", gen.ladder_value(f, v))
+                      for f, v in enumerate(combo))]
+    for k in sparse:
+        first = n_features - k
+        for combo in itertools.product(values, repeat=k):
+            coverage["S" + "".join(map(str, combo))] = [
+                (f"f{f}", gen.ladder_value(f, v))
+                for f, v in enumerate(combo, start=first)]
+    lines = ["mapping positional for tagset ladder",
+             "tags " + ", ".join(coverage)]
+    for tag, conj in coverage.items():
+        lines.append(f"[pos = '{tag}'] => ["
+                     + " & ".join(f"{f} = {v}" for f, v in conj) + "].")
+    return "\n".join(lines) + "\n"

@@ -109,7 +109,36 @@ def test_tagset_name_must_match(graph):
     src = header("other-set") + "tags AA\n[pos = 'AA'] => [mass].\n"
     with pytest.raises(CompileError) as exc:
         parse_rules(src, graph)
-    assert exc.value.diagnostics[0].kind == "tagset-mismatch"
+    # the error points at the tagset name, not at the line after the header
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [tagset-mismatch] at 1:25: rules target tagset 'other-set' but "
+        "were compiled against 'eagles-en'"]
+
+
+def test_broken_inventory_keeps_earlier_errors(graph):
+    src = ("mapping m for tagset other\n"
+           "tags AA, AA,\n"
+           "[pos = 'AA'] => [mass].\n")
+    with pytest.raises(CompileError) as exc:
+        parse_rules(src, graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [tagset-mismatch] at 1:22: rules target tagset 'other' but "
+        "were compiled against 'eagles-en'",
+        "error [duplicate-tag] at 2:10: tag AA listed twice in the inventory",
+        "error [syntax] at 3:1: expected a tag name, found '['",
+    ]
+
+
+def test_broken_inventory_resumes_at_the_next_rule(graph):
+    # the tags read before the error stay in the inventory, and the rules
+    # after it are still parsed and checked against them
+    src = header() + "tags AA, 7 BB\n[pos = 'CC'] => [mass].\n"
+    with pytest.raises(CompileError) as exc:
+        parse_rules(src, graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [syntax] at 2:10: expected a tag name, found '7'",
+        "error [unknown-tag] at 3:1: tag CC is not in the inventory",
+    ]
 
 
 def test_header_keyword_is_checked(graph):

@@ -1,8 +1,12 @@
 """Mapping-tree construction, diagnostics and the explain view."""
 
 import re
+from collections import Counter
+from hashlib import sha256
 
+import gen
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagmap import (
     build_mtree,
@@ -13,7 +17,15 @@ from tagmap import (
     render_explain,
 )
 
-from oracles import FIXTURES, key_of, mask_keys, oracle_rules
+from oracles import (
+    FIXTURES,
+    key_of,
+    mask_keys,
+    oracle_hierarchical,
+    oracle_nondisjoint,
+    oracle_rules,
+)
+from support import positional_rules, time_limit
 
 RULES_SRC = (FIXTURES / "upenn.rules").read_text()
 
@@ -231,3 +243,91 @@ def test_warnings_point_at_their_source(graph):
     ]
     assert t.diagnostics[1].render().startswith(
         "warning [definition_hole_target]: no physical tag reaches ")
+
+
+# -- the overlap and containment checks against every pair of tags ----------
+
+LADDERS = {n: parse_tagset_definition(gen.ladder_tagset(n)) for n in (2, 3, 4)}
+
+
+def _atoms(draw, features):
+    return [(f"f{f}", gen.ladder_value(f, draw(st.integers(0, 2))))
+            for f in features]
+
+
+@st.composite
+def _conjunction(draw, n):
+    """Atoms of one conjunction over an ``n``-feature ladder: a leaf and the
+    first features (these nest), a leaf or none and any features (these
+    overlap), or the last one or two features alone (these are sparse)."""
+    kind = draw(st.sampled_from(["nested", "overlap", "sparse"]))
+    leaf = [("pos", draw(st.sampled_from(gen.LADDER_LEAVES)))]
+    if kind == "nested":
+        return leaf + _atoms(draw, range(draw(st.integers(0, n))))
+    if kind == "overlap":
+        features = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        return leaf * draw(st.booleans()) + _atoms(draw, features)
+    return _atoms(draw, range(n - draw(st.integers(1, 2)), n))
+
+
+@st.composite
+def ladder_rule_sets(draw):
+    """A rules file over a 2- to 4-feature ladder, and the ladder; a tag's
+    rule is one conjunction, or a union of two or three whose cover may
+    have several nodes."""
+    n = draw(st.sampled_from(sorted(LADDERS)))
+    specs = []
+    for _ in range(draw(st.integers(1, 10))):
+        conjs = draw(st.lists(_conjunction(n), min_size=1, max_size=3))
+        specs.append(" | ".join(
+            "(" + " & ".join(f"{f} = {v}" for f, v in conj) + ")"
+            for conj in conjs))
+    tags = [f"T{i}" for i in range(len(specs))]
+    lines = ["mapping random for tagset ladder",
+             "tags " + ", ".join(tags + ["NOR"] * draw(st.booleans()))]
+    lines += [f"[pos = '{t}'] => [{spec}]." for t, spec in zip(tags, specs)]
+    return LADDERS[n], "\n".join(lines) + "\n"
+
+
+@given(ladder_rule_sets())
+@settings(max_examples=200, deadline=None)
+def test_overlap_and_containment_checks_match_every_pair(case):
+    graph, src = case
+    tree = build_mtree(parse_rules(src, graph))
+    got = [d.render() for d in tree.diagnostics
+           if d.kind in ("nondisjunctive", "hierarchical")]
+    want = [d.render() for d in oracle_nondisjoint(tree.rules)
+            + oracle_hierarchical(tree.rules, tree.assignments)]
+    assert got == want
+
+
+# -- positional tagsets of thousands of tags ----------------------------------
+
+SEVEN = parse_tagset_definition(gen.ladder_tagset(7))
+
+
+def test_positional_tags_check_promptly():
+    # 2,187 disjoint full conjunctions over the 6,561 classes of the seven-
+    # feature ladder; testing every tag's cover against every other's took
+    # 2.5 s here
+    rules = parse_rules(positional_rules(7, 6), SEVEN)
+    assert len(rules.inventory) == 2187
+    with time_limit(0.5):
+        tree = build_mtree(rules)
+    assert tree.diagnostics == []
+
+
+def test_nested_and_sparse_positional_tags_check_promptly():
+    # the 2,187 tags above plus 117 coarser ones nested above them and 12
+    # sparse ones across them; every pair took 3.2 s here.  The digest is
+    # of the warnings the pairwise checks gave.
+    rules = parse_rules(positional_rules(7, 6, coarse=(1, 2, 3),
+                                         sparse=(1, 2)), SEVEN)
+    assert len(rules.inventory) == 2316
+    with time_limit(1):
+        tree = build_mtree(rules)
+    assert Counter(d.kind for d in tree.diagnostics) == {
+        "nondisjunctive": 21285, "hierarchical": 120}
+    rendered = "\n".join(d.render() for d in tree.diagnostics)
+    assert sha256(rendered.encode()).hexdigest() == (
+        "710daa47ea9d237dd098946188d36c204fcc2ac22823349b42b0886c5525c190")

@@ -1,10 +1,8 @@
 """Hierarchy compilation and terminal-class enumeration."""
 
 import random
-import signal
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from functools import reduce
 from hashlib import sha256
 from itertools import islice
@@ -36,6 +34,7 @@ from oracles import (
     oracle_universe,
     oracle_universe_keys,
 )
+from support import time_limit
 
 RESTRICTED = """
 tagset toy
@@ -488,21 +487,6 @@ def test_cover_ties_go_to_the_least_sort_keys():
 # -- size limits ---------------------------------------------------------------
 
 
-@contextmanager
-def _time_limit(seconds):
-    """Fail, rather than hang, when the body runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _one_value_features(n):
     return "tagset wide hierarchy { a b }\n" + "\n".join(
         f"feature f{i} for root {{ v{i} }}" for i in range(n))
@@ -510,7 +494,7 @@ def _one_value_features(n):
 
 def test_forty_one_value_features_compile_promptly():
     # the full product of (unset | value) choices has 2**40 members
-    with _time_limit(10):
+    with time_limit(10):
         g = parse_tagset_definition(_one_value_features(40))
     assert len(g.universe) == 2
     assert [c.render() for c in g.cover_candidates] == [
@@ -522,7 +506,7 @@ def test_forty_one_value_features_compile_promptly():
 
 def test_seven_feature_ladder_compiles_within_a_second():
     # the full candidate table of this tagset has 4**7 conjunctions per node
-    with _time_limit(1):
+    with time_limit(1):
         g = parse_tagset_definition(_ladder(7))
     assert len(g.universe) == 3 * 3 ** 7
 
@@ -531,7 +515,7 @@ def test_nine_feature_ladder_compiles_in_time_linear_in_its_classes():
     # 59,049 classes; or-ing every class's bit into universe-wide masks one
     # at a time took about 1 s here, writing each mask as a numeral and
     # converting it once about 0.2 s
-    with _time_limit(1):
+    with time_limit(1):
         g = parse_tagset_definition(_ladder(9))
     assert len(g.universe) == 3 ** 10
     assert g.atom_mask("f8", "v8_2").bit_count() == 3 ** 9
@@ -542,7 +526,7 @@ def test_conjunction_cover_on_eight_feature_ladder_is_prompt():
     # this mask visits about 4**7 states, 0.7 s here
     g = parse_tagset_definition(_ladder(8))
     spec = compile_spec("[f4=v4_2 & f5=v5_0]", g)
-    with _time_limit(0.1):
+    with time_limit(0.1):
         cover = minimal_cover(spec.denotation, g)
     assert render_cover(cover) == "f4=v4_2 & f5=v5_0"
 
@@ -552,7 +536,7 @@ def test_union_cover_on_eight_feature_ladder_is_prompt():
     # primes of each class the cover search branches on are a few
     g = parse_tagset_definition(_ladder(8))
     spec = compile_spec("[pos=l0 | f1=v1_0]", g)
-    with _time_limit(0.05):
+    with time_limit(0.05):
         cover = minimal_cover(spec.denotation, g)
     assert render_cover(cover) == "pos=l0 | f1=v1_0"
 
@@ -569,7 +553,7 @@ def test_union_cover_on_deep_chain_is_prompt():
                           for i in range(1, depth + 1)))
     g = parse_tagset_definition(source)
     mask = g.node_mask("b1") | g.node_mask("a30")
-    with _time_limit(0.25):
+    with time_limit(0.25):
         cover = minimal_cover(mask, g)
     assert render_cover(cover) == "pos=b1 | " + " & ".join(
         f"g{i}=w{i}" for i in range(1, depth + 1))
@@ -602,7 +586,7 @@ def test_sparse_random_ladder_cover_is_prompt(seed, size, digest):
     g = parse_tagset_definition(gen.ladder_tagset())
     rng = random.Random(seed)
     mask = sum(1 << i for i in range(len(g.universe)) if rng.random() < 0.3)
-    with _time_limit(0.5):
+    with time_limit(0.5):
         cover = minimal_cover(mask, g)
     assert len(cover) == size
     assert reduce(or_, (c.mask for c in cover)) == mask
@@ -618,7 +602,7 @@ def test_ladder_query_noise_covers_are_prompt():
     rules = parse_rules(rules_gen.text, g)
     text = next(islice(gen.ladder_queries(random.Random("1:stream")), 11, None))
     assert text == "(f4=v4_2 & f2=v2_1) | (f3=v3_2 & f5=v5_2)"
-    with _time_limit(1):
+    with time_limit(1):
         res = resolve(rules, text)
     reference = ref.ladder_reference(gen.ladder_classes(), gen.LADDER_LEAVES,
                                      rules_gen)
@@ -653,7 +637,7 @@ def test_deep_hierarchy_memory_is_linear_in_depth():
     assert retained < 5 * 1024 * 1024
     # 4 to 9 ms here when only the leaf's features are looked up, and only
     # at the ancestors searched
-    with _time_limit(0.25):
+    with time_limit(0.25):
         cover = minimal_cover(g.atom_mask("f", "a"), g)
     # the one class with f=a has every one-value feature, so its
     # description lists them all
