@@ -8,7 +8,6 @@ first failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -22,8 +21,23 @@ class Span(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+def compare_first(n: int):
+    """``__eq__``, ``__ne__`` and ``__hash__`` for a NamedTuple record equal
+    only to records of its type with the same first ``n`` fields (``tuple``
+    has its own ``__ne__``, and ``__eq__`` alone would unset ``__hash__``)."""
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other) -> bool:
+        return not __eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self[:n])
+
+    return __eq__, __ne__, __hash__
+
+
+class Diagnostic(NamedTuple):
     severity: str            # "error" or "warning"
     kind: str                # stable machine-readable category
     message: str

@@ -19,7 +19,6 @@ failing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .diagnostics import (
@@ -43,38 +42,51 @@ from .specexpr import (
 from .typegraph import POS_FEATURE, TypeGraph
 
 
-@dataclass(frozen=True)
 class Rule:
     """The reading of a physical tag: a coverage rule when ``words`` is
-    empty, else an exception entry for those words under the tag."""
+    empty, else an exception entry for those words under the tag.
 
-    tag: str
-    typed: TypedSpec
-    words: tuple[str, ...] = ()
-    span: Span = field(default=Span(1, 1), compare=False)
+    Immutable and compared without ``span``, like the NamedTuple records,
+    but a plain class, so that :attr:`reading` can be cached on it."""
+
+    def __init__(self, tag: str, typed: TypedSpec, words: tuple[str, ...] = (),
+                 span: Span = Span(1, 1)) -> None:
+        vars(self).update(tag=tag, typed=typed, words=words, span=span,
+                          _key=(tag, typed, words))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r} of a Rule")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Rule and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @cached_property
     def reading(self) -> str:
         return render_spec(self.typed.expr)
 
 
-@dataclass
 class RuleSet:
     """A compiled mapping: inventory, coverage rules and exception lexicon."""
 
-    name: str
-    graph: TypeGraph
-    inventory: tuple[str, ...]
-    coverage: dict[str, Rule]
-    exceptions: tuple[Rule, ...]
-    tag_spans: dict[str, Span]      # each inventory tag's position
-    warnings: list[Diagnostic] = field(default_factory=list)
-    notes: dict[str, str] = field(default_factory=dict)     # tag -> note
-    word_index: dict[tuple[str, str], Rule] = field(init=False)
-    _by_tag: dict[str, tuple[Rule, ...]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.word_index = {}
+    def __init__(self, name: str, graph: TypeGraph, inventory: tuple[str, ...],
+                 coverage: dict[str, Rule], exceptions: tuple[Rule, ...],
+                 tag_spans: dict[str, Span],
+                 warnings: list[Diagnostic] | None = None,
+                 notes: dict[str, str] | None = None) -> None:
+        self.name = name
+        self.graph = graph
+        self.inventory = inventory
+        self.coverage = coverage
+        self.exceptions = exceptions
+        self.tag_spans = tag_spans      # each inventory tag's position
+        self.warnings = [] if warnings is None else warnings
+        self.notes = {} if notes is None else notes     # tag -> note
+        self.word_index: dict[tuple[str, str], Rule] = {}
         by_tag: dict[str, list[Rule]] = {}
         for entry in self.exceptions:
             for w in entry.words:

@@ -29,19 +29,21 @@ cover of each overlap reported.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, warning
 from .maprules import RuleSet
 from .typegraph import CoverNode, TerminalClass, minimal_cover, render_cover
 
 
-@dataclass
 class MTree:
-    rules: RuleSet
-    assignments: dict[str, tuple[CoverNode, ...]]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    unreachable: tuple[CoverNode, ...] = ()    # cover of the target holes
+    def __init__(self, rules: RuleSet,
+                 assignments: dict[str, tuple[CoverNode, ...]],
+                 diagnostics: list[Diagnostic] | None = None,
+                 unreachable: tuple[CoverNode, ...] = ()) -> None:
+        self.rules = rules
+        self.assignments = assignments
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.unreachable = unreachable      # cover of the target holes
 
     def tags_of(self, terminal: TerminalClass) -> tuple[str, ...]:
         """Physical tags whose coverage denotation contains ``terminal``."""

@@ -15,22 +15,19 @@ and retains no reading.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .diagnostics import Diagnostic, Span, error
 from .maprules import RuleSet
 
 
-@dataclass(frozen=True)
-class CorpusToken:
+class CorpusToken(NamedTuple):
     word: str
     tag: str
     line: int = 0
 
 
-@dataclass(frozen=True)
-class RetagRecord:
+class RetagRecord(NamedTuple):
     token: CorpusToken
     reading: str | None
     provenance: str                 # "coverage", "exception" or "-"
@@ -46,20 +43,23 @@ class RetagRecord:
         ])
 
 
-@dataclass
 class RetagSummary:
     """Counts over a retag run.  ``notes`` maps a tag to the note of the rule
     set's ``note`` line; each is printed once, in the order the tags are
     first retagged."""
 
-    tokens: int = 0
-    exceptions: int = 0
-    underspecified: int = 0
-    holes: int = 0
-    malformed: int = 0
-    holes_by_tag: dict[str, int] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
-    noted: dict[str, str] = field(default_factory=dict, init=False)
+    def __init__(self, tokens: int = 0, exceptions: int = 0,
+                 underspecified: int = 0, holes: int = 0, malformed: int = 0,
+                 holes_by_tag: dict[str, int] | None = None,
+                 notes: dict[str, str] | None = None) -> None:
+        self.tokens = tokens
+        self.exceptions = exceptions
+        self.underspecified = underspecified
+        self.holes = holes
+        self.malformed = malformed
+        self.holes_by_tag = {} if holes_by_tag is None else holes_by_tag
+        self.notes = {} if notes is None else notes
+        self.noted: dict[str, str] = {}
 
     def add(self, item: "RetagRecord | Diagnostic") -> None:
         if isinstance(item, Diagnostic):

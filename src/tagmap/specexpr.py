@@ -29,50 +29,56 @@ description, is :func:`tagmap.typegraph.minimal_cover`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Span, SpecSyntaxError, SpecTypeError, error
+from .diagnostics import (Diagnostic, Span, SpecSyntaxError, SpecTypeError,
+                          compare_first, error)
 from .lexer import Token, TokenCursor, tokenize
 from .typegraph import POS_FEATURE, TypeGraph
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     feature: str
     op: str                      # "=" or "!="
     value: str
     quoted: bool = False         # value was a quoted literal (physical tag)
-    span: Span = field(default=Span(1, 1), compare=False)
+    span: Span = Span(1, 1)      # not compared
+
+    __eq__, __ne__, __hash__ = compare_first(4)
 
     def render(self) -> str:
         value = f"'{self.value}'" if self.quoted else self.value
         return f"{self.feature}{self.op}{value}"
 
 
-@dataclass(frozen=True)
-class BareAtom:
+class BareAtom(NamedTuple):
     name: str
-    span: Span = field(default=Span(1, 1), compare=False)
+    span: Span = Span(1, 1)      # not compared
+
+    __eq__, __ne__, __hash__ = compare_first(1)
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "SpecExpr"
     right: "SpecExpr"
 
+    __eq__, __ne__, __hash__ = compare_first(2)
 
-@dataclass(frozen=True)
-class Or:
+
+class Or(NamedTuple):
     left: "SpecExpr"
     right: "SpecExpr"
 
+    __eq__, __ne__, __hash__ = compare_first(2)
 
-@dataclass(frozen=True)
-class Not:
+
+class Not(NamedTuple):
     child: "SpecExpr"
+
+    __eq__, __ne__, __hash__ = compare_first(1)
 
 
 SpecExpr = Atom | BareAtom | And | Or | Not
@@ -206,13 +212,14 @@ def _child(e: SpecExpr, parent_prec: int, left: bool = False) -> str:
 # -- typing and denotation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypedSpec:
+class TypedSpec(NamedTuple):
     """A well-typed specification with its materialised denotation."""
 
     expr: SpecExpr
     denotation: int = 0
-    dnf: tuple[tuple[Atom, ...], ...] = field(default=(), compare=False)
+    dnf: tuple[tuple[Atom, ...], ...] = ()      # not compared
+
+    __eq__, __ne__, __hash__ = compare_first(2)
 
     @property
     def text(self) -> str:

@@ -23,20 +23,20 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import count, repeat
 from operator import or_
+from typing import NamedTuple
 
-from .diagnostics import CompileError, Diagnostic, Span, SpecSyntaxError, error
+from .diagnostics import (CompileError, Diagnostic, Span, SpecSyntaxError,
+                          compare_first, error)
 from .lexer import TokenCursor, tokenize
 
 POS_FEATURE = "pos"
 ROOT = "root"
 
 
-@dataclass(frozen=True)
-class FeatureDecl:
+class FeatureDecl(NamedTuple):
     """One typed feature: name, home node, value domain, guard conditions.
 
     ``conditions`` is a disjunction of (feature, value) atoms; the feature is
@@ -48,16 +48,19 @@ class FeatureDecl:
     home: str
     values: tuple[str, ...]
     conditions: tuple[tuple[str, str], ...] = ()
-    span: Span = field(default=Span(1, 1), compare=False)
+    span: Span = Span(1, 1)                 # not compared
+
+    __eq__, __ne__, __hash__ = compare_first(4)
 
 
-@dataclass(frozen=True, slots=True)
-class TerminalClass:
+class TerminalClass(NamedTuple):
     """A maximal consistent assignment at one hierarchy leaf."""
 
     leaf: str
     assignment: tuple[tuple[str, str], ...]
-    index: int = field(compare=False, default=-1)
+    index: int = -1                         # not compared
+
+    __eq__, __ne__, __hash__ = compare_first(2)
 
     def render(self) -> str:
         parts = [f"{POS_FEATURE}={self.leaf}"]
@@ -65,8 +68,7 @@ class TerminalClass:
         return "[" + " & ".join(parts) + "]"
 
 
-@dataclass(frozen=True)
-class CoverNode:
+class CoverNode(NamedTuple):
     """A conjunctive class description: hierarchy node plus feature atoms.
 
     These are the nodes of the virtually expanded type graph; minimal covers
@@ -77,9 +79,11 @@ class CoverNode:
 
     node: str
     atoms: tuple[tuple[str, str], ...]
-    mask: int = field(compare=False, default=0)
-    implied_node: bool = field(compare=False, default=False)
-    sort_key: tuple = field(compare=False, default=())
+    mask: int = 0                   # not compared, nor the two below
+    implied_node: bool = False
+    sort_key: tuple = ()
+
+    __eq__, __ne__, __hash__ = compare_first(2)
 
     def parts(self) -> tuple[str, ...]:
         """The rendered conjuncts: ``pos=<node>`` unless implied, then the
@@ -221,10 +225,19 @@ class TypeGraph:
 
         Partial assignments are extended one feature at a time, each by every
         value of the feature in turn, so the result is ordered by the value
-        positions of the earliest features first.
+        positions of the earliest features first.  A run of unguarded
+        one-value features extends every partial alike and is added in one
+        copy, where a copy per feature took time quadratic in the run.
         """
         partial: list[tuple[tuple[str, str], ...]] = [()]
+        held: list[tuple[str, str]] = []
         for f in feats:
+            if len(f.values) == 1 and not f.conditions:
+                held.append((f.name, f.values[0]))
+                continue
+            if held:
+                run, held = tuple(held), []
+                partial = [seen + run for seen in partial]
             atoms = [((f.name, v),) for v in f.values]
             grown: list[tuple[tuple[str, str], ...]] = []
             for seen in partial:
@@ -233,7 +246,8 @@ class TypeGraph:
                 else:
                     grown += [seen + a for a in atoms]
             partial = grown
-        return partial
+        run = tuple(held)
+        return [seen + run for seen in partial] if run else partial
 
     # -- conjunctive descriptions ----------------------------------------
 

@@ -4,8 +4,13 @@ Positions, class indices, masks and other derived fields stay out of
 equality and hashing, a record equals only records of its own type, and the
 immutable records refuse assignment.
 """
+import dataclasses
+import importlib
+import pkgutil
+
 import pytest
 
+import tagmap
 from tagmap import (
     CorpusToken,
     Diagnostic,
@@ -121,3 +126,19 @@ def test_keyword_constructors(rules):
     assert copy.lookup("NN") is rules.coverage["NN"]
     tree = MTree(rules=copy, assignments={})
     assert tree.diagnostics == [] and tree.unreachable == ()
+
+
+def test_only_the_resolver_records_are_dataclasses():
+    # ``@dataclass`` generates and compiles methods for every class it
+    # decorates, which the command line paid on each start; the package's
+    # other records are NamedTuples or plain classes.  The resolver's stay
+    # dataclasses: ``perfbench/test_perfbench.py`` copies ``Resolution`` and
+    # ``NoiseNote`` with ``dataclasses.replace``.
+    found = set()
+    for info in pkgutil.iter_modules(tagmap.__path__, "tagmap."):
+        module = importlib.import_module(info.name)
+        found |= {f"{module.__name__}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and dataclasses.is_dataclass(value)}
+    assert found == {"tagmap.resolver.TagPattern", "tagmap.resolver.NoiseNote",
+                     "tagmap.resolver.Resolution"}
