@@ -33,7 +33,6 @@ from .diagnostics import (
 from .lexer import Token, TokenCursor, tokenize
 from .specexpr import (
     Atom,
-    SpecExpr,
     TypedSpec,
     parse_spec_at,
     render_spec,
@@ -246,8 +245,10 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: dict[str, Span],
                                f"tag {tag} already has a coverage rule", start))
             return
         seen_rule.add(tag)
-    typed = _typecheck_target(target, graph, diags)
-    if typed is None:
+    try:
+        typed = typecheck(target, graph)
+    except SpecTypeError as exc:
+        diags.extend(exc.diagnostics)
         return
     for w in words:
         if (w, tag) in seen_word:
@@ -301,12 +302,3 @@ def _parse_tag_head(c: TokenCursor, graph: TypeGraph,
         "malformed-rule",
         "rule head must name one physical tag, as in [pos = 'NN']", span))
     return None
-
-
-def _typecheck_target(spec: SpecExpr, graph: TypeGraph,
-                      diags: list[Diagnostic]) -> TypedSpec | None:
-    try:
-        return typecheck(spec, graph)
-    except SpecTypeError as exc:
-        diags.extend(exc.diagnostics)
-        return None

@@ -15,20 +15,22 @@ runs four consistency checks over the rule set:
 All four are warnings; a rule set with none of them maps the corpus onto the
 standard tagset exactly.
 
-The last two checks look only at neighbours that can overlap.  Every
-coverage denotation, and every cover node, is keyed by its lowest class, and
-the keys are sorted once.  A mask can only meet or contain a mask whose
-lowest class lies between its own lowest and highest class, so ``bisect``
-on the keys gives the candidates.  Each candidate is then confirmed with an
-AND or a subset test, and the hits are put back in inventory order.  On
+The last two checks share one scan, :func:`_meeting_pairs`, which finds the
+masks that share a class without testing every pair.  Each mask is keyed by
+its lowest class and the keys are sorted once; a mask can only meet a later
+one whose lowest class is at most its own highest, and ``bisect`` on the
+keys gives that slice.  The overlap check scans the tags' denotations.  The
+containment check scans every cover node of every tag, since a node inside
+another meets it, and tests the containment both ways on each meeting pair
+of nodes of different tags.  The hits are put back in inventory order.  On
 2,187 disjoint positional tags over 6,561 classes (a seven-feature ladder),
-the two checks take about 4 ms together (2-core VM, Python 3.11).  Their
-cost grows with the number of tags whose class ranges overlap, and with the
-cover of each overlap reported.
+the two checks take about 6 ms together (2-core VM, Python 3.11).  Their
+cost grows with the number of meeting pairs, and with the cover of each
+overlap reported.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .diagnostics import Diagnostic, warning
 from .maprules import RuleSet
@@ -48,24 +50,21 @@ class MTree:
     def tags_of(self, terminal: TerminalClass) -> tuple[str, ...]:
         """Physical tags whose coverage denotation contains ``terminal``."""
         bit = 1 << terminal.index
-        return tuple(tag for tag in self.rules.inventory
-                     if tag in self.rules.coverage
-                     and self.rules.coverage[tag].typed.denotation & bit)
+        return tuple(tag for tag in self.assignments
+                     if self.rules.coverage[tag].typed.denotation & bit)
 
 
 def build_mtree(rules: RuleSet) -> MTree:
+    """The covered tags' assignments, keyed in inventory order, and the
+    four checks' warnings."""
     g = rules.graph
-    assignments: dict[str, tuple[CoverNode, ...]] = {}
-    for tag in rules.inventory:
-        rule = rules.coverage.get(tag)
-        if rule is not None:
-            assignments[tag] = minimal_cover(rule.typed.denotation, g)
-
+    assignments = {tag: minimal_cover(rules.coverage[tag].typed.denotation, g)
+                   for tag in rules.inventory if tag in rules.coverage}
     target_diags, unreachable = _check_target_holes(rules)
     diags: list[Diagnostic] = []
     diags += _check_source_holes(rules)
     diags += target_diags
-    diags += _check_nondisjoint(rules)
+    diags += _check_nondisjoint(rules, list(assignments))
     diags += _check_hierarchical(rules, assignments)
     return MTree(rules=rules, assignments=assignments,
                  diagnostics=diags, unreachable=unreachable)
@@ -101,26 +100,12 @@ def _check_target_holes(
     return [diag], cover
 
 
-def _check_nondisjoint(rules: RuleSet) -> list[Diagnostic]:
+def _check_nondisjoint(rules: RuleSet, covered: list[str]) -> list[Diagnostic]:
     g = rules.graph
-    covered = [rules.coverage[t] for t in rules.inventory
-               if t in rules.coverage]
-    masks = [r.typed.denotation for r in covered]
-    # two masks meet only if the one with the lower lowest class reaches the
-    # other's lowest class, so each pair is tried once, from the earlier of
-    # the two in (lowest class, position) order
-    lowest = [_lowest(m) for m in masks]
-    order = sorted(range(len(masks)), key=lowest.__getitem__)
-    lows = [lowest[i] for i in order]
-    pairs = []
-    for k, i in enumerate(order):
-        a = masks[i]
-        for j in order[k + 1:bisect_right(lows, a.bit_length() - 1)]:
-            if a & masks[j]:
-                pairs.append((i, j) if i < j else (j, i))
+    masks = [rules.coverage[t].typed.denotation for t in covered]
     out = []
-    for i, j in sorted(pairs):
-        ra, rb = covered[i], covered[j]
+    for i, j in sorted(sorted(pair) for pair in _meeting_pairs(masks)):
+        ra, rb = rules.coverage[covered[i]], rules.coverage[covered[j]]
         out.append(warning(
             "nondisjunctive",
             f"tags {ra.tag} and {rb.tag} overlap on "
@@ -134,34 +119,48 @@ def _check_hierarchical(rules: RuleSet,
                         ) -> list[Diagnostic]:
     # a covering node of one tag strictly containing a covering node of
     # another makes the outer tag sit above occupied territory; one
-    # diagnostic per such ancestor node, listing every tag found below it.
-    # A node inside mask m has its lowest class in [lowest(m), highest(m)],
-    # so only the nodes keyed in that slice are tested.
-    covered = [t for t in rules.inventory if t in rules.coverage]
-    nodes = sorted((_lowest(c.mask), i, c.mask)
-                   for i, t in enumerate(covered) for c in assignments[t])
-    lows = [low for low, _, _ in nodes]
+    # diagnostic per such ancestor node, listing every tag found below it
+    covered = list(assignments)
+    nodes = [(i, node) for i, t in enumerate(covered)
+             for node in assignments[t]]
+    owner = [i for i, _ in nodes]
+    masks = [node.mask for _, node in nodes]
+    inner: list[set[int]] = [set() for _ in nodes]
+    for p, q in _meeting_pairs(masks):
+        a, b = masks[p], masks[q]
+        if owner[p] != owner[q] and a != b:
+            if not b & ~a:
+                inner[p].add(owner[q])
+            elif not a & ~b:
+                inner[q].add(owner[p])
     out = []
-    for i, outer in enumerate(covered):
-        for node in assignments[outer]:
-            m = node.mask
-            start = bisect_left(lows, _lowest(m))
-            stop = bisect_right(lows, m.bit_length() - 1)
-            inner = {j for _, j, c in nodes[start:stop]
-                     if j != i and c != m and c & ~m == 0}
-            if inner:
-                out.append(warning(
-                    "hierarchical",
-                    f"covering node {node.render()} of tag {outer} strictly "
-                    f"contains coverage of "
-                    f"{', '.join(covered[j] for j in sorted(inner))}",
-                    rules.coverage[outer].span))
+    for (i, node), below in zip(nodes, inner):
+        if below:
+            out.append(warning(
+                "hierarchical",
+                f"covering node {node.render()} of tag {covered[i]} strictly "
+                f"contains coverage of "
+                f"{', '.join(covered[j] for j in sorted(below))}",
+                rules.coverage[covered[i]].span))
     return out
 
 
-def _lowest(mask: int) -> int:
-    """The index of the lowest class in a non-empty ``mask``."""
-    return (mask & -mask).bit_length() - 1
+def _meeting_pairs(masks: list[int]):
+    """Each pair of positions in ``masks`` whose masks share a class, once.
+
+    The masks are taken in order of their lowest class; a pair is yielded
+    from the earlier of its two in that order, first.  Two masks meet only
+    if the earlier one reaches the other's lowest class, so ``bisect`` on
+    the sorted lowest classes gives the masks to test.
+    """
+    lowest = [(m & -m).bit_length() - 1 for m in masks]
+    order = sorted(range(len(masks)), key=lowest.__getitem__)
+    lows = [lowest[i] for i in order]
+    for k, i in enumerate(order):
+        a = masks[i]
+        for j in order[k + 1:bisect_right(lows, a.bit_length() - 1)]:
+            if a & masks[j]:
+                yield i, j
 
 
 def render_explain(tree: MTree) -> str:

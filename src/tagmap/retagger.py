@@ -48,16 +48,10 @@ class RetagSummary:
     set's ``note`` line; each is printed once, in the order the tags are
     first retagged."""
 
-    def __init__(self, tokens: int = 0, exceptions: int = 0,
-                 underspecified: int = 0, holes: int = 0, malformed: int = 0,
-                 holes_by_tag: dict[str, int] | None = None,
-                 notes: dict[str, str] | None = None) -> None:
-        self.tokens = tokens
-        self.exceptions = exceptions
-        self.underspecified = underspecified
-        self.holes = holes
-        self.malformed = malformed
-        self.holes_by_tag = {} if holes_by_tag is None else holes_by_tag
+    def __init__(self, notes: dict[str, str] | None = None) -> None:
+        self.tokens = self.exceptions = self.underspecified = 0
+        self.holes = self.malformed = 0
+        self.holes_by_tag: dict[str, int] = {}
         self.notes = {} if notes is None else notes
         self.noted: dict[str, str] = {}
 

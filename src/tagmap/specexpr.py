@@ -221,10 +221,6 @@ class TypedSpec(NamedTuple):
 
     __eq__, __ne__, __hash__ = compare_first(2)
 
-    @property
-    def text(self) -> str:
-        return render_spec(self.expr)
-
 
 def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
     """Resolve, normalise and check ``e``; raise :class:`SpecTypeError` if any
@@ -235,9 +231,7 @@ def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
     first_core: tuple[str, ...] = ()
     union = 0
     for disjunct in dnf:
-        mask = g.full_mask
-        for atom in disjunct:
-            mask &= _atom_mask(atom, g)
+        mask = _conjunction_mask(disjunct, g)
         if mask == 0:
             rendered = " & ".join(a.render() for a in disjunct)
             core = _conflict_core(disjunct, g)
@@ -335,6 +329,13 @@ def _atom_mask(atom: Atom, g: TypeGraph) -> int:
     return g.feature_mask(atom.feature) & ~mask
 
 
+def _conjunction_mask(atoms, g: TypeGraph) -> int:
+    mask = g.full_mask
+    for a in atoms:
+        mask &= _atom_mask(a, g)
+    return mask
+
+
 def _denote_nnf(e: SpecExpr, g: TypeGraph) -> int:
     if isinstance(e, Atom):
         return _atom_mask(e, g)
@@ -347,18 +348,11 @@ def _denote_nnf(e: SpecExpr, g: TypeGraph) -> int:
 
 def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]:
     """Minimal subset of an unsatisfiable conjunction that stays unsatisfiable."""
-
-    def unsat(atoms) -> bool:
-        mask = g.full_mask
-        for a in atoms:
-            mask &= _atom_mask(a, g)
-        return mask == 0
-
     core = list(disjunct)
     for atom in list(core):
         if len(core) == 1:
             break
         trial = [a for a in core if a is not atom]
-        if unsat(trial):
+        if not _conjunction_mask(trial, g):
             core = trial
     return tuple(core)

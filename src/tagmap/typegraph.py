@@ -34,6 +34,9 @@ from .lexer import TokenCursor, tokenize
 
 POS_FEATURE = "pos"
 ROOT = "root"
+# the most terminal classes a tagset may have; each class costs a few
+# hundred bytes, and its bit a place in every denotation
+MAX_CLASSES = 1 << 20
 
 
 class FeatureDecl(NamedTuple):
@@ -101,9 +104,8 @@ class TypeGraph:
     """A compiled tagset definition.
 
     Instances are immutable after construction and safe to read from several
-    threads; the only internal mutations are idempotent caches: the covers
-    :func:`minimal_cover` found, by mask; the prime descriptions those
-    covers share, by mask; and the candidate table, built on first read.
+    threads; the only internal mutations are idempotent caches: the minimal
+    covers found, by mask, and the candidate table, built on first read.
     Build one with :func:`parse_tagset_definition`, not directly.
     """
 
@@ -141,10 +143,9 @@ class TypeGraph:
             parent = self._parents[node]
             if parent is not None:
                 self._node_mask[parent] |= self._node_mask[node]
+        # minimal covers by mask; a prime's is its one description, which
+        # every cover holding the prime shares
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
-        # prime descriptions, one per conjunction mask met by a cover search,
-        # so covers share them as they shared the candidate table
-        self._descriptions: dict[int, CoverNode] = {}
 
     # -- structure -----------------------------------------------------
 
@@ -193,15 +194,19 @@ class TypeGraph:
                                   dict[tuple[str, str], int],
                                   dict[str, tuple[int, int]]]:
         """The terminal classes, leaf by leaf, with the mask of each atom and
-        the index range of each leaf's classes.
+        the index range of each leaf's classes.  More than
+        :data:`MAX_CLASSES` classes in all is a :class:`CompileError`.
 
         Each atom's mask is written as a binary numeral, one digit per class,
         and converted to an integer once: a fixed amount of work per class
         and atom, where or-ing bits into a universe-wide integer one at a
         time would cost time quadratic in the number of classes.
         """
-        by_leaf = [(leaf, self._expand(self.features_at(leaf)))
-                   for leaf in self.leaves]
+        by_leaf, room = [], MAX_CLASSES
+        for leaf in self.leaves:
+            assignments = self._expand(self.features_at(leaf), room)
+            room -= len(assignments)
+            by_leaf.append((leaf, assignments))
         width = sum(len(assignments) for _, assignments in by_leaf)
         # digit i of an atom's numeral is "1" when class i holds the atom
         digits = {a: bytearray(b"0") * width for a in self._value_key}
@@ -220,14 +225,16 @@ class TypeGraph:
         return tuple(universe), atom_mask, leaf_span
 
     @staticmethod
-    def _expand(feats) -> list[tuple[tuple[str, str], ...]]:
+    def _expand(feats, room: int) -> list[tuple[tuple[str, str], ...]]:
         """Every consistent assignment to ``feats``, in value declaration order.
 
         Partial assignments are extended one feature at a time, each by every
         value of the feature in turn, so the result is ordered by the value
         positions of the earliest features first.  A run of unguarded
         one-value features extends every partial alike and is added in one
-        copy, where a copy per feature took time quadratic in the run.
+        copy, where a copy per feature took time quadratic in the run.  A
+        feature that would take the partials past ``room`` is reported
+        before they are built.
         """
         partial: list[tuple[tuple[str, str], ...]] = [()]
         held: list[tuple[str, str]] = []
@@ -239,12 +246,19 @@ class TypeGraph:
                 run, held = tuple(held), []
                 partial = [seen + run for seen in partial]
             atoms = [((f.name, v),) for v in f.values]
+            takes = [not f.conditions or any(c in seen for c in f.conditions)
+                     for seen in partial]
+            if len(partial) + (len(atoms) - 1) * sum(takes) > room:
+                raise CompileError([error(
+                    "universe-too-large",
+                    f"feature {f.name!r} takes the tagset past "
+                    f"{MAX_CLASSES} terminal classes", f.span)])
             grown: list[tuple[tuple[str, str], ...]] = []
-            for seen in partial:
-                if f.conditions and not any(c in seen for c in f.conditions):
-                    grown.append(seen)
-                else:
+            for seen, take in zip(partial, takes):
+                if take:
                     grown += [seen + a for a in atoms]
+                else:
+                    grown.append(seen)
             partial = grown
         run = tuple(held)
         return [seen + run for seen in partial] if run else partial
@@ -337,10 +351,10 @@ class TypeGraph:
         for m in found:
             if any(m != o and not m & ~o for o in found):
                 continue
-            node = self._descriptions.get(m)
-            if node is None:
-                node = self._descriptions[m] = self.cover_node(m)
-            described.append(node)
+            cover = self._cover_cache.get(m)
+            if cover is None:
+                cover = self._cover_cache[m] = (self.cover_node(m),)
+            described.append(cover[0])
         described.sort(key=lambda c: c.sort_key)
         return described
 

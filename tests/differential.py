@@ -17,9 +17,10 @@ tagmap.cli`` on the same inputs:
   the seed-1 rules;
 * ``compile`` and ``explain`` of positional rule sets from
   ``tests/support.py``: 243 full-conjunction tags over the five-feature
-  ladder and 729 over the six-feature one, each with coarser tags nested
-  above them and sparse tags across them, so that overlap and containment
-  warnings appear;
+  ladder, 729 over the six-feature one and 2,187 over the seven-feature
+  one, each with coarser tags nested above them and sparse tags across
+  them, so that overlap and containment warnings appear (21,405 of them
+  for the seven-feature set);
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
   broken after a duplicate tag.
 
@@ -109,12 +110,12 @@ def inputs(work: Path) -> list[tuple[str, list[str]]]:
     for i, text in enumerate(islice(stream, LADDER_QUERIES)):
         commands.append((f"ladder query {i}", ["query", *ladder, "-e", text]))
 
-    for n_features in (5, 6):
+    for n_features, coarse in ((5, (1, 2)), (6, (1, 2)), (7, (1, 2, 3))):
         tagset = work / f"ladder{n_features}.tagset"
         tagset.write_text(gen.ladder_tagset(n_features))
         path = work / f"positional{n_features}.rules"
         path.write_text(support.positional_rules(
-            n_features, n_features - 1, coarse=(1, 2), sparse=(1, 2)))
+            n_features, n_features - 1, coarse=coarse, sparse=(1, 2)))
         positional = ["--tagset", str(tagset), "--rules", str(path)]
         name = f"positional {3 ** n_features}"
         commands += [(f"{name} compile", ["compile", *positional]),

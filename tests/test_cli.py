@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tagmap.cli import main
 
 from oracles import FIXTURES, oracle_retag_cli
+from support import time_limit
 
 TAGSET = str(FIXTURES / "eagles-en.tagset")
 RULES = str(FIXTURES / "upenn.rules")
@@ -66,6 +67,21 @@ def test_compile_deep_hierarchy(capsys, tmp_path):
     code, out, _ = run(capsys, "compile", "--tagset", str(deep))
     assert code == 0
     assert out == "tags: 0, classes: 1, warnings: 0\n"
+
+
+def test_huge_universe_is_a_compile_error(capsys, tmp_path):
+    # one leaf with three 128-value features has 2**21 terminal classes,
+    # twice the bound; it is reported at the third feature before any of
+    # its classes are built, where building them ran out of memory
+    huge = tmp_path / "huge.tagset"
+    huge.write_text("tagset huge hierarchy { a }\n" + "".join(
+        f"feature {f} for root {{ {', '.join(f'{f}{i}' for i in range(128))} }}\n"
+        for f in "fgh"))
+    with time_limit(0.5):
+        code, out, err = run(capsys, "compile", "--tagset", str(huge))
+    assert (code, out) == (1, "")
+    assert err == ("error [universe-too-large] at 4:9: feature 'h' takes the "
+                   "tagset past 1048576 terminal classes\n")
 
 
 def test_missing_file_is_io_error(capsys):

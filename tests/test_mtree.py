@@ -6,7 +6,7 @@ from hashlib import sha256
 
 import gen
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tagmap import (
     build_mtree,
@@ -274,7 +274,8 @@ def _conjunction(draw, n):
 def ladder_rule_sets(draw):
     """A rules file over a 2- to 4-feature ladder, and the ladder; a tag's
     rule is one conjunction, or a union of two or three whose cover may
-    have several nodes."""
+    have several nodes.  The rules are shuffled, so that their file order
+    is not the inventory order."""
     n = draw(st.sampled_from(sorted(LADDERS)))
     specs = []
     for _ in range(draw(st.integers(1, 10))):
@@ -285,12 +286,25 @@ def ladder_rule_sets(draw):
     tags = [f"T{i}" for i in range(len(specs))]
     lines = ["mapping random for tagset ladder",
              "tags " + ", ".join(tags + ["NOR"] * draw(st.booleans()))]
-    lines += [f"[pos = '{t}'] => [{spec}]." for t, spec in zip(tags, specs)]
+    lines += draw(st.permutations(
+        [f"[pos = '{t}'] => [{spec}]." for t, spec in zip(tags, specs)]))
     return LADDERS[n], "\n".join(lines) + "\n"
 
 
 @given(ladder_rule_sets())
 @settings(max_examples=200, deadline=None)
+# two tags with equal denotations: they overlap, but neither contains the other
+@example(case=(LADDERS[2], "mapping random for tagset ladder\ntags T0, T1\n"
+               "[pos = 'T1'] => [pos = l0 & f0 = v0_0].\n"
+               "[pos = 'T0'] => [f0 = v0_0 & pos = l0].\n"))
+# a two-node cover whose nodes contain different tags, one of them two tags
+# listed in the inventory before the outer one
+@example(case=(LADDERS[2], "mapping random for tagset ladder\n"
+               "tags T3, T0, T1, T2\n"
+               "[pos = 'T2'] => [pos = l1 & f0 = v0_1 & f1 = v1_2].\n"
+               "[pos = 'T0'] => [(pos = l0 & f0 = v0_0) | (pos = l1 & f0 = v0_1)].\n"
+               "[pos = 'T3'] => [pos = l0 & f0 = v0_0 & f1 = v1_1].\n"
+               "[pos = 'T1'] => [pos = l0 & f0 = v0_0 & f1 = v1_0].\n"))
 def test_overlap_and_containment_checks_match_every_pair(case):
     graph, src = case
     tree = build_mtree(parse_rules(src, graph))
@@ -299,6 +313,11 @@ def test_overlap_and_containment_checks_match_every_pair(case):
     want = [d.render() for d in oracle_nondisjoint(tree.rules)
             + oracle_hierarchical(tree.rules, tree.assignments)]
     assert got == want
+    coverage = tree.rules.coverage
+    for t in graph.universe:
+        assert tree.tags_of(t) == tuple(
+            tag for tag in tree.rules.inventory if tag in coverage
+            and coverage[tag].typed.denotation >> t.index & 1)
 
 
 # -- positional tagsets of thousands of tags ----------------------------------

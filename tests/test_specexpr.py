@@ -210,7 +210,7 @@ def test_typecheck_accepts_and_counts(graph):
     # pers=3 survives under ind (twice, for tense), subj and imp
     ts = compile_spec("[pos = v & vtype = aux & pers = 3]", graph)
     assert ts.denotation.bit_count() == 4
-    assert mask_keys(graph, ts.denotation) == oracle_denote(ts.text)
+    assert mask_keys(graph, ts.denotation) == oracle_denote(render_spec(ts.expr))
 
 
 def test_typecheck_rejects_inapplicable_feature(graph):

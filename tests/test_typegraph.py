@@ -22,6 +22,7 @@ from tagmap import (
     parse_tagset_definition,
     render_cover,
     resolve,
+    typegraph,
 )
 
 from oracles import (
@@ -614,6 +615,27 @@ def test_many_features_compile_one_class_per_leaf():
     g = parse_tagset_definition(_one_value_features(1100))
     assert [t.leaf for t in g.universe] == ["a", "b"]
     assert all(len(t.assignment) == 1100 for t in g.universe)
+
+
+def test_universe_bound_counts_classes_across_leaves(monkeypatch):
+    # leaf a has 4 classes (h applies only where f=x) and leaf b 12; b
+    # alone fits under 15, but not beside a
+    source = ("tagset t hierarchy { a b }\nfeature f for root { x, y, z }\n"
+              "feature h for root when f=x { p, q }\n"
+              "feature g for b { u, v, w }\n")
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 16)
+    assert len(parse_tagset_definition(source).universe) == 16
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 15)
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition(source)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [universe-too-large] at 4:9: feature 'g' takes the tagset "
+        "past 15 terminal classes"]
+
+
+def test_nine_feature_ladder_is_within_the_universe_bound():
+    g = parse_tagset_definition(gen.ladder_tagset(9))
+    assert len(g.universe) == 3 ** 10
 
 
 def test_six_thousand_one_value_features_expand_in_linear_time():
