@@ -112,6 +112,7 @@ def _cmd_explain(args) -> int:
     graph, rules = _load(args)
     tree = build_mtree(rules)
     print(render_explain(tree))
+    _print_diags(rules.warnings)
     if (rules.warnings or tree.diagnostics) and args.strict:
         return 2
     return 0

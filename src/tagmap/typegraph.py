@@ -230,17 +230,20 @@ class TypeGraph:
 
         Partial assignments are extended one feature at a time, each by every
         value of the feature in turn, so the result is ordered by the value
-        positions of the earliest features first.  A run of unguarded
-        one-value features extends every partial alike and is added in one
-        copy, where a copy per feature took time quadratic in the run.  A
-        feature that would take the partials past ``room`` is reported
-        before they are built.
+        positions of the earliest features first.  A run of one-value
+        features, each unguarded or guarded by an atom held in every partial,
+        extends every partial alike and is added in one copy, where a copy
+        per feature took time quadratic in the run.  A feature that would
+        take the partials past ``room`` is reported before they are built.
         """
         partial: list[tuple[tuple[str, str], ...]] = [()]
         held: list[tuple[str, str]] = []
+        holds: set[tuple[str, str]] = set()     # atoms of every partial
         for f in feats:
-            if len(f.values) == 1 and not f.conditions:
+            if len(f.values) == 1 and (not f.conditions
+                                       or not holds.isdisjoint(f.conditions)):
                 held.append((f.name, f.values[0]))
+                holds.add(held[-1])
                 continue
             if held:
                 run, held = tuple(held), []
@@ -407,63 +410,54 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     The cover is made of primes, the maximal conjunctions inside ``mask``.
     It has the fewest primes of any cover; of the covers of that size, it is
     the one whose sorted list of sort keys is lexicographically least,
-    so it depends on the mask alone.  A depth-first branch-and-bound
-    branches on the lowest uncovered class over the primes containing it
-    (:meth:`TypeGraph.primes_containing`), each class's primes found once
-    per call; the first complete cover is the first bound, with no seed.
-    As in Knuth's Algorithm X, the branch for a class's i-th prime excludes
-    its first i - 1 from the whole subtree, so each set of primes is reached
-    once, and a class whose primes are all excluded ends its branch.
-    Results are cached per graph.
+    so it depends on the mask alone.  A depth-first branch-and-bound pops
+    immutable states off a stack, so a cover of many primes costs no
+    recursion; each state holds the classes covered, the primes chosen and
+    the primes excluded.  A complete state is compared with the best cover.
+    An incomplete one with fewer primes than the best branches on its lowest
+    uncovered class over the primes containing it
+    (:meth:`TypeGraph.primes_containing`), each class's primes found once per
+    call; the first complete cover is the first bound, with no seed.  As in
+    Knuth's Algorithm X, the branch for a class's i-th prime excludes its
+    first i - 1 from the whole subtree, so each set of primes is reached
+    once, and a class whose primes are all excluded ends its branch.  Each
+    prime takes a bit the first time it is found, and a state's excluded
+    primes are the int of their bits.  Results are cached per graph.
     """
     if mask == 0:
         return ()
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
-    primes_of: dict[int, list[CoverNode]] = {}
-    excluded: set[int] = set()          # masks of the primes excluded
-
-    def level(covered: int) -> list:
+    # each class's primes with their bits, and the bit of each prime mask
+    primes_of: dict[int, list[tuple[CoverNode, int]]] = {}
+    bit_of: dict[int, int] = {}
+    best: tuple[CoverNode, ...] = ()
+    best_keys: list[tuple] = []
+    stack: list[tuple[int, tuple[CoverNode, ...], int]] = [(0, (), 0)]
+    while stack:
+        covered, chosen, excluded = stack.pop()
+        if covered == mask:
+            keys = sorted(o.sort_key for o in chosen)
+            if not best or (len(keys), keys) < (len(best_keys), best_keys):
+                best, best_keys = chosen, keys
+            continue
+        if best and len(chosen) >= len(best):
+            continue
         missing = mask & ~covered
         low = (missing & -missing).bit_length() - 1
         found = primes_of.get(low)
         if found is None:
-            found = primes_of[low] = g.primes_containing(low, mask)
-        return [covered, [p for p in found if p.mask not in excluded], 0]
-
-    best: list[CoverNode] = []
-    best_keys: list[tuple] = []
-    chosen: list[CoverNode] = []
-    # a stack of levels, one more than the primes in ``chosen``, so that a
-    # cover of many primes costs no recursion: each holds the classes
-    # covered there, the primes of its class not excluded above it, and the
-    # position of the next one to try.  A prime tried at a level is excluded
-    # below it from then until the level is left.
-    levels = [level(0)]
-    while levels:
-        top = levels[-1]
-        covered, options, i = top
-        if i:
-            excluded.add(options[i - 1].mask)
-        if i == len(options):
-            excluded.difference_update(o.mask for o in options)
-            levels.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        top[2] = i + 1
-        c = options[i]
-        chosen.append(c)
-        covered |= c.mask
-        if covered == mask:
-            keys = sorted(o.sort_key for o in chosen)
-            if not best or (len(keys), keys) < (len(best_keys), best_keys):
-                best, best_keys = list(chosen), keys
-        elif not best or len(chosen) < len(best):
-            levels.append(level(covered))
-            continue
-        chosen.pop()
+            found = primes_of[low] = [
+                (p, bit_of.setdefault(p.mask, 1 << len(bit_of)))
+                for p in g.primes_containing(low, mask)]
+        children = []
+        for p, bit in found:
+            if not excluded & bit:
+                children.append((covered | p.mask, chosen + (p,), excluded))
+                excluded |= bit
+        # the first prime's branch is searched first
+        stack += reversed(children)
 
     result = tuple(sorted(best, key=lambda c: c.sort_key))
     g._cover_cache[mask] = result

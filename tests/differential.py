@@ -14,7 +14,8 @@ tagmap.cli`` on the same inputs:
 * ``compile`` and ``explain`` of the six-feature ladder tagset with the
   ladder rules of seeds 1 to 3;
 * the first 150 queries of the seed-1 ladder stream, one command each, with
-  the seed-1 rules;
+  the seed-1 rules, and query 166 of the seed-6 stream with the seed-6
+  rules, whose cover search backtracks far more than theirs;
 * ``compile`` and ``explain`` of positional rule sets from
   ``tests/support.py``: 243 full-conjunction tags over the five-feature
   ladder, 729 over the six-feature one and 2,187 over the seven-feature
@@ -109,6 +110,11 @@ def inputs(work: Path) -> list[tuple[str, list[str]]]:
     stream = gen.ladder_queries(random.Random("1:stream"))
     for i, text in enumerate(islice(stream, LADDER_QUERIES)):
         commands.append((f"ladder query {i}", ["query", *ladder, "-e", text]))
+    path = work / "ladder6.rules"
+    path.write_text(gen.ladder_rules(random.Random("6:rules")).text)
+    text = next(islice(gen.ladder_queries(random.Random("6:stream")), 166, None))
+    commands.append(("ladder 6 query 166", [
+        "query", "--tagset", str(tagset), "--rules", str(path), "-e", text]))
 
     for n_features, coarse in ((5, (1, 2)), (6, (1, 2)), (7, (1, 2, 3))):
         tagset = work / f"ladder{n_features}.tagset"

@@ -113,6 +113,21 @@ def test_explain_lists_every_tag(capsys):
     assert lines[0] == "CC -> ctype=coord [1 class]"
 
 
+def test_explain_strict_prints_the_rules_warnings(capsys, tmp_path):
+    # a warning raised while the rules are parsed, not by the mapping tree
+    f = tmp_path / "redundant.rules"
+    f.write_text((FIXTURES / "upenn.rules").read_text()
+                 + "[and] << [pos = 'CC'] >> [ctype=coord].\n")
+    _, _, compiled = run(capsys, "compile", "--tagset", TAGSET, "--rules", str(f))
+    code, out, err = run(capsys, "explain", "--tagset", TAGSET, "--rules", str(f),
+                         "--strict")
+    assert code == 2
+    assert len(out.splitlines()) == 36
+    assert err == compiled == (
+        "warning [redundant-exception] at 61:1: exception reading for and "
+        "under CC equals the tag's coverage reading\n")
+
+
 def test_query_expr_flag(capsys):
     code, out, _ = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
                        "-e", FLAGSHIP)
