@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> tuple[TypeGraph, RuleSet | None]:
     graph = parse_tagset_definition(Path(args.tagset).read_text())
     rules = None
-    if getattr(args, "rules", None):
+    if args.rules:
         rules = parse_rules(Path(args.rules).read_text(), graph)
     return graph, rules
 
@@ -120,52 +120,49 @@ def _cmd_explain(args) -> int:
 
 def _cmd_query(args) -> int:
     graph, rules = _load(args)
-    had_error = False
-    had_warning = False
-
-    def run(line: str) -> None:
-        nonlocal had_error, had_warning
+    failed = warned = False
+    for line in _query_lines(args):
         text = line.strip()
         if text.endswith("."):
             text = text[:-1].rstrip()
         if not text:
-            return
+            continue
         try:
             res = resolve(rules, text)
         except CompileError as exc:
             _print_diags(exc.diagnostics)
-            had_error = True
-            return
-        if res.noise or res.uncovered:
-            had_warning = True
+            failed = True
+            continue
+        warned = warned or bool(res.noise or res.uncovered)
         print(res.render())
-
-    if args.expr or args.batch:
-        for expr in args.expr:
-            run(expr)
-        if args.batch:
-            for line in Path(args.batch).read_text().splitlines():
-                if line.strip() in ("\\q", ""):
-                    continue
-                run(line)
-        if had_error:
-            return 1
-    else:
-        # the interactive session reports ill-typed queries and continues;
-        # they do not fail the run
-        while True:
-            try:
-                line = input("Query> ")
-            except EOFError:
-                print()
-                break
-            if line.strip() == "\\q":
-                break
-            run(line)
-
-    if had_warning and args.strict:
+    # the interactive session reports ill-typed queries and continues; they
+    # do not fail the run
+    if failed and (args.expr or args.batch):
+        return 1
+    if warned and args.strict:
         return 2
     return 0
+
+
+def _query_lines(args):
+    """The ``-e`` queries, then the batch file's lines except ``\\q``; with
+    neither, the prompt's lines up to ``\\q`` or the end of input."""
+    if args.expr or args.batch:
+        yield from args.expr
+        if args.batch:
+            for line in Path(args.batch).read_text().splitlines():
+                if line.strip() != "\\q":
+                    yield line
+        return
+    while True:
+        try:
+            line = input("Query> ")
+        except EOFError:
+            print()
+            return
+        if line.strip() == "\\q":
+            return
+        yield line
 
 
 def _cmd_retag(args) -> int:

@@ -90,15 +90,13 @@ class TokenCursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+        self.cur = tokens[0]         # the token at ``pos``
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.cur
         if tok.type != "EOF":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
     def expect(self, type_: str, what: str) -> Token:

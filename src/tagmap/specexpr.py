@@ -24,8 +24,13 @@ bitsets over the graph universe:
 
 An expression is well-typed when every disjunct of its disjunctive normal
 form denotes at least one terminal class; a single contradictory disjunct
-rejects the whole specification.  The way back, from a set of classes to a
-description, is :func:`tagmap.typegraph.minimal_cover`.
+rejects the whole specification.  :func:`typecheck` finds the disjuncts in
+one walk of the expression that resolves each name, pushes negation down and
+returns every disjunct with its mask: ``&`` pairs each disjunct on its left
+with each on its right and intersects their masks, ``|`` concatenates.
+:func:`denote` walks the expression the same way but keeps only the mask.
+The way back, from a set of classes to a description, is
+:func:`tagmap.typegraph.minimal_cover`.
 """
 from __future__ import annotations
 
@@ -110,10 +115,10 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 # '!', '&' and '|' nodes on its longest path, and take the number of open
 # parentheses around it. Both are capped: parsing recurses three frames per
 # parenthesis, and each later walk one or two per level of height: the
-# typing walk that resolves names and pushes negation down, DNF conversion,
-# and rendering. So every tree the parser accepts stays inside the default
-# recursion limit. Rendering parenthesises nested negations, '!!a' as
-# '!(!a)', which stays within the cap as well.
+# typing walk that resolves names, pushes negation down and builds the DNF,
+# the denotation walk of ``denote``, and rendering. So every tree the parser
+# accepts stays inside the default recursion limit. Rendering parenthesises
+# nested negations, '!!a' as '!(!a)', which stays within the cap as well.
 MAX_SPEC_DEPTH = 150
 
 
@@ -225,29 +230,27 @@ class TypedSpec(NamedTuple):
 def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
     """Resolve, normalise and check ``e``; raise :class:`SpecTypeError` if any
     disjunctive-normal-form disjunct is unsatisfiable in ``g``."""
-    dnf = _to_dnf(_resolve(e, g))
     diags: list[Diagnostic] = []
-    first_disjunct = ""
-    first_core: tuple[str, ...] = ()
+    pairs = _dnf(e, g, False, diags)
+    if diags:
+        raise SpecTypeError(diags)
     union = 0
-    for disjunct in dnf:
-        mask = _conjunction_mask(disjunct, g)
+    for disjunct, mask in pairs:
         if mask == 0:
             rendered = " & ".join(a.render() for a in disjunct)
-            core = _conflict_core(disjunct, g)
-            core_text = tuple(a.render() for a in core)
-            if not first_disjunct:
-                first_disjunct = rendered
-                first_core = core_text
+            core = tuple(a.render() for a in _conflict_core(disjunct, g))
+            if not diags:
+                first = rendered, core
             diags.append(error(
                 "ill-typed",
                 f"unsatisfiable disjunct [{rendered}]: "
-                f"{' and '.join(core_text)} cannot hold together",
+                f"{' and '.join(core)} cannot hold together",
                 disjunct[0].span))
         union |= mask
     if diags:
-        raise SpecTypeError(diags, disjunct=first_disjunct, conflict=first_core)
-    return TypedSpec(expr=e, denotation=union, dnf=dnf)
+        raise SpecTypeError(diags, *first)
+    return TypedSpec(expr=e, denotation=union,
+                     dnf=tuple(disjunct for disjunct, _ in pairs))
 
 
 def compile_spec(text: str, g: TypeGraph) -> TypedSpec:
@@ -257,66 +260,84 @@ def compile_spec(text: str, g: TypeGraph) -> TypedSpec:
 
 def denote(e: SpecExpr, g: TypeGraph) -> int:
     """Denotation bitset of ``e`` without the satisfiability requirement."""
-    return _denote_nnf(_resolve(e, g), g)
-
-
-def _resolve(e: SpecExpr, g: TypeGraph) -> SpecExpr:
-    """Resolve the names of ``e`` and push its negations down to the atoms;
-    raise :class:`SpecTypeError` with every unknown name in source order."""
     diags: list[Diagnostic] = []
-    nnf = _resolve_walk(e, g, False, diags)
+    mask = _denote(e, g, False, diags)
     if diags:
         raise SpecTypeError(diags)
-    return nnf
+    return mask
 
 
-def _resolve_walk(e: SpecExpr, g: TypeGraph, negated: bool,
-                  diags: list[Diagnostic]) -> SpecExpr:
+# The two walks below resolve each name and push negation down to the atoms
+# on the way (De Morgan: a negated '&' acts as '|' and a negated '|' as '&').
+# Unknown names are collected into ``diags`` in source order and the walk
+# goes on, so that every one is reported.
+
+
+def _dnf(e: SpecExpr, g: TypeGraph, negated: bool,
+         diags: list[Diagnostic]) -> list[tuple[tuple[Atom, ...], int]]:
+    """The disjunctive normal form of ``e`` as (conjunction, mask) pairs;
+    empty once a name has failed to resolve."""
     if isinstance(e, Not):
-        return _resolve_walk(e.child, g, not negated, diags)
+        return _dnf(e.child, g, not negated, diags)
     if isinstance(e, (And, Or)):
-        left = _resolve_walk(e.left, g, negated, diags)
-        right = _resolve_walk(e.right, g, negated, diags)
-        # De Morgan: a negated '&' becomes '|' and a negated '|' becomes '&'
-        return (Or if isinstance(e, And) == negated else And)(left, right)
+        left = _dnf(e.left, g, negated, diags)
+        right = _dnf(e.right, g, negated, diags)
+        if diags:
+            return []
+        if isinstance(e, And) != negated:
+            return [(lc + rc, lm & rm) for lc, lm in left for rc, rm in right]
+        left += right       # both lists are built afresh by this walk
+        return left
+    atom = _resolve_atom(e, g, negated, diags)
+    return [] if atom is None else [((atom,), _atom_mask(atom, g))]
+
+
+def _denote(e: SpecExpr, g: TypeGraph, negated: bool,
+            diags: list[Diagnostic]) -> int:
+    if isinstance(e, Not):
+        return _denote(e.child, g, not negated, diags)
+    if isinstance(e, (And, Or)):
+        left = _denote(e.left, g, negated, diags)
+        right = _denote(e.right, g, negated, diags)
+        return left & right if isinstance(e, And) != negated else left | right
+    atom = _resolve_atom(e, g, negated, diags)
+    return 0 if atom is None else _atom_mask(atom, g)
+
+
+def _resolve_atom(e: Atom | BareAtom, g: TypeGraph, negated: bool,
+                  diags: list[Diagnostic]) -> Atom | None:
+    """``e`` with its name resolved and its comparison flipped under a
+    negation, or ``None`` after appending the reason it does not resolve."""
     if isinstance(e, BareAtom):
         feature = POS_FEATURE if g.is_node(e.name) else g.value_index.get(e.name)
         if feature is None:
             diags.append(error("unknown-name",
                                f"{e.name!r} is neither a hierarchy node nor a feature value",
                                e.span))
-            return e
+            return None
         e = Atom(feature, "=", e.name, span=e.span)
     elif e.quoted:
         diags.append(error("unknown-value",
                            f"quoted value {e.value!r} is a physical tag and cannot "
                            "appear in a standard-tagset specification", e.span))
+        return None
     elif e.feature == POS_FEATURE:
         if not g.is_node(e.value):
             diags.append(error("unknown-value",
                                f"{e.value!r} is not a hierarchy node", e.span))
+            return None
     elif (decl := g.feature_map.get(e.feature)) is None:
         diags.append(error("unknown-feature",
                            f"unknown feature {e.feature!r}", e.span))
+        return None
     elif e.value not in decl.values:
         diags.append(error("unknown-value",
                            f"{e.value!r} is not a value of feature {e.feature!r}",
                            e.span))
+        return None
     if negated:
         return Atom(e.feature, "!=" if e.op == "=" else "=", e.value, span=e.span)
     return e
-
-
-def _to_dnf(e: SpecExpr) -> tuple[tuple[Atom, ...], ...]:
-    if isinstance(e, Atom):
-        return ((e,),)
-    if isinstance(e, Or):
-        return _to_dnf(e.left) + _to_dnf(e.right)
-    if isinstance(e, And):
-        left = _to_dnf(e.left)
-        right = _to_dnf(e.right)
-        return tuple(l + r for l in left for r in right)
-    raise AssertionError(f"negation not normalised away: {e!r}")
 
 
 def _atom_mask(atom: Atom, g: TypeGraph) -> int:
@@ -334,16 +355,6 @@ def _conjunction_mask(atoms, g: TypeGraph) -> int:
     for a in atoms:
         mask &= _atom_mask(a, g)
     return mask
-
-
-def _denote_nnf(e: SpecExpr, g: TypeGraph) -> int:
-    if isinstance(e, Atom):
-        return _atom_mask(e, g)
-    if isinstance(e, And):
-        return _denote_nnf(e.left, g) & _denote_nnf(e.right, g)
-    if isinstance(e, Or):
-        return _denote_nnf(e.left, g) | _denote_nnf(e.right, g)
-    raise AssertionError(f"unexpected node {e!r}")
 
 
 def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]:

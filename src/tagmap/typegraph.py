@@ -128,12 +128,9 @@ class TypeGraph:
                 self._value_key[(f.name, v)] = (i, j)
         self.universe, self._atom_mask, leaf_span = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
-        # atom masks of each feature, in value declaration order
-        self._value_masks = {f.name: tuple(self._atom_mask[(f.name, v)]
-                                           for v in f.values)
-                             for f in features}
-        self._feature_mask = {name: reduce(or_, masks, 0)
-                              for name, masks in self._value_masks.items()}
+        self._feature_mask = {f.name: reduce(or_, (self._atom_mask[(f.name, v)]
+                                                   for v in f.values), 0)
+                              for f in features}
         # a leaf's classes are consecutive; every node follows its parent
         # in ``order``, so a node's mask is complete before it is passed up
         self._node_mask = dict.fromkeys(order, 0)
@@ -285,7 +282,7 @@ class TypeGraph:
             # reached by several conjunctions is kept once
             level = {nmask}
             for f in self.features_at(node):
-                atom_masks = self._value_masks[f.name]
+                atom_masks = [self._atom_mask[(f.name, v)] for v in f.values]
                 level |= {m & am for m in level for am in atom_masks if m & am}
             masks |= level
         nodes = [self.cover_node(m) for m in masks]
@@ -485,13 +482,7 @@ def _factor_groups(units: list[tuple[str, ...]]) -> str:
     groups: dict[str, list[tuple[str, ...]]] = {}
     for row in units:
         groups.setdefault(row[0], []).append(row)
-    parts = []
-    for rows in groups.values():
-        if len(rows) == 1:
-            parts.append(" & ".join(rows[0]))
-        else:
-            parts.append(_factor(rows))
-    return " | ".join(parts)
+    return " | ".join(_factor(rows) for rows in groups.values())
 
 
 # -- parsing -------------------------------------------------------------
@@ -603,7 +594,6 @@ def _validate(diags: list[Diagnostic], parents, order, spans,
                                f"{node!r} is reserved for the position pseudo-feature",
                                spans.get(node, Span(1, 1))))
     node_set = set(order)
-    feature_names: dict[str, Span] = {}
     value_owner: dict[str, str] = {}
     all_names = {f.name for f in features}
     # features declared before the one being checked; of two declarations
@@ -616,11 +606,9 @@ def _validate(diags: list[Diagnostic], parents, order, spans,
         if f.name in node_set:
             diags.append(error("name-collision",
                                f"feature {f.name!r} collides with a hierarchy node", f.span))
-        if f.name in feature_names:
+        if f.name in earlier:
             diags.append(error("duplicate-feature",
                                f"duplicate feature {f.name!r}", f.span))
-        else:
-            feature_names[f.name] = f.span
         if f.home not in node_set:
             diags.append(error("dangling-home",
                                f"feature {f.name!r} declared for unknown node {f.home!r}",

@@ -11,6 +11,10 @@ tagmap.cli`` on the same inputs:
   line with a noted tag and a tag without a rule);
 * ``query --batch --strict`` over the benchmark's fixture pools of seeds 1
   and 2;
+* an interactive fixture ``query`` session read from stdin (queries, a
+  blank line, an ill-typed query and ``\\q``), another that runs under
+  ``--strict`` to the end of stdin, and a fixture ``query`` with ``-e``
+  queries and a ``--batch`` file holding a ``\\q`` line;
 * ``compile`` and ``explain`` of the six-feature ladder tagset with the
   ladder rules of seeds 1 to 3;
 * the first 150 queries of the seed-1 ladder stream, one command each, with
@@ -25,7 +29,8 @@ tagmap.cli`` on the same inputs:
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
   broken after a duplicate tag.
 
-Stdout, stderr and exit status are compared.  A command still running after
+Every command but the interactive sessions gets an empty stdin.  Stdout,
+stderr and exit status are compared.  A command still running after
 ``TIMEOUT_S`` seconds on either side is reported as a time-out, not as a
 difference.  The exit status is 1 when any command differs, else 0.
 
@@ -67,8 +72,9 @@ def extract(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def inputs(work: Path) -> list[tuple[str, list[str]]]:
-    """Every command to compare, as a name and the CLI arguments."""
+def inputs(work: Path) -> list[tuple[str, list[str], str]]:
+    """Every command to compare, as a name, the CLI arguments and the text
+    on stdin."""
     fixtures = ROOT / "src" / "tagmap" / "fixtures"
     fixture = ["--tagset", str(fixtures / "eagles-en.tagset"),
                "--rules", str(fixtures / "upenn.rules")]
@@ -96,6 +102,11 @@ def inputs(work: Path) -> list[tuple[str, list[str]]]:
             gen.fixture_pool(random.Random(f"{seed}:pool"), model)) + "\n")
         commands.append((f"fixture pool {seed}", [
             "query", *fixture, "--batch", str(pool), "--strict"]))
+    batch = work / "batch.txt"
+    batch.write_text("[mass]\n\\q\n[pos = v & case = gen]\n[vtype = aux]\n")
+    commands.append(("fixture query -e and --batch", [
+        "query", *fixture, "-e", "[n & sg]", "-e", "[vform = fin | inf]",
+        "--batch", str(batch)]))
 
     tagset = work / "ladder.tagset"
     tagset.write_text(gen.ladder_tagset())
@@ -132,16 +143,21 @@ def inputs(work: Path) -> list[tuple[str, list[str]]]:
                       "[pos = 'AA'] => [mass].\n")
     commands.append(("broken inventory compile",
                      ["compile", *fixture[:2], "--rules", str(broken)]))
-    return commands
+    session = ("[vtype = aux].\n\n[pos = v & case = gen]\n"
+               "[n & (common & sg | mass)]\n\\q\n[mass]\n")
+    return ([(name, args, "") for name, args in commands]
+            + [("fixture query session", ["query", *fixture], session),
+               ("fixture query session to end of input",
+                ["query", *fixture, "--strict"], "[mass]\n[vform = fin]")])
 
 
-def run(src: Path, args: list[str], cwd: Path):
+def run(src: Path, args: list[str], stdin: str, cwd: Path):
     """Exit status, stdout and stderr of the CLI, or None on a time-out."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run([sys.executable, "-m", "tagmap.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              cwd=cwd, timeout=TIMEOUT_S)
+                              input=stdin, capture_output=True, text=True,
+                              env=env, cwd=cwd, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
     return done.returncode, done.stdout, done.stderr
@@ -171,8 +187,8 @@ def main(argv: list[str]) -> int:
         work = tmp / "inputs"
         work.mkdir()
         differ = timed_out = same = 0
-        for name, args in inputs(work):
-            a, b = run(src_a, args, work), run(src_b, args, work)
+        for name, args, stdin in inputs(work):
+            a, b = run(src_a, args, stdin, work), run(src_b, args, stdin, work)
             if a is None or b is None:
                 timed_out += 1
                 sides = " and ".join(side for side, r in (("a", a), ("b", b))

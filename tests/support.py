@@ -1,11 +1,13 @@
-"""Helpers shared by several test modules: a time limit for the size tests
-and a generator of positional rule sets over the benchmark's ladder tagset.
+"""Helpers shared by several test modules: a time limit for the size tests,
+a doubling measure for the paths meant to be linear, and a generator of
+positional rule sets over the benchmark's ladder tagset.
 """
 from __future__ import annotations
 
 import gc
 import itertools
 import signal
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -39,6 +41,30 @@ def time_limit(seconds):
     took = time.perf_counter() - start
     if took > seconds:
         raise TimeoutError(f"took {took:.3f} s, more than {seconds} s")
+
+
+def doubling_ratios(run, inputs, repeats=5):
+    """Ratios of the median times of ``run`` on consecutive ``inputs``, which
+    should each be twice the size of the one before: about 2 when ``run`` is
+    linear in the size, about 4 when it is quadratic.
+
+    The collector is off while timing, so that its passes over the objects
+    of earlier tests do not land inside one size and not another.
+    """
+    medians = []
+    gc.collect()
+    gc.disable()
+    try:
+        for item in inputs:
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                run(item)
+                times.append(time.perf_counter() - start)
+            medians.append(statistics.median(times))
+    finally:
+        gc.enable()
+    return [b / a for a, b in zip(medians, medians[1:])]
 
 
 def positional_rules(n_features: int, fixed: int, coarse: tuple[int, ...] = (),

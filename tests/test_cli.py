@@ -156,6 +156,25 @@ def test_ill_typed_batch_query_fails(capsys, tmp_path):
     assert '[(pos = "MD")]' in out
 
 
+def test_query_expr_runs_before_the_batch_file(capsys, tmp_path):
+    f = tmp_path / "queries.txt"
+    f.write_text("[vtype = aux]\n[pos = v & case = gen]\n")
+    code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
+                         "--batch", str(f), "-e", FLAGSHIP)
+    assert code == 1  # the ill-typed batch query fails the run
+    assert out == FLAGSHIP_OUT + '[(pos = "MD")]\n'
+    assert "pos=v & case=gen" in err
+
+
+def test_quit_line_in_a_batch_file_is_skipped(capsys, tmp_path):
+    f = tmp_path / "queries.txt"
+    f.write_text("[vtype = aux]\n \\q \n" + FLAGSHIP + "\n")
+    code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
+                         "--batch", str(f))
+    assert (code, err) == (0, "")
+    assert out == '[(pos = "MD")]\n' + FLAGSHIP_OUT
+
+
 def test_empty_spec_is_reported(capsys):
     code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
                          "-e", "[]")

@@ -6,6 +6,7 @@ from tagmap import SpecSyntaxError
 from tagmap.lexer import tokenize
 
 from oracles import FIXTURES
+from support import doubling_ratios
 
 
 def _scan(source):
@@ -82,3 +83,10 @@ def test_fixture_token_counts(name, count):
     tokens = tokenize((FIXTURES / name).read_text())
     assert len(tokens) == count
     assert tokens[-1].type == "EOF"
+
+
+def test_tokenize_is_linear_in_the_input_length():
+    # the rules fixture repeated 4, 8 and 16 times: 11-47 kB, 3-13k tokens
+    text = (FIXTURES / "upenn.rules").read_text()
+    ratios = doubling_ratios(tokenize, [text * n for n in (4, 8, 16)])
+    assert all(r < 3 for r in ratios), ratios

@@ -20,7 +20,13 @@ from tagmap import (
 )
 from tagmap.specexpr import MAX_SPEC_DEPTH, And, Atom, BareAtom, Not, Or
 
-from oracles import eval_spec, mask_keys, oracle_denote, oracle_universe
+from oracles import (
+    eval_spec,
+    mask_keys,
+    oracle_denote,
+    oracle_dnf,
+    oracle_universe,
+)
 
 A = Atom
 B = BareAtom
@@ -296,6 +302,25 @@ def test_dnf_preserves_denotation(graph):
             assert conj, f"unsatisfiable disjunct survived typecheck in {text}"
             rebuilt |= conj
         assert rebuilt == ts.denotation
+
+
+@given(_exprs)
+@settings(max_examples=300, deadline=None)
+def test_dnf_keeps_the_oracle_order(e):
+    universe = oracle_universe()
+    want = oracle_dnf(e)
+    dead = ["unsatisfiable disjunct [" + " & ".join(a.render() for a in d) + "]"
+            for d in want
+            if not oracle_denote(functools.reduce(And, d), universe)]
+    try:
+        got = typecheck(e, GRAPH)
+    except SpecTypeError as exc:
+        assert dead
+        assert [d.message.split(":")[0] for d in exc.diagnostics] == dead
+        assert all(d.kind == "ill-typed" for d in exc.diagnostics)
+    else:
+        assert not dead
+        assert list(map(list, got.dnf)) == want
 
 
 def test_typed_spec_classes_sorted_by_index(graph):
