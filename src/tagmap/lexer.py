@@ -5,8 +5,9 @@ All three surface languages use one token alphabet: names, numbers, quoted
 strings and a small punctuation set.  ``#`` starts a comment running to the
 end of the line.  Input is whitespace-insensitive apart from the line and
 column of each token, which diagnostics report.  :func:`tokenize` scans the
-source in one regular-expression pass; comments and quoted strings stop at a
-newline, so only whitespace moves the line forward.  Each parser walks its
+source line by line, one regular-expression match per token; comments and
+quoted strings end with their line, so a token's line is the index of the
+line it is on and its column its offset there.  Each parser walks its
 tokens with one :class:`TokenCursor`, whose expectations fail with
 :class:`SpecSyntaxError`.
 """
@@ -17,14 +18,17 @@ from typing import NamedTuple, NoReturn
 
 from .diagnostics import Span, SpecSyntaxError, error
 
-# Longer operators first so max-munch works: '!=' before '!', '=>' before '='.
+# One match per token: the blanks before it, then the token.  The commonest
+# tokens are tried first, and longer operators before their prefixes, so
+# max-munch works: '!=' before '!', '=>' before '='.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>      [ \t\r\n]+           )
-    | (?P<COMMENT> \#[^\n]*             )
-    | (?P<QUOTED>  '[^'\n]*' | "[^"\n]*")
+    [ \t\r]*
+    (?:
+      (?P<NAME>    [A-Za-z_][A-Za-z0-9_$-]* )
     | (?P<NUMBER>  [0-9]+               )
-    | (?P<NAME>    [A-Za-z_][A-Za-z0-9_$-]* )
+    | (?P<QUOTED>  '[^']*' | "[^"]*"    )
+    | (?P<COMMENT> \#.*                 )
     | (?P<OUTOF>   <<                   )
     | (?P<INTO>    >>                   )
     | (?P<ARROW>   =>                   )
@@ -41,7 +45,8 @@ _TOKEN_RE = re.compile(
     | (?P<RBRACE>  \}                   )
     | (?P<COMMA>   ,                    )
     | (?P<DOT>     \.                   )
-    | (?P<BAD>     .                    )
+    | (?P<BAD>     [^ \t\r]             )
+    )
     """,
     re.VERBOSE,
 )
@@ -66,21 +71,21 @@ def tokenize(source: str) -> list[Token]:
     Raises :class:`SpecSyntaxError` on a character outside the alphabet.
     """
     tokens: list[Token] = []
-    line, line_start = 1, 0      # line number and the offset where it starts
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "WS":
-            newline = source.rfind("\n", m.start(), m.end())
-            if newline >= 0:
-                line += m.group().count("\n")
-                line_start = newline + 1
-        elif kind == "BAD":
-            raise SpecSyntaxError([
-                error("syntax", f"unexpected character {m.group()!r}",
-                      Span(line, m.start() - line_start + 1))])
-        elif kind != "COMMENT":
-            tokens.append(Token(kind, m.group(), Span(line, m.start() - line_start + 1)))
-    tokens.append(Token("EOF", "", Span(line, len(source) - line_start + 1)))
+    new = tuple.__new__
+    lines = source.split("\n")
+    for number, line in enumerate(lines, 1):
+        # blanks at the end of a line precede no token; a match tried at each
+        # of them would scan the rest of them again
+        for m in _TOKEN_RE.finditer(line.rstrip(" \t\r")):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                break
+            span = new(Span, (number, m.start(kind) + 1))
+            if kind == "BAD":
+                raise SpecSyntaxError([
+                    error("syntax", f"unexpected character {m[kind]!r}", span)])
+            tokens.append(new(Token, (kind, m[kind], span)))
+    tokens.append(Token("EOF", "", Span(len(lines), len(lines[-1]) + 1)))
     return tokens
 
 

@@ -23,10 +23,10 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 """
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from itertools import count, repeat
-from operator import or_
-from typing import NamedTuple
+from functools import cached_property, partial, reduce
+from itertools import chain, compress, count, product, repeat, starmap
+from operator import add, mul, or_
+from typing import NamedTuple, Sequence
 
 from .diagnostics import (CompileError, Diagnostic, Span, SpecSyntaxError,
                           compare_first, error)
@@ -194,74 +194,142 @@ class TypeGraph:
         the index range of each leaf's classes.  More than
         :data:`MAX_CLASSES` classes in all is a :class:`CompileError`.
 
-        Each atom's mask is written as a binary numeral, one digit per class,
-        and converted to an integer once: a fixed amount of work per class
-        and atom, where or-ing bits into a universe-wide integer one at a
-        time would cost time quadratic in the number of classes.
+        :meth:`_expand` gives each leaf's assignments with each atom's digits
+        over them.  An atom's mask is its digits over every leaf, joined and
+        read as one binary numeral, converted to an integer once; or-ing bits
+        into a universe-wide integer one at a time would cost time quadratic
+        in the number of classes.  The classes are built by one ``map`` over
+        the leaves' assignments, with no Python loop per class.
         """
         by_leaf, room = [], MAX_CLASSES
         for leaf in self.leaves:
-            assignments = self._expand(self.features_at(leaf), room)
+            assignments, digits = self._expand(self.features_at(leaf), room)
             room -= len(assignments)
-            by_leaf.append((leaf, assignments))
-        width = sum(len(assignments) for _, assignments in by_leaf)
-        # digit i of an atom's numeral is "1" when class i holds the atom
-        digits = {a: bytearray(b"0") * width for a in self._value_key}
-        universe: list[TerminalClass] = []
+            by_leaf.append((leaf, assignments, digits))
+        universe = tuple(map(partial(tuple.__new__, TerminalClass), zip(
+            chain.from_iterable(repeat(leaf, len(assignments))
+                                for leaf, assignments, _ in by_leaf),
+            chain.from_iterable(assignments for _, assignments, _ in by_leaf),
+            count())))
         leaf_span: dict[str, tuple[int, int]] = {}
-        for leaf, assignments in by_leaf:
-            start = len(universe)
-            universe += map(TerminalClass, repeat(leaf), assignments,
-                            count(start))
-            for i, assignment in enumerate(assignments, start):
-                for a in assignment:
-                    digits[a][i] = 49               # ord("1")
-            leaf_span[leaf] = start, len(universe)
-        # the numeral is read most significant digit first
-        atom_mask = {a: int(d[::-1], 2) for a, d in digits.items()}
-        return tuple(universe), atom_mask, leaf_span
+        # an atom's numeral: the digits of each leaf whose classes have
+        # some, after a "0" for each class since the last such leaf; it is
+        # read most significant digit first, so class 0 is its last digit
+        numerals: dict[tuple[str, str], list[str]] = {}
+        ends: dict[tuple[str, str], int] = {}
+        start = 0
+        for leaf, assignments, digits in by_leaf:
+            leaf_span[leaf] = start, start + len(assignments)
+            for a, d in digits.items():
+                parts = numerals.get(a)
+                if parts is None:
+                    numerals[a] = ["0" * start, d]
+                else:
+                    parts += "0" * (start - ends[a]), d
+                ends[a] = start + len(d)
+            start += len(assignments)
+        atom_mask = {a: int("".join(numerals.get(a, ["0"]))[::-1], 2)
+                     for a in self._value_key}
+        return universe, atom_mask, leaf_span
 
     @staticmethod
-    def _expand(feats, room: int) -> list[tuple[tuple[str, str], ...]]:
-        """Every consistent assignment to ``feats``, in value declaration order.
+    def _expand(feats, room: int) -> tuple[list[tuple[tuple[str, str], ...]],
+                                           dict[tuple[str, str], str]]:
+        """Every consistent assignment to ``feats``, in value declaration
+        order, with each atom's digits over them: one per assignment, "1"
+        where it holds the atom and "0" where not.
 
-        Partial assignments are extended one feature at a time, each by every
+        Partial assignments are extended feature by feature, each by every
         value of the feature in turn, so the result is ordered by the value
-        positions of the earliest features first.  A run of one-value
-        features, each unguarded or guarded by an atom held in every partial,
-        extends every partial alike and is added in one copy, where a copy
-        per feature took time quadratic in the run.  A feature that would
-        take the partials past ``room`` is reported before they are built.
+        positions of the earliest features first.  Every partial takes a
+        feature that is unguarded or guarded by an atom they all hold; else
+        the partials that take it are read off its guard atoms' digits.
+
+        * A run, a stretch of features that every partial takes, is added in
+          one ``itertools.product`` of their values.  Earlier atoms' digits
+          are spread to the run's product size by ``str.translate``, and
+          each value of a run feature holds a repeated block of its stride,
+          the product size of the run's later features.
+        * One-value features outside a run add no partial; their atoms are
+          added in one copy, before the next run or multi-value step or at
+          the end, where a copy per feature took time quadratic in a chain.
+        * A multi-value feature that only some partials take extends each
+          taker by every value, one partial at a time.
+
+        An atom that every partial holds gets its digits, all "1", at the
+        end.  A feature that would take the partials past ``room`` is
+        reported before they are built.
         """
-        partial: list[tuple[tuple[str, str], ...]] = [()]
-        held: list[tuple[str, str]] = []
-        holds: set[tuple[str, str]] = set()     # atoms of every partial
+        if room < 1 and feats:
+            # earlier leaves filled ``room``, and this leaf's first class is
+            # one too many
+            raise _too_large(feats[0])
+        partials: list[tuple[tuple[str, str], ...]] = [()]
+        digits: dict[tuple[str, str], str] = {}
+        # atoms held by every partial; their digits, all "1", are written
+        # once at the end
+        everywhere: set[tuple[str, str]] = set()
+        # the pending run's features' atoms, and its product size
+        run: list[Sequence[tuple[str, str]]] = []
+        size = 1
+        # pending one-value atoms with their takers' digits, None for all
+        ones: list[tuple[tuple[str, str], str | None]] = []
         for f in feats:
-            if len(f.values) == 1 and (not f.conditions
-                                       or not holds.isdisjoint(f.conditions)):
-                held.append((f.name, f.values[0]))
-                holds.add(held[-1])
+            takes = None        # the takers' digits, None when all take f
+            if f.conditions and everywhere.isdisjoint(f.conditions):
+                if run:
+                    # the guard may read the run's atoms, which have no
+                    # digits yet
+                    partials = _add_run(_add_ones(partials, ones), run, size,
+                                        digits)
+                    ones, run, size = [], [], 1
+                held = [digits[c] for c in f.conditions if c in digits]
+                takes = held[0] if len(held) == 1 else format(
+                    reduce(or_, (int(d, 2) for d in held), 0),
+                    f"0{len(partials)}b")
+                if "0" not in takes:
+                    takes = None
+            if len(f.values) == 1:
+                atom = (f.name, f.values[0])
+                if takes is None:
+                    everywhere.add(atom)
+                else:
+                    digits[atom] = takes
+                if run:
+                    run.append((atom,))
+                else:
+                    ones.append((atom, takes))
                 continue
-            if held:
-                run, held = tuple(held), []
-                partial = [seen + run for seen in partial]
-            atoms = [((f.name, v),) for v in f.values]
-            takes = [not f.conditions or any(c in seen for c in f.conditions)
-                     for seen in partial]
-            if len(partial) + (len(atoms) - 1) * sum(takes) > room:
-                raise CompileError([error(
-                    "universe-too-large",
-                    f"feature {f.name!r} takes the tagset past "
-                    f"{MAX_CLASSES} terminal classes", f.span)])
+            atoms = [(f.name, v) for v in f.values]
+            if takes is None:
+                size *= len(atoms)
+                if len(partials) * size > room:
+                    raise _too_large(f)
+                run.append(atoms)
+                continue
+            n = len(atoms)
+            if len(partials) + (n - 1) * takes.count("1") > room:
+                raise _too_large(f)
+            partials = _add_ones(partials, ones)
+            ones = []
+            # a taker becomes n partials, one per value, and each inherits
+            # its digits
+            reps = [n if t == "1" else 1 for t in takes]
+            for a, d in digits.items():
+                digits[a] = "".join(map(mul, d, reps))
+            for j, a in enumerate(atoms):
+                digits[a] = takes.translate(
+                    {48: "0", 49: "0" * j + "1" + "0" * (n - j - 1)})
             grown: list[tuple[tuple[str, str], ...]] = []
-            for seen, take in zip(partial, takes):
-                if take:
-                    grown += [seen + a for a in atoms]
+            for seen, t in zip(partials, takes):
+                if t == "1":
+                    grown += [seen + (a,) for a in atoms]
                 else:
                     grown.append(seen)
-            partial = grown
-        run = tuple(held)
-        return [seen + run for seen in partial] if run else partial
+            partials = grown
+        partials = _add_run(_add_ones(partials, ones), run, size, digits)
+        digits.update(dict.fromkeys(everywhere, "1" * len(partials)))
+        return partials, digits
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -397,6 +465,51 @@ class TypeGraph:
                          implied_node=implied, sort_key=key)
 
 
+def _add_ones(partials, ones):
+    """``partials`` each extended by the atoms of ``ones``, (atom, digits)
+    pairs in feature order, whose digit for it is "1"; digits of None hold
+    for every partial."""
+    if not ones:
+        return partials
+    atoms = [a for a, _ in ones]
+    if all(d is None for _, d in ones):
+        run = tuple(atoms)
+        return [seen + run for seen in partials]
+    everyone = "1" * len(partials)
+    held = [tuple(compress(atoms, map("1".__eq__, column)))
+            for column in zip(*[d or everyone for _, d in ones])]
+    return list(map(add, partials, held))
+
+
+def _add_run(partials, run, size, digits):
+    """``partials`` each extended by every combination of the values of
+    ``run``, the last feature's varying fastest, as one product of ``size``
+    combinations; ``digits`` are brought up to date in place."""
+    if not run:
+        return partials
+    spread = {48: "0" * size, 49: "1" * size}       # ord("0"), ord("1")
+    for a, d in digits.items():
+        digits[a] = d.translate(spread)
+    width = len(partials) * size
+    stride = size
+    for atoms in run:
+        if len(atoms) > 1:
+            # value j holds positions j*stride to (j+1)*stride of each block
+            stride //= len(atoms)
+            block = len(atoms) * stride
+            for j, a in enumerate(atoms):
+                digits[a] = ("0" * (j * stride) + "1" * stride
+                             + "0" * (block - (j + 1) * stride)) * (width // block)
+    return list(starmap(add, product(partials, product(*run))))
+
+
+def _too_large(f: FeatureDecl) -> CompileError:
+    return CompileError([error(
+        "universe-too-large",
+        f"feature {f.name!r} takes the tagset past {MAX_CLASSES} terminal "
+        "classes", f.span)])
+
+
 # -- minimal covers ----------------------------------------------------------
 
 
@@ -419,13 +532,20 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     first i - 1 from the whole subtree, so each set of primes is reached
     once, and a class whose primes are all excluded ends its branch.  Each
     prime takes a bit the first time it is found, and a state's excluded
-    primes are the int of their bits.  Results are cached per graph.
+    primes are the int of their bits.  A mask that is its own closure, a
+    conjunction, is its one prime and needs no search.  Results are cached
+    per graph.
     """
     if mask == 0:
         return ()
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
+    deep, _, by_atoms = g._closure(mask)
+    if g._node_mask[deep] & by_atoms == mask:
+        # a conjunction is its own one prime
+        result = g._cover_cache[mask] = (g.cover_node(mask),)
+        return result
     # each class's primes with their bits, and the bit of each prime mask
     primes_of: dict[int, list[tuple[CoverNode, int]]] = {}
     bit_of: dict[int, int] = {}

@@ -1,14 +1,16 @@
 """Independent reference implementations backing the test suite.
 
 Nothing here reuses the package's set machinery. Universes are rebuilt by
-brute-force generate-and-filter over explicit value products, denotations by
-per-class evaluation of the expression tree, rule denotations from a regex
-scrape of the rules fixture, query resolution by plain set algebra over
-frozensets, the atom, feature and node masks of a compiled universe by
-or-ing in its classes one at a time, and conjunctive cover descriptions by
-a class-by-class scan of a compiled universe over the full product of
-feature choices, with the primes of a mask filtered from that full table
-and its minimum cover found by trying every combination of them.
+brute-force generate-and-filter over explicit value products, for the
+hand-entered fixture graph and for any compiled graph's leaves and
+features, denotations by per-class evaluation of the expression tree, rule
+denotations from a regex scrape of the rules fixture, query resolution by
+plain set algebra over frozensets, the atom, feature and node masks of a
+compiled universe by or-ing in its classes one at a time, and conjunctive
+cover descriptions by a class-by-class scan of a compiled universe over the
+full product of feature choices, with the primes of a mask filtered from
+that full table and its minimum cover found by trying every combination of
+them.
 Expression trees come from the package parser (the surface grammar is
 shared); every semantic step is recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
@@ -125,6 +127,35 @@ def oracle_universe() -> list[tuple[str, dict[str, str]]]:
 
 def oracle_universe_keys() -> frozenset[ClassKey]:
     return frozenset(class_key(leaf, a) for leaf, a in oracle_universe())
+
+
+def oracle_enumerate(graph) -> list[tuple[str, tuple, int]]:
+    """(leaf, assignment, index) of every terminal class of any compiled
+    ``graph``, by brute force.
+
+    For each leaf in document order, every combination of (unset | value)
+    over the features homed on its root path is generated and kept when a
+    feature is set exactly where some atom of its guard holds (always, when
+    unguarded).  A leaf's classes are sorted by the positions of their
+    values, earliest feature first and unset before any value.
+    """
+    classes: list[tuple[str, tuple]] = []
+    for leaf in graph.leaves:
+        path = graph.ancestry(leaf)
+        feats = [f for f in graph.features if f.home in path]
+        kept = []
+        for combo in itertools.product(*[(None, *f.values) for f in feats]):
+            assignment = {f.name: v for f, v in zip(feats, combo)
+                          if v is not None}
+            if all((not f.conditions
+                    or any(assignment.get(cf) == cv for cf, cv in f.conditions))
+                   == (v is not None) for f, v in zip(feats, combo)):
+                kept.append(combo)
+        kept.sort(key=lambda combo: [-1 if v is None else f.values.index(v)
+                                     for f, v in zip(feats, combo)])
+        classes += [(leaf, tuple((f.name, v) for f, v in zip(feats, combo)
+                                 if v is not None)) for combo in kept]
+    return [(leaf, assignment, i) for i, (leaf, assignment) in enumerate(classes)]
 
 
 # -- per-class expression evaluation ----------------------------------------

@@ -48,22 +48,23 @@ def doubling_ratios(run, inputs, repeats=5):
     should each be twice the size of the one before: about 2 when ``run`` is
     linear in the size, about 4 when it is quadratic.
 
-    The collector is off while timing, so that its passes over the objects
-    of earlier tests do not land inside one size and not another.
+    Each round runs every input once, so that a spell of load on the
+    machine slows all sizes alike rather than the one being timed.  The
+    collector is off while timing, so that its passes over the objects of
+    earlier tests do not land inside one size and not another.
     """
-    medians = []
+    times: list[list[float]] = [[] for _ in inputs]
     gc.collect()
     gc.disable()
     try:
-        for item in inputs:
-            times = []
-            for _ in range(repeats):
+        for _ in range(repeats):
+            for item, taken in zip(inputs, times):
                 start = time.perf_counter()
                 run(item)
-                times.append(time.perf_counter() - start)
-            medians.append(statistics.median(times))
+                taken.append(time.perf_counter() - start)
     finally:
         gc.enable()
+    medians = [statistics.median(taken) for taken in times]
     return [b / a for a, b in zip(medians, medians[1:])]
 
 

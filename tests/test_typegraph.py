@@ -30,13 +30,14 @@ from oracles import (
     key_of,
     oracle_cover_candidates,
     oracle_cover_node,
+    oracle_enumerate,
     oracle_masks,
     oracle_minimal_cover,
     oracle_primes,
     oracle_universe,
     oracle_universe_keys,
 )
-from support import time_limit
+from support import doubling_ratios, time_limit
 
 RESTRICTED = """
 tagset toy
@@ -352,6 +353,32 @@ def test_masks_match_class_scan_on_random_tagsets(source):
     _assert_masks_match(parse_tagset_definition(source))
 
 
+def _tagset(*features):
+    """A tagset of two leaves and ``features``, each a name with an optional
+    guard and its values, homed at the root."""
+    return "tagset shapes hierarchy { a b }\n" + "\n".join(
+        "feature {} for root {}".format(*f.split(" ", 1)) for f in features)
+
+
+@given(small_tagsets())
+# a one-value feature between two runs of multi-value ones
+@example(_tagset("f0 { x, y }", "f1 { w }", "f2 { p, q, r }"))
+# a multi-value feature guarded by an atom of an earlier run
+@example(_tagset("f0 { x, y }", "f1 { p, q }", "f2 when f0 = x { s, t }"))
+# guarded steps, one-value and multi-value, followed by a run
+@example(_tagset("f0 { x, y }", "f1 when f0 = y { w }", "f2 when f1 = w { u }",
+                 "f3 when f1 = w { s, t }", "f4 { p, q }", "f5 { z }"))
+# a guard that holds in every class, though no one atom of it does
+@example(_tagset("f0 { x, y }", "f1 when f0 = x or f0 = y { p, q }",
+                 "f2 { s, t }"))
+@settings(max_examples=80, deadline=None)
+def test_universe_matches_brute_force_on_random_tagsets(source):
+    g = parse_tagset_definition(source)
+    assert [(t.leaf, t.assignment, t.index) for t in g.universe] == \
+        oracle_enumerate(g)
+    _assert_masks_match(g)
+
+
 @pytest.mark.parametrize("n_features", [5, 6])
 def test_ladder_universe_matches_the_benchmark_classes(n_features):
     g = parse_tagset_definition(gen.ladder_tagset(n_features))
@@ -485,6 +512,23 @@ def test_cover_is_canonical_on_random_tagsets(source, data):
     g = parse_tagset_definition(source)
     assume(len(g.universe) <= 20)
     _assert_canonical_cover(g, data.draw(st.integers(1, g.full_mask)))
+
+
+@given(source=small_tagsets(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_conjunction_cover_is_its_one_prime_on_random_tagsets(source, data):
+    # a node and at most one value per appropriate feature; the mask such a
+    # conjunction denotes is answered without the search
+    g = parse_tagset_definition(source)
+    node = data.draw(st.sampled_from(g.nodes))
+    mask = g.node_mask(node)
+    for f in g.features_at(node):
+        value = data.draw(st.sampled_from((None, *f.values)))
+        if value is not None:
+            mask &= g.atom_mask(f.name, value)
+    assume(mask)
+    _assert_canonical_cover(g, mask)
+    assert [c.mask for c in minimal_cover(mask, g)] == [mask]
 
 
 def test_cover_ties_go_to_the_least_sort_keys():
@@ -684,6 +728,39 @@ def test_guarded_chain_of_one_value_features_expands_in_linear_time():
     for graph in (g, again):
         assert [(t.leaf, t.assignment, t.index) for t in graph.universe] == [
             ("a", tuple(ones), 0)]
+
+
+def _guarded_chain(n):
+    """``n`` one-value features, each guarded by the one before, the first
+    by an atom that holds in one class of two."""
+    return ("tagset chain\nhierarchy { a }\nfeature r for root { x, y }\n"
+            "feature f0 for root when r=x { v0 }\n"
+            + "".join(f"feature f{i} for root when f{i - 1}=v{i - 1} {{ v{i} }}\n"
+                      for i in range(1, n)))
+
+
+def test_guarded_chain_from_a_partial_guard_compiles_in_linear_time():
+    # copying each taking class's partial assignment at every feature, and
+    # scanning it for the guard, took 108, 313 and 979 ms to parse and
+    # compile 1,500, 3,000 and 6,000 features on a shared 2-core VM; adding
+    # the chain's atoms in one copy, 46, 95 and 189 ms
+    assert [(t.assignment, t.index) for t in
+            parse_tagset_definition(_guarded_chain(3)).universe] == [
+        ((("r", "x"), ("f0", "v0"), ("f1", "v1"), ("f2", "v2")), 0),
+        ((("r", "y"),), 1)]
+    ratios = doubling_ratios(parse_tagset_definition,
+                             [_guarded_chain(n) for n in (1500, 3000, 6000)],
+                             repeats=3)
+    assert all(r < 2.5 for r in ratios), ratios
+
+
+def test_compile_time_is_linear_in_the_number_of_classes():
+    # one leaf and 12, 13 and 14 two-value features: 4,096 to 16,384 classes
+    sources = ["tagset twos\nhierarchy { a }\n" + "".join(
+        f"feature f{i} for root {{ x{i}, y{i} }}\n" for i in range(k))
+        for k in (12, 13, 14)]
+    ratios = doubling_ratios(parse_tagset_definition, sources)
+    assert all(r < 3 for r in ratios), ratios
 
 
 def test_deep_hierarchy_memory_is_linear_in_depth():
