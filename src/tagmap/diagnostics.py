@@ -48,7 +48,8 @@ class Diagnostic(NamedTuple):
         return f"{self.severity} [{self.kind}]{at}: {self.message}"
 
 
-def error(kind: str, message: str, span: Span = Span(1, 1)) -> Diagnostic:
+def error(kind: str, message: str,
+          span: Span | None = Span(1, 1)) -> Diagnostic:
     return Diagnostic("error", kind, message, span)
 
 

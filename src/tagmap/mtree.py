@@ -15,17 +15,18 @@ runs four consistency checks over the rule set:
 All four are warnings; a rule set with none of them maps the corpus onto the
 standard tagset exactly.
 
-The last two checks share one scan, :func:`_meeting_pairs`, which finds the
-masks that share a class without testing every pair.  Each mask is keyed by
-its lowest class and the keys are sorted once; a mask can only meet a later
-one whose lowest class is at most its own highest, and ``bisect`` on the
-keys gives that slice.  The overlap check scans the tags' denotations.  The
-containment check scans every cover node of every tag, since a node inside
-another meets it, and tests the containment both ways on each meeting pair
-of nodes of different tags.  The hits are put back in inventory order.  On
-2,187 disjoint positional tags over 6,561 classes (a seven-feature ladder),
-the two checks take about 6 ms together (2-core VM, Python 3.11).  Their
-cost grows with the number of meeting pairs, and with the cover of each
+The first two checks take one pass over the inventory.  The last two share
+one scan of every cover node of every covered tag, :func:`_meeting_pairs`,
+which finds the masks that share a class without testing every pair.  Each
+mask is keyed by its lowest class and the keys are sorted once; a mask can
+only meet a later one whose lowest class is at most its own highest, and
+``bisect`` on the keys gives that slice.  A tag's cover denotes exactly its
+classes, so two tags overlap when a node of one meets a node of the other;
+a node inside another meets it too, so the containment is tested both ways
+on each meeting pair of nodes of different tags.  The hits are put back in
+inventory order.  On 2,187 disjoint positional tags over 6,561 classes (a
+seven-feature ladder), the scan takes about 2 ms (2-core VM, Python 3.11).
+Its cost grows with the number of meeting pairs, and with the cover of each
 overlap reported.
 """
 from __future__ import annotations
@@ -58,82 +59,69 @@ def build_mtree(rules: RuleSet) -> MTree:
     """The covered tags' assignments, keyed in inventory order, and the
     four checks' warnings."""
     g = rules.graph
-    assignments = {tag: minimal_cover(rules.coverage[tag].typed.denotation, g)
-                   for tag in rules.inventory if tag in rules.coverage}
-    target_diags, unreachable = _check_target_holes(rules)
+    assignments: dict[str, tuple[CoverNode, ...]] = {}
     diags: list[Diagnostic] = []
-    diags += _check_source_holes(rules)
-    diags += target_diags
-    diags += _check_nondisjoint(rules, list(assignments))
-    diags += _check_hierarchical(rules, assignments)
+    for tag in rules.inventory:
+        if tag in rules.coverage:
+            assignments[tag] = minimal_cover(
+                rules.coverage[tag].typed.denotation, g)
+        else:
+            diags.append(warning(
+                "definition_hole_source",
+                f"tag {tag} has no coverage rule; its occurrences have no "
+                "standard reading", rules.tag_spans[tag]))
+    reached = 0
+    for rule in (*rules.coverage.values(), *rules.exceptions):
+        reached |= rule.typed.denotation
+    missing = g.full_mask & ~reached
+    unreachable: tuple[CoverNode, ...] = ()
+    if missing:
+        unreachable = minimal_cover(missing, g)
+        diags.append(warning(
+            "definition_hole_target",
+            f"no physical tag reaches {render_cover(unreachable)} "
+            f"[{_plural(missing.bit_count())}]", None))
+    diags += _check_pairs(rules, assignments)
     return MTree(rules=rules, assignments=assignments,
                  diagnostics=diags, unreachable=unreachable)
 
 
-def _check_source_holes(rules: RuleSet) -> list[Diagnostic]:
-    out = []
-    for tag in rules.inventory:
-        if tag not in rules.coverage:
-            out.append(warning(
-                "definition_hole_source",
-                f"tag {tag} has no coverage rule; its occurrences have no "
-                "standard reading", rules.tag_spans[tag]))
-    return out
-
-
-def _check_target_holes(
-        rules: RuleSet) -> tuple[list[Diagnostic], tuple[CoverNode, ...]]:
+def _check_pairs(rules: RuleSet,
+                 assignments: dict[str, tuple[CoverNode, ...]]
+                 ) -> list[Diagnostic]:
+    # two tags overlap when a node of one meets a node of the other, since
+    # each cover denotes exactly its tag's classes; a covering node of one
+    # tag strictly containing a covering node of another makes the outer
+    # tag sit above occupied territory, one diagnostic per such ancestor
+    # node, listing every tag found below it
     g = rules.graph
-    reached = 0
-    for rule in rules.coverage.values():
-        reached |= rule.typed.denotation
-    for entry in rules.exceptions:
-        reached |= entry.typed.denotation
-    missing = g.full_mask & ~reached
-    if not missing:
-        return [], ()
-    cover = minimal_cover(missing, g)
-    diag = warning(
-        "definition_hole_target",
-        f"no physical tag reaches {render_cover(cover)} "
-        f"[{_plural(missing.bit_count())}]", None)
-    return [diag], cover
-
-
-def _check_nondisjoint(rules: RuleSet, covered: list[str]) -> list[Diagnostic]:
-    g = rules.graph
-    masks = [rules.coverage[t].typed.denotation for t in covered]
-    out = []
-    for i, j in sorted(sorted(pair) for pair in _meeting_pairs(masks)):
-        ra, rb = rules.coverage[covered[i]], rules.coverage[covered[j]]
-        out.append(warning(
-            "nondisjunctive",
-            f"tags {ra.tag} and {rb.tag} overlap on "
-            f"{render_cover(minimal_cover(masks[i] & masks[j], g))}",
-            max(ra.span, rb.span)))
-    return out
-
-
-def _check_hierarchical(rules: RuleSet,
-                        assignments: dict[str, tuple[CoverNode, ...]]
-                        ) -> list[Diagnostic]:
-    # a covering node of one tag strictly containing a covering node of
-    # another makes the outer tag sit above occupied territory; one
-    # diagnostic per such ancestor node, listing every tag found below it
     covered = list(assignments)
     nodes = [(i, node) for i, t in enumerate(covered)
              for node in assignments[t]]
     owner = [i for i, _ in nodes]
     masks = [node.mask for _, node in nodes]
+    overlaps: set[tuple[int, int]] = set()
     inner: list[set[int]] = [set() for _ in nodes]
     for p, q in _meeting_pairs(masks):
+        i, j = owner[p], owner[q]
+        if i == j:
+            continue
+        overlaps.add((i, j) if i < j else (j, i))
         a, b = masks[p], masks[q]
-        if owner[p] != owner[q] and a != b:
+        if a != b:
             if not b & ~a:
-                inner[p].add(owner[q])
+                inner[p].add(j)
             elif not a & ~b:
-                inner[q].add(owner[p])
+                inner[q].add(i)
     out = []
+    for i, j in sorted(overlaps):
+        ra, rb = rules.coverage[covered[i]], rules.coverage[covered[j]]
+        shared = ra.typed.denotation & rb.typed.denotation
+        out.append(warning(
+            "nondisjunctive",
+            f"tags {ra.tag} and {rb.tag} overlap on "
+            f"{render_cover(minimal_cover(shared, g))}",
+            max(ra.span, rb.span)))
     for (i, node), below in zip(nodes, inner):
         if below:
             out.append(warning(

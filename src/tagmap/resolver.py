@@ -82,10 +82,8 @@ def resolve(rules: RuleSet, query: TypedSpec | SpecExpr | str) -> Resolution:
         if rule is not None and rule.typed.denotation & s:
             excluded = _entry_words(e for e in entries
                                     if not e.typed.denotation & s)
-            if excluded:
-                patterns.append(TagPattern(tag, "!=", excluded))
-            else:
-                patterns.append(TagPattern(tag))
+            patterns.append(TagPattern(tag, "!=" if excluded else None,
+                                       excluded))
             reachable |= rule.typed.denotation
             outside = rule.typed.denotation & ~s
             if outside:

@@ -131,21 +131,24 @@ def _deeper(level: int, tok: Token) -> int:
     return level + 1
 
 
-def _parse_expr(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
-    e, height = _parse_term(c, depth)
-    while c.cur.type == "PIPE":
-        op = c.advance()
-        right, right_height = _parse_term(c, depth)
-        e, height = Or(e, right), _deeper(max(height, right_height), op)
-    return e, height
+# the binary operators, loosest first: '|' builds an Or of '&' terms
+_BINARY = (("PIPE", Or), ("AMP", And))
 
 
-def _parse_term(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
-    e, height = _parse_factor(c, depth)
-    while c.cur.type == "AMP":
+def _parse_expr(c: TokenCursor, depth: int,
+                level: int = 0) -> tuple[SpecExpr, int]:
+    # an operand is the next operator's expression, or a factor after the
+    # last; both are called directly, since a call through ``partial``
+    # costs the recursion limit more than its one frame
+    kind, node = _BINARY[level]
+    last = level + 1 == len(_BINARY)
+    e, height = (_parse_factor(c, depth) if last
+                 else _parse_expr(c, depth, level + 1))
+    while c.cur.type == kind:
         op = c.advance()
-        right, right_height = _parse_factor(c, depth)
-        e, height = And(e, right), _deeper(max(height, right_height), op)
+        right, right_height = (_parse_factor(c, depth) if last
+                               else _parse_expr(c, depth, level + 1))
+        e, height = node(e, right), _deeper(max(height, right_height), op)
     return e, height
 
 

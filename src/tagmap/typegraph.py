@@ -203,7 +203,13 @@ class TypeGraph:
         """
         by_leaf, room = [], MAX_CLASSES
         for leaf in self.leaves:
-            assignments, digits = self._expand(self.features_at(leaf), room)
+            feats = self.features_at(leaf)
+            if room < 1:
+                # earlier leaves filled ``room``, and this leaf's first
+                # class is one too many; a leaf has no span to point at
+                raise (_too_large(f"feature {feats[0].name!r}", feats[0].span)
+                       if feats else _too_large(f"leaf {leaf!r}", None))
+            assignments, digits = self._expand(feats, room)
             room -= len(assignments)
             by_leaf.append((leaf, assignments, digits))
         universe = tuple(map(partial(tuple.__new__, TerminalClass), zip(
@@ -260,10 +266,6 @@ class TypeGraph:
         end.  A feature that would take the partials past ``room`` is
         reported before they are built.
         """
-        if room < 1 and feats:
-            # earlier leaves filled ``room``, and this leaf's first class is
-            # one too many
-            raise _too_large(feats[0])
         partials: list[tuple[tuple[str, str], ...]] = [()]
         digits: dict[tuple[str, str], str] = {}
         # atoms held by every partial; their digits, all "1", are written
@@ -304,12 +306,12 @@ class TypeGraph:
             if takes is None:
                 size *= len(atoms)
                 if len(partials) * size > room:
-                    raise _too_large(f)
+                    raise _too_large(f"feature {f.name!r}", f.span)
                 run.append(atoms)
                 continue
             n = len(atoms)
             if len(partials) + (n - 1) * takes.count("1") > room:
-                raise _too_large(f)
+                raise _too_large(f"feature {f.name!r}", f.span)
             partials = _add_ones(partials, ones)
             ones = []
             # a taker becomes n partials, one per value, and each inherits
@@ -503,11 +505,10 @@ def _add_run(partials, run, size, digits):
     return list(starmap(add, product(partials, product(*run))))
 
 
-def _too_large(f: FeatureDecl) -> CompileError:
+def _too_large(what: str, span: Span | None) -> CompileError:
     return CompileError([error(
         "universe-too-large",
-        f"feature {f.name!r} takes the tagset past {MAX_CLASSES} terminal "
-        "classes", f.span)])
+        f"{what} takes the tagset past {MAX_CLASSES} terminal classes", span)])
 
 
 # -- minimal covers ----------------------------------------------------------

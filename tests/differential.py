@@ -26,6 +26,10 @@ tagmap.cli`` on the same inputs:
   one, each with coarser tags nested above them and sparse tags across
   them, so that overlap and containment warnings appear (21,405 of them
   for the seven-feature set);
+* ``compile`` and ``explain`` of seeded rules over the three-feature
+  ladder whose tags are unions of two or three conjunctions, so that
+  covers have several nodes and two tags' covers meet in several pairs of
+  nodes;
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
   broken after a duplicate tag.
 
@@ -138,6 +142,14 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
         commands += [(f"{name} compile", ["compile", *positional]),
                      (f"{name} explain", ["explain", *positional])]
 
+    tagset = work / "ladder3.tagset"
+    tagset.write_text(gen.ladder_tagset(3))
+    path = work / "disjunctive.rules"
+    path.write_text(disjunctive_rules(random.Random("1:disjunctive")))
+    disjunctive = ["--tagset", str(tagset), "--rules", str(path)]
+    commands += [("disjunctive compile", ["compile", *disjunctive]),
+                 ("disjunctive explain", ["explain", *disjunctive])]
+
     broken = work / "broken.rules"
     broken.write_text("mapping m for tagset other\ntags AA, AA,\n"
                       "[pos = 'AA'] => [mass].\n")
@@ -149,6 +161,24 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
             + [("fixture query session", ["query", *fixture], session),
                ("fixture query session to end of input",
                 ["query", *fixture, "--strict"], "[mass]\n[vform = fin]")])
+
+
+def disjunctive_rules(rng: random.Random) -> str:
+    """Rules for ``gen.ladder_tagset(3)`` whose 12 tags are each a union of
+    two or three conjunctions of a leaf and one or two feature values."""
+    tags = [f"D{i}" for i in range(12)]
+    lines = ["mapping disjunctive for tagset ladder", "tags " + ", ".join(tags)]
+    for tag in tags:
+        conjs = []
+        for _ in range(rng.randint(2, 3)):
+            features = sorted(rng.sample(range(3), rng.randint(1, 2)))
+            conjs.append(" & ".join(
+                [f"pos = {rng.choice(gen.LADDER_LEAVES)}"]
+                + [f"f{f} = {gen.ladder_value(f, rng.randrange(3))}"
+                   for f in features]))
+        lines.append(f"[pos = '{tag}'] => [("
+                     + ") | (".join(conjs) + ")].")
+    return "\n".join(lines) + "\n"
 
 
 def run(src: Path, args: list[str], stdin: str, cwd: Path):

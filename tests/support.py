@@ -45,8 +45,9 @@ def time_limit(seconds):
 
 def doubling_ratios(run, inputs, repeats=5):
     """Ratios of the median times of ``run`` on consecutive ``inputs``, which
-    should each be twice the size of the one before: about 2 when ``run`` is
-    linear in the size, about 4 when it is quadratic.
+    should each be the same multiple k of the size of the one before: about
+    k when ``run`` is linear in the size, about k squared when it is
+    quadratic (2 and 4 when each input is twice the last).
 
     Each round runs every input once, so that a spell of load on the
     machine slows all sizes alike rather than the one being timed.  The

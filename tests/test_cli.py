@@ -7,13 +7,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import gen
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagmap.cli import main
 
 from oracles import FIXTURES, oracle_retag_cli
-from support import time_limit
+from support import doubling_ratios, time_limit
 
 TAGSET = str(FIXTURES / "eagles-en.tagset")
 RULES = str(FIXTURES / "upenn.rules")
@@ -375,6 +376,27 @@ def test_retag_memory_does_not_grow_with_the_corpus(rules, tmp_path):
     small = _retag_peak(rules, tmp_path, 20_000)
     large = _retag_peak(rules, tmp_path, 200_000)
     assert large - small < 2 * 1024 * 1024, (small, large)
+
+
+def test_retag_is_linear_in_the_number_of_tokens(capsys, rules, tmp_path):
+    # about 5k, 10k and 20k tokens of the benchmark's generated corpus,
+    # retagged in-process to a file; each run also compiles the fixture
+    pairs = list(rules.word_index)
+    corpora = []
+    for tokens in (5_000, 10_000, 20_000):
+        corpus = tmp_path / f"corpus-{tokens}.txt"
+        corpus.write_text("".join(
+            line.text + "\n" for line in gen.corpus_lines(
+                random.Random(tokens), rules.inventory, pairs, tokens)))
+        corpora.append(str(corpus))
+
+    def retag(corpus):
+        assert main(["retag", "--tagset", TAGSET, "--rules", RULES,
+                     "--corpus", corpus, "-o", str(tmp_path / "out.tsv")]) == 0
+
+    ratios = doubling_ratios(retag, corpora)
+    capsys.readouterr()
+    assert all(r < 3 for r in ratios), ratios
 
 
 _ADVERSARIAL = {

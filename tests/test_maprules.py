@@ -1,5 +1,6 @@
 """Coverage rules and the exception lexicon."""
 
+import gen
 import pytest
 
 from tagmap import (
@@ -9,6 +10,7 @@ from tagmap import (
 )
 
 from oracles import FIXTURES, mask_keys, oracle_rules
+from support import doubling_ratios, positional_rules
 
 RULES_SRC = (FIXTURES / "upenn.rules").read_text()
 
@@ -267,3 +269,15 @@ def test_multi_word_entry_preserves_order(rules):
     entry = rules.word_index[("was", "VBD")]
     assert entry.words == ("was", "were", "had", "did")
     assert entry is rules.word_index[("did", "VBD")]
+
+
+def test_rule_parsing_is_linear_in_the_number_of_tags():
+    # 81, 243 and 729 full conjunctions over the 2,187 classes of the six-
+    # feature ladder: each size is three times the last, so linear reads
+    # about 3 and quadratic about 9 (3.5 here, as each rule also gains an
+    # atom); nine rounds, as the smallest size takes only about 4 ms
+    six = parse_tagset_definition(gen.ladder_tagset(6))
+    ratios = doubling_ratios(lambda text: parse_rules(text, six),
+                             [positional_rules(6, k) for k in (3, 4, 5)],
+                             repeats=9)
+    assert all(r < 5 for r in ratios), ratios

@@ -25,7 +25,7 @@ from oracles import (
     oracle_nondisjoint,
     oracle_rules,
 )
-from support import positional_rules, time_limit
+from support import doubling_ratios, positional_rules, time_limit
 
 RULES_SRC = (FIXTURES / "upenn.rules").read_text()
 
@@ -305,6 +305,13 @@ def ladder_rule_sets(draw):
                "[pos = 'T0'] => [(pos = l0 & f0 = v0_0) | (pos = l1 & f0 = v0_1)].\n"
                "[pos = 'T3'] => [pos = l0 & f0 = v0_0 & f1 = v1_1].\n"
                "[pos = 'T1'] => [pos = l0 & f0 = v0_0 & f1 = v1_0].\n"))
+# two tags whose two-node covers meet in two pairs of nodes, which is one
+# overlap, and a third tag inside a node of one of them
+@example(case=(LADDERS[2], "mapping random for tagset ladder\n"
+               "tags T2, T1, T0\n"
+               "[pos = 'T1'] => [(pos = l0 & f1 = v1_0) | (pos = l1 & f1 = v1_1)].\n"
+               "[pos = 'T0'] => [(pos = l0 & f0 = v0_0) | (pos = l1 & f0 = v0_1)].\n"
+               "[pos = 'T2'] => [pos = l0 & f0 = v0_0 & f1 = v1_2].\n"))
 def test_overlap_and_containment_checks_match_every_pair(case):
     graph, src = case
     tree = build_mtree(parse_rules(src, graph))
@@ -322,6 +329,7 @@ def test_overlap_and_containment_checks_match_every_pair(case):
 
 # -- positional tagsets of thousands of tags ----------------------------------
 
+SIX = parse_tagset_definition(gen.ladder_tagset(6))
 SEVEN = parse_tagset_definition(gen.ladder_tagset(7))
 
 
@@ -350,3 +358,12 @@ def test_nested_and_sparse_positional_tags_check_promptly():
     rendered = "\n".join(d.render() for d in tree.diagnostics)
     assert sha256(rendered.encode()).hexdigest() == (
         "710daa47ea9d237dd098946188d36c204fcc2ac22823349b42b0886c5525c190")
+
+
+def test_tree_building_is_linear_in_the_number_of_tags():
+    # 81, 243 and 729 full conjunctions over the 2,187 classes of the six-
+    # feature ladder: each size is three times the last, so linear reads
+    # about 3 and quadratic about 9
+    ratios = doubling_ratios(build_mtree, [
+        parse_rules(positional_rules(6, k), SIX) for k in (3, 4, 5)])
+    assert all(r < 5 for r in ratios), ratios

@@ -687,6 +687,17 @@ def test_universe_bound_counts_classes_across_leaves(monkeypatch):
         "past 15 terminal classes"]
 
 
+def test_universe_bound_counts_leaves_without_features(monkeypatch):
+    # leaves a and b fill the bound of 2, so c's one class is one too many;
+    # a leaf keeps no span, so the error has no position
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 2)
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition("tagset t hierarchy { a b c }\n")
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [universe-too-large]: leaf 'c' takes the tagset past 2 "
+        "terminal classes"]
+
+
 def test_nine_feature_ladder_is_within_the_universe_bound():
     g = parse_tagset_definition(gen.ladder_tagset(9))
     assert len(g.universe) == 3 ** 10
