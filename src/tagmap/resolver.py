@@ -103,12 +103,7 @@ def resolve(rules: RuleSet, query: TypedSpec | SpecExpr | str) -> Resolution:
 
 
 def _entry_words(entries) -> tuple[str, ...]:
-    words: list[str] = []
-    for e in entries:
-        for w in e.words:
-            if w not in words:
-                words.append(w)
-    return tuple(words)
+    return tuple(dict.fromkeys(w for e in entries for w in e.words))
 
 
 def _render_patterns(patterns: tuple[TagPattern, ...]) -> str:

@@ -126,16 +126,13 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
-        self.universe, self._atom_mask, leaf_span = self._enumerate()
+        self.universe, self._atom_mask, self._node_mask = self._enumerate()
         self.full_mask = (1 << len(self.universe)) - 1
         self._feature_mask = {f.name: reduce(or_, (self._atom_mask[(f.name, v)]
                                                    for v in f.values), 0)
                               for f in features}
-        # a leaf's classes are consecutive; every node follows its parent
-        # in ``order``, so a node's mask is complete before it is passed up
-        self._node_mask = dict.fromkeys(order, 0)
-        for leaf, (start, stop) in leaf_span.items():
-            self._node_mask[leaf] = ((1 << stop - start) - 1) << start
+        # every node follows its parent in ``order``, so a node's mask is
+        # complete before it is passed up
         for node in reversed(order):
             parent = self._parents[node]
             if parent is not None:
@@ -183,49 +180,46 @@ class TypeGraph:
         return self._feature_mask[feature]
 
     def classes(self, mask: int) -> tuple[TerminalClass, ...]:
-        return tuple(t for t in self.universe if mask >> t.index & 1)
+        """The classes in ``mask``, in index order, read off its binary
+        numeral in time linear in the universe."""
+        return tuple(compress(self.universe,
+                              map("1".__eq__, format(mask, "b")[::-1])))
 
     # -- enumeration ----------------------------------------------------
 
     def _enumerate(self) -> tuple[tuple[TerminalClass, ...],
-                                  dict[tuple[str, str], int],
-                                  dict[str, tuple[int, int]]]:
+                                  dict[tuple[str, str], int], dict[str, int]]:
         """The terminal classes, leaf by leaf, with the mask of each atom and
-        the index range of each leaf's classes.  More than
+        of each node, a leaf's filled in and any other's 0.  More than
         :data:`MAX_CLASSES` classes in all is a :class:`CompileError`.
 
-        :meth:`_expand` gives each leaf's assignments with each atom's digits
-        over them.  An atom's mask is its digits over every leaf, joined and
-        read as one binary numeral, converted to an integer once; or-ing bits
+        One walk over the leaves expands each with :meth:`_expand`, which
+        gives its assignments with each atom's digits over them, and appends
+        them.  A leaf's classes are consecutive, so its mask is one run of
+        bits.  An atom's mask is its digits over every leaf, joined and read
+        as one binary numeral, converted to an integer once; or-ing bits
         into a universe-wide integer one at a time would cost time quadratic
         in the number of classes.  The classes are built by one ``map`` over
-        the leaves' assignments, with no Python loop per class.
+        the assignments, with no Python loop per class.
         """
-        by_leaf, room = [], MAX_CLASSES
-        for leaf in self.leaves:
-            feats = self.features_at(leaf)
-            if room < 1:
-                # earlier leaves filled ``room``, and this leaf's first
-                # class is one too many; a leaf has no span to point at
-                raise (_too_large(f"feature {feats[0].name!r}", feats[0].span)
-                       if feats else _too_large(f"leaf {leaf!r}", None))
-            assignments, digits = self._expand(feats, room)
-            room -= len(assignments)
-            by_leaf.append((leaf, assignments, digits))
-        universe = tuple(map(partial(tuple.__new__, TerminalClass), zip(
-            chain.from_iterable(repeat(leaf, len(assignments))
-                                for leaf, assignments, _ in by_leaf),
-            chain.from_iterable(assignments for _, assignments, _ in by_leaf),
-            count())))
-        leaf_span: dict[str, tuple[int, int]] = {}
+        assignments: list[list[tuple[tuple[str, str], ...]]] = []
+        node_mask = dict.fromkeys(self.nodes, 0)
         # an atom's numeral: the digits of each leaf whose classes have
         # some, after a "0" for each class since the last such leaf; it is
         # read most significant digit first, so class 0 is its last digit
         numerals: dict[tuple[str, str], list[str]] = {}
         ends: dict[tuple[str, str], int] = {}
         start = 0
-        for leaf, assignments, digits in by_leaf:
-            leaf_span[leaf] = start, start + len(assignments)
+        for leaf in self.leaves:
+            feats = self.features_at(leaf)
+            if start >= MAX_CLASSES:
+                # earlier leaves filled the universe, and this leaf's first
+                # class is one too many; a leaf has no span to point at
+                raise (_too_large(f"feature {feats[0].name!r}", feats[0].span)
+                       if feats else _too_large(f"leaf {leaf!r}", None))
+            partials, digits = self._expand(feats, MAX_CLASSES - start)
+            assignments.append(partials)
+            node_mask[leaf] = ((1 << len(partials)) - 1) << start
             for a, d in digits.items():
                 parts = numerals.get(a)
                 if parts is None:
@@ -233,10 +227,15 @@ class TypeGraph:
                 else:
                     parts += "0" * (start - ends[a]), d
                 ends[a] = start + len(d)
-            start += len(assignments)
-        atom_mask = {a: int("".join(numerals.get(a, ["0"]))[::-1], 2)
+            start += len(partials)
+        leaf_of = starmap(repeat, zip(self.leaves, map(len, assignments)))
+        universe = tuple(map(partial(tuple.__new__, TerminalClass), zip(
+            chain.from_iterable(leaf_of), chain.from_iterable(assignments),
+            count())))
+        # popped, so that an atom's digits are freed once its mask is read
+        atom_mask = {a: int("".join(numerals.pop(a, ["0"]))[::-1], 2)
                      for a in self._value_key}
-        return universe, atom_mask, leaf_span
+        return universe, atom_mask, node_mask
 
     @staticmethod
     def _expand(feats, room: int) -> tuple[list[tuple[tuple[str, str], ...]],
@@ -282,8 +281,7 @@ class TypeGraph:
                 if run:
                     # the guard may read the run's atoms, which have no
                     # digits yet
-                    partials = _add_run(_add_ones(partials, ones), run, size,
-                                        digits)
+                    partials = _flush(partials, ones, run, size, digits)
                     ones, run, size = [], [], 1
                 held = [digits[c] for c in f.conditions if c in digits]
                 takes = held[0] if len(held) == 1 else format(
@@ -312,7 +310,8 @@ class TypeGraph:
             n = len(atoms)
             if len(partials) + (n - 1) * takes.count("1") > room:
                 raise _too_large(f"feature {f.name!r}", f.span)
-            partials = _add_ones(partials, ones)
+            # ``run`` is empty: the guard above flushed it
+            partials = _flush(partials, ones, run, size, digits)
             ones = []
             # a taker becomes n partials, one per value, and each inherits
             # its digits
@@ -329,7 +328,7 @@ class TypeGraph:
                 else:
                     grown.append(seen)
             partials = grown
-        partials = _add_run(_add_ones(partials, ones), run, size, digits)
+        partials = _flush(partials, ones, run, size, digits)
         digits.update(dict.fromkeys(everywhere, "1" * len(partials)))
         return partials, digits
 
@@ -467,26 +466,23 @@ class TypeGraph:
                          implied_node=implied, sort_key=key)
 
 
-def _add_ones(partials, ones):
-    """``partials`` each extended by the atoms of ``ones``, (atom, digits)
-    pairs in feature order, whose digit for it is "1"; digits of None hold
-    for every partial."""
-    if not ones:
-        return partials
-    atoms = [a for a, _ in ones]
-    if all(d is None for _, d in ones):
-        run = tuple(atoms)
-        return [seen + run for seen in partials]
-    everyone = "1" * len(partials)
-    held = [tuple(compress(atoms, map("1".__eq__, column)))
-            for column in zip(*[d or everyone for _, d in ones])]
-    return list(map(add, partials, held))
-
-
-def _add_run(partials, run, size, digits):
-    """``partials`` each extended by every combination of the values of
-    ``run``, the last feature's varying fastest, as one product of ``size``
-    combinations; ``digits`` are brought up to date in place."""
+def _flush(partials, ones, run, size, digits):
+    """``partials`` each extended by the pending atoms: first the atoms of
+    ``ones``, (atom, takers' digits) pairs in feature order, whose digit for
+    the partial is "1" (digits of None hold for every partial), then every
+    combination of the values of ``run``, the last feature's varying
+    fastest, as one product of ``size`` combinations.  ``digits`` are
+    brought up to date in place."""
+    if ones:
+        atoms = [a for a, _ in ones]
+        if all(d is None for _, d in ones):
+            added = tuple(atoms)
+            partials = [seen + added for seen in partials]
+        else:
+            everyone = "1" * len(partials)
+            held = [tuple(compress(atoms, map("1".__eq__, column)))
+                    for column in zip(*[d or everyone for _, d in ones])]
+            partials = list(map(add, partials, held))
     if not run:
         return partials
     spread = {48: "0" * size, 49: "1" * size}       # ord("0"), ord("1")
@@ -710,10 +706,10 @@ def _validate(diags: list[Diagnostic], parents, order, spans,
               features: list[FeatureDecl]) -> None:
     reserved = {POS_FEATURE}
     for node in order:
-        if node in reserved and node != ROOT:
+        if node in reserved:
             diags.append(error("name-collision",
                                f"{node!r} is reserved for the position pseudo-feature",
-                               spans.get(node, Span(1, 1))))
+                               spans[node]))
     node_set = set(order)
     value_owner: dict[str, str] = {}
     all_names = {f.name for f in features}

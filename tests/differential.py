@@ -31,7 +31,11 @@ tagmap.cli`` on the same inputs:
   covers have several nodes and two tags' covers meet in several pairs of
   nodes;
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
-  broken after a duplicate tag.
+  broken after a duplicate tag;
+* ``compile``, ``explain`` and one ``query -e`` of each of 30 seeded random
+  tagsets of 2 to 6 nested nodes and 3 to 8 features, with one tag per
+  leaf and one per feature value; some fail with diagnostics, which are
+  compared too.
 
 Every command but the interactive sessions gets an empty stdin.  Stdout,
 stderr and exit status are compared.  A command still running after
@@ -64,6 +68,7 @@ import support  # noqa: E402
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
+RANDOM_TAGSETS = 30
 CORPUS_TOKENS = 20_000
 
 
@@ -155,6 +160,16 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
                       "[pos = 'AA'] => [mass].\n")
     commands.append(("broken inventory compile",
                      ["compile", *fixture[:2], "--rules", str(broken)]))
+    for i in range(RANDOM_TAGSETS):
+        tagset, rules, query = random_tagset(random.Random(f"{i}:tagset"))
+        (work / f"random{i}.tagset").write_text(tagset)
+        (work / f"random{i}.rules").write_text(rules)
+        drawn = ["--tagset", str(work / f"random{i}.tagset"),
+                 "--rules", str(work / f"random{i}.rules")]
+        commands += [(f"random {i} compile", ["compile", *drawn]),
+                     (f"random {i} explain", ["explain", *drawn]),
+                     (f"random {i} query", ["query", *drawn, "-e", query])]
+
     session = ("[vtype = aux].\n\n[pos = v & case = gen]\n"
                "[n & (common & sg | mass)]\n\\q\n[mass]\n")
     return ([(name, args, "") for name, args in commands]
@@ -179,6 +194,45 @@ def disjunctive_rules(rng: random.Random) -> str:
         lines.append(f"[pos = '{tag}'] => [("
                      + ") | (".join(conjs) + ")].")
     return "\n".join(lines) + "\n"
+
+
+def random_tagset(rng: random.Random) -> tuple[str, str, str]:
+    """A tagset, its rules and a query.
+
+    The tagset has 2 to 6 nested nodes under the root and 3 to 8 features
+    of 1 to 3 values, each homed at any node and, with even odds, guarded
+    by a disjunction of one to three earlier values.  The rules have one tag
+    per leaf, ``[leaf]``, and one per feature value, ``[f = v]``; the query
+    is the union of two of those specifications.
+    """
+    n_nodes = rng.randint(2, 6)
+    names = ["root"] + [f"n{i}" for i in range(1, n_nodes + 1)]
+    children: dict[int, list[int]] = {i: [] for i in range(n_nodes + 1)}
+    for i in range(1, n_nodes + 1):
+        children[rng.randrange(i)].append(i)
+
+    def block(i):
+        return " ".join(names[c] + (" { " + block(c) + " }" if children[c] else "")
+                        for c in children[i])
+
+    lines = ["tagset rand", "hierarchy { " + block(0) + " }"]
+    declared: list[tuple[str, str]] = []
+    for i in range(rng.randint(3, 8)):
+        values = [f"f{i}v{j}" for j in range(rng.randint(1, 3))]
+        guard = ""
+        if declared and rng.random() < 0.5:
+            conds = rng.sample(declared, min(len(declared), rng.randint(1, 3)))
+            guard = " when " + " or ".join(f"{f} = {v}" for f, v in conds)
+        lines.append(f"feature f{i} for {rng.choice(names)}{guard} "
+                     f"{{ {', '.join(values)} }}")
+        declared += [(f"f{i}", v) for v in values]
+
+    specs = {f"L{c}": names[c] for c in children if not children[c]}
+    specs.update((f"T{v}", f"{f} = {v}") for f, v in declared)
+    rules = ["mapping rand for tagset rand", "tags " + ", ".join(specs)]
+    rules += [f"[pos = '{tag}'] => [{spec}]." for tag, spec in specs.items()]
+    query = "[" + " | ".join(rng.sample(sorted(specs.values()), 2)) + "]"
+    return "\n".join(lines) + "\n", "\n".join(rules) + "\n", query
 
 
 def run(src: Path, args: list[str], stdin: str, cwd: Path):
