@@ -35,7 +35,7 @@ from bisect import bisect_right
 
 from .diagnostics import Diagnostic, warning
 from .maprules import RuleSet
-from .typegraph import CoverNode, TerminalClass, minimal_cover, render_cover
+from .typegraph import CoverNode, minimal_cover, render_cover
 
 
 class MTree:
@@ -47,12 +47,6 @@ class MTree:
         self.assignments = assignments
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.unreachable = unreachable      # cover of the target holes
-
-    def tags_of(self, terminal: TerminalClass) -> tuple[str, ...]:
-        """Physical tags whose coverage denotation contains ``terminal``."""
-        bit = 1 << terminal.index
-        return tuple(tag for tag in self.assignments
-                     if self.rules.coverage[tag].typed.denotation & bit)
 
 
 def build_mtree(rules: RuleSet) -> MTree:

@@ -20,12 +20,11 @@ tagmap.cli`` on the same inputs:
 * the first 150 queries of the seed-1 ladder stream, one command each, with
   the seed-1 rules, and query 166 of the seed-6 stream with the seed-6
   rules, whose cover search backtracks far more than theirs;
-* ``compile`` and ``explain`` of positional rule sets from
-  ``tests/support.py``: 243 full-conjunction tags over the five-feature
-  ladder, 729 over the six-feature one and 2,187 over the seven-feature
-  one, each with coarser tags nested above them and sparse tags across
-  them, so that overlap and containment warnings appear (21,405 of them
-  for the seven-feature set);
+* ``compile`` and ``explain`` of positional rule sets: 243
+  full-conjunction tags over the five-feature ladder, 729 over the
+  six-feature one and 2,187 over the seven-feature one, each with coarser
+  tags nested above them and sparse tags across them, so that overlap and
+  containment warnings appear (21,405 of them for the seven-feature set);
 * ``compile`` and ``explain`` of seeded rules over the three-feature
   ladder whose tags are unions of two or three conjunctions, so that
   covers have several nodes and two tags' covers meet in several pairs of
@@ -42,9 +41,10 @@ stderr and exit status are compared.  A command still running after
 ``TIMEOUT_S`` seconds on either side is reported as a time-out, not as a
 difference.  The exit status is 1 when any command differs, else 0.
 
-The inputs come from ``perfbench/gen.py``, ``tests/oracles.py`` and
-``tests/support.py``, which are read, not edited.  Pytest does not collect
-this file.
+The generated inputs come from the catalogue in ``tests/inputs.py`` and,
+until the benchmark's generators move into it, from ``perfbench/gen.py``;
+the fixture's classes and rules from ``tests/oracles.py``.  Pytest does not
+collect this file.
 """
 from __future__ import annotations
 
@@ -64,7 +64,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 import oracles  # noqa: E402
-import support  # noqa: E402
+from inputs import (  # noqa: E402
+    disjunctive_rules, nested_tagset, positional_rules)
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
@@ -140,7 +141,7 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
         tagset = work / f"ladder{n_features}.tagset"
         tagset.write_text(gen.ladder_tagset(n_features))
         path = work / f"positional{n_features}.rules"
-        path.write_text(support.positional_rules(
+        path.write_text(positional_rules(
             n_features, n_features - 1, coarse=coarse, sparse=(1, 2)))
         positional = ["--tagset", str(tagset), "--rules", str(path)]
         name = f"positional {3 ** n_features}"
@@ -161,7 +162,7 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
     commands.append(("broken inventory compile",
                      ["compile", *fixture[:2], "--rules", str(broken)]))
     for i in range(RANDOM_TAGSETS):
-        tagset, rules, query = random_tagset(random.Random(f"{i}:tagset"))
+        tagset, rules, query = nested_tagset(random.Random(f"{i}:tagset"))
         (work / f"random{i}.tagset").write_text(tagset)
         (work / f"random{i}.rules").write_text(rules)
         drawn = ["--tagset", str(work / f"random{i}.tagset"),
@@ -176,63 +177,6 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
             + [("fixture query session", ["query", *fixture], session),
                ("fixture query session to end of input",
                 ["query", *fixture, "--strict"], "[mass]\n[vform = fin]")])
-
-
-def disjunctive_rules(rng: random.Random) -> str:
-    """Rules for ``gen.ladder_tagset(3)`` whose 12 tags are each a union of
-    two or three conjunctions of a leaf and one or two feature values."""
-    tags = [f"D{i}" for i in range(12)]
-    lines = ["mapping disjunctive for tagset ladder", "tags " + ", ".join(tags)]
-    for tag in tags:
-        conjs = []
-        for _ in range(rng.randint(2, 3)):
-            features = sorted(rng.sample(range(3), rng.randint(1, 2)))
-            conjs.append(" & ".join(
-                [f"pos = {rng.choice(gen.LADDER_LEAVES)}"]
-                + [f"f{f} = {gen.ladder_value(f, rng.randrange(3))}"
-                   for f in features]))
-        lines.append(f"[pos = '{tag}'] => [("
-                     + ") | (".join(conjs) + ")].")
-    return "\n".join(lines) + "\n"
-
-
-def random_tagset(rng: random.Random) -> tuple[str, str, str]:
-    """A tagset, its rules and a query.
-
-    The tagset has 2 to 6 nested nodes under the root and 3 to 8 features
-    of 1 to 3 values, each homed at any node and, with even odds, guarded
-    by a disjunction of one to three earlier values.  The rules have one tag
-    per leaf, ``[leaf]``, and one per feature value, ``[f = v]``; the query
-    is the union of two of those specifications.
-    """
-    n_nodes = rng.randint(2, 6)
-    names = ["root"] + [f"n{i}" for i in range(1, n_nodes + 1)]
-    children: dict[int, list[int]] = {i: [] for i in range(n_nodes + 1)}
-    for i in range(1, n_nodes + 1):
-        children[rng.randrange(i)].append(i)
-
-    def block(i):
-        return " ".join(names[c] + (" { " + block(c) + " }" if children[c] else "")
-                        for c in children[i])
-
-    lines = ["tagset rand", "hierarchy { " + block(0) + " }"]
-    declared: list[tuple[str, str]] = []
-    for i in range(rng.randint(3, 8)):
-        values = [f"f{i}v{j}" for j in range(rng.randint(1, 3))]
-        guard = ""
-        if declared and rng.random() < 0.5:
-            conds = rng.sample(declared, min(len(declared), rng.randint(1, 3)))
-            guard = " when " + " or ".join(f"{f} = {v}" for f, v in conds)
-        lines.append(f"feature f{i} for {rng.choice(names)}{guard} "
-                     f"{{ {', '.join(values)} }}")
-        declared += [(f"f{i}", v) for v in values]
-
-    specs = {f"L{c}": names[c] for c in children if not children[c]}
-    specs.update((f"T{v}", f"{f} = {v}") for f, v in declared)
-    rules = ["mapping rand for tagset rand", "tags " + ", ".join(specs)]
-    rules += [f"[pos = '{tag}'] => [{spec}]." for tag, spec in specs.items()]
-    query = "[" + " | ".join(rng.sample(sorted(specs.values()), 2)) + "]"
-    return "\n".join(lines) + "\n", "\n".join(rules) + "\n", query
 
 
 def run(src: Path, args: list[str], stdin: str, cwd: Path):

@@ -24,8 +24,9 @@ from tagmap import (
     render_spec,
     retag_lines,
 )
-from tagmap.specexpr import And, Atom, BareAtom, Not, Or
+from tagmap.specexpr import Atom
 
+from inputs import spec_expr, spec_names
 from oracles import (
     FIXTURES,
     mask_keys,
@@ -153,47 +154,17 @@ def test_criterion_4_retagging(rules):
     assert "underspecified" in second.flags
 
 
-def _random_atom(rng, pairs, nodes, values):
-    r = rng.random()
-    if r < 0.35:
-        f, v = rng.choice(pairs)
-        return Atom(f, "=", v)
-    if r < 0.55:
-        f, v = rng.choice(pairs)
-        return Atom(f, "!=", v)
-    if r < 0.75:
-        return Atom("pos", "=", rng.choice(nodes))
-    if r < 0.9:
-        return BareAtom(rng.choice(values))
-    return BareAtom(rng.choice(nodes))
-
-
-def _random_expr(rng, depth, pairs, nodes, values):
-    r = rng.random()
-    if depth <= 0 or r < 0.45:
-        return _random_atom(rng, pairs, nodes, values)
-    if r < 0.70:
-        return And(_random_expr(rng, depth - 1, pairs, nodes, values),
-                   _random_expr(rng, depth - 1, pairs, nodes, values))
-    if r < 0.95:
-        return Or(_random_expr(rng, depth - 1, pairs, nodes, values),
-                  _random_expr(rng, depth - 1, pairs, nodes, values))
-    return Not(_random_expr(rng, depth - 1, pairs, nodes, values))
-
-
 def test_criterion_5_oracle_equivalence(graph, rules):
     started = time.monotonic()
     orules = oracle_rules()
-    pairs = [(f.name, v) for f in graph.features for v in f.values]
-    nodes = list(graph.nodes)
-    values = [v for f in graph.features for v in f.values if not v[0].isdigit()]
+    names = spec_names(graph)
     rng = random.Random(90125)
 
     accepted = attempts = 0
     while accepted < 1000:
         attempts += 1
         assert attempts < 25000, "generator starved; acceptance rate collapsed"
-        text = render_spec(_random_expr(rng, 3, pairs, nodes, values))
+        text = render_spec(spec_expr(rng, names))
         try:
             ts = compile_spec(text, graph)
         except SpecTypeError:

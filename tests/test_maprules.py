@@ -9,8 +9,9 @@ from tagmap import (
     parse_tagset_definition,
 )
 
+from inputs import positional_rules
 from oracles import FIXTURES, mask_keys, oracle_rules
-from support import doubling_ratios, positional_rules
+from support import doubling_ratios
 
 RULES_SRC = (FIXTURES / "upenn.rules").read_text()
 

@@ -2,11 +2,13 @@
 
 import re
 from collections import Counter
+from functools import reduce
 from hashlib import sha256
+from operator import or_
 
 import gen
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from tagmap import (
     build_mtree,
@@ -17,15 +19,13 @@ from tagmap import (
     render_explain,
 )
 
+from inputs import ladder_rule_set, positional_rules, strategy
 from oracles import (
     FIXTURES,
-    key_of,
-    mask_keys,
     oracle_hierarchical,
     oracle_nondisjoint,
-    oracle_rules,
 )
-from support import doubling_ratios, positional_rules, time_limit
+from support import doubling_ratios, time_limit
 
 RULES_SRC = (FIXTURES / "upenn.rules").read_text()
 
@@ -66,29 +66,16 @@ def test_vb_assignment_renders_factored(tree):
         "vtype=con & (vform=inf | vform=fin & (mood=subj | mood=imp))")
 
 
-def test_tags_of_matches_oracle(tree, graph):
-    want = oracle_rules().coverage
-    for t in graph.universe:
-        key = key_of(t)
-        expect = tuple(tag for tag in tree.rules.inventory
-                       if key in want[tag])
-        assert tree.tags_of(t) == expect, t.render()
-
-
-def test_coverage_partition_counts(tree, graph):
+def test_coverage_partition_counts(rules, graph):
     """89 = 15 exception-only classes + 74 singly covered + 0 shared.
 
     Only coverage rules enter the count; the primary-verb classes reached
     through the lexicon alone sit in the zero bucket by construction.
     """
-    zero = one = more = 0
-    for t in graph.universe:
-        n = len(tree.tags_of(t))
-        zero += n == 0
-        one += n == 1
-        more += n > 1
-    assert (zero, one, more) == (15, 74, 0)
-    assert zero + one + more == len(graph.universe)
+    counts = Counter(min(2, sum(rule.typed.denotation >> t.index & 1
+                                for rule in rules.coverage.values()))
+                     for t in graph.universe)
+    assert (counts[0], counts[1], counts[2]) == (15, 74, 0)
 
 
 def _tree(graph, src):
@@ -250,56 +237,15 @@ def test_warnings_point_at_their_source(graph):
 LADDERS = {n: parse_tagset_definition(gen.ladder_tagset(n)) for n in (2, 3, 4)}
 
 
-def _atoms(draw, features):
-    return [(f"f{f}", gen.ladder_value(f, draw(st.integers(0, 2))))
-            for f in features]
-
-
-@st.composite
-def _conjunction(draw, n):
-    """Atoms of one conjunction over an ``n``-feature ladder: a leaf and the
-    first features (these nest), a leaf or none and any features (these
-    overlap), or the last one or two features alone (these are sparse)."""
-    kind = draw(st.sampled_from(["nested", "overlap", "sparse"]))
-    leaf = [("pos", draw(st.sampled_from(gen.LADDER_LEAVES)))]
-    if kind == "nested":
-        return leaf + _atoms(draw, range(draw(st.integers(0, n))))
-    if kind == "overlap":
-        features = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-        return leaf * draw(st.booleans()) + _atoms(draw, features)
-    return _atoms(draw, range(n - draw(st.integers(1, 2)), n))
-
-
-@st.composite
-def ladder_rule_sets(draw):
-    """A rules file over a 2- to 4-feature ladder, and the ladder; a tag's
-    rule is one conjunction, or a union of two or three whose cover may
-    have several nodes.  The rules are shuffled, so that their file order
-    is not the inventory order."""
-    n = draw(st.sampled_from(sorted(LADDERS)))
-    specs = []
-    for _ in range(draw(st.integers(1, 10))):
-        conjs = draw(st.lists(_conjunction(n), min_size=1, max_size=3))
-        specs.append(" | ".join(
-            "(" + " & ".join(f"{f} = {v}" for f, v in conj) + ")"
-            for conj in conjs))
-    tags = [f"T{i}" for i in range(len(specs))]
-    lines = ["mapping random for tagset ladder",
-             "tags " + ", ".join(tags + ["NOR"] * draw(st.booleans()))]
-    lines += draw(st.permutations(
-        [f"[pos = '{t}'] => [{spec}]." for t, spec in zip(tags, specs)]))
-    return LADDERS[n], "\n".join(lines) + "\n"
-
-
-@given(ladder_rule_sets())
+@given(strategy(ladder_rule_set))
 @settings(max_examples=200, deadline=None)
 # two tags with equal denotations: they overlap, but neither contains the other
-@example(case=(LADDERS[2], "mapping random for tagset ladder\ntags T0, T1\n"
+@example(case=(2, "mapping random for tagset ladder\ntags T0, T1\n"
                "[pos = 'T1'] => [pos = l0 & f0 = v0_0].\n"
                "[pos = 'T0'] => [f0 = v0_0 & pos = l0].\n"))
 # a two-node cover whose nodes contain different tags, one of them two tags
 # listed in the inventory before the outer one
-@example(case=(LADDERS[2], "mapping random for tagset ladder\n"
+@example(case=(2, "mapping random for tagset ladder\n"
                "tags T3, T0, T1, T2\n"
                "[pos = 'T2'] => [pos = l1 & f0 = v0_1 & f1 = v1_2].\n"
                "[pos = 'T0'] => [(pos = l0 & f0 = v0_0) | (pos = l1 & f0 = v0_1)].\n"
@@ -307,13 +253,14 @@ def ladder_rule_sets(draw):
                "[pos = 'T1'] => [pos = l0 & f0 = v0_0 & f1 = v1_0].\n"))
 # two tags whose two-node covers meet in two pairs of nodes, which is one
 # overlap, and a third tag inside a node of one of them
-@example(case=(LADDERS[2], "mapping random for tagset ladder\n"
+@example(case=(2, "mapping random for tagset ladder\n"
                "tags T2, T1, T0\n"
                "[pos = 'T1'] => [(pos = l0 & f1 = v1_0) | (pos = l1 & f1 = v1_1)].\n"
                "[pos = 'T0'] => [(pos = l0 & f0 = v0_0) | (pos = l1 & f0 = v0_1)].\n"
                "[pos = 'T2'] => [pos = l0 & f0 = v0_0 & f1 = v1_2].\n"))
 def test_overlap_and_containment_checks_match_every_pair(case):
-    graph, src = case
+    n, src = case
+    graph = LADDERS[n]
     tree = build_mtree(parse_rules(src, graph))
     got = [d.render() for d in tree.diagnostics
            if d.kind in ("nondisjunctive", "hierarchical")]
@@ -321,10 +268,11 @@ def test_overlap_and_containment_checks_match_every_pair(case):
             + oracle_hierarchical(tree.rules, tree.assignments)]
     assert got == want
     coverage = tree.rules.coverage
-    for t in graph.universe:
-        assert tree.tags_of(t) == tuple(
-            tag for tag in tree.rules.inventory if tag in coverage
-            and coverage[tag].typed.denotation >> t.index & 1)
+    assert list(tree.assignments) == [
+        tag for tag in tree.rules.inventory if tag in coverage]
+    for tag, cover in tree.assignments.items():
+        assert reduce(or_, (c.mask for c in cover)) == \
+            coverage[tag].typed.denotation
 
 
 # -- positional tagsets of thousands of tags ----------------------------------

@@ -20,6 +20,7 @@ from tagmap import (
 )
 from tagmap.specexpr import MAX_SPEC_DEPTH, And, Atom, BareAtom, Not, Or
 
+from inputs import spec_atom, spec_expr, spec_names, strategy
 from oracles import (
     eval_spec,
     mask_keys,
@@ -120,35 +121,17 @@ def _graph():
 
 
 GRAPH = _graph()
-_PAIRS = [(f.name, v) for f in GRAPH.features for v in f.values]
-_NODES = list(GRAPH.nodes)
-# numeric values (pers) only occur on an atom's right side, never bare
-_VALUES = [v for f in GRAPH.features for v in f.values if not v[0].isdigit()]
-
-_atoms = st.one_of(
-    st.sampled_from(_PAIRS).map(lambda fv: A(fv[0], "=", fv[1])),
-    st.sampled_from(_PAIRS).map(lambda fv: A(fv[0], "!=", fv[1])),
-    st.sampled_from(_NODES).map(lambda n: A("pos", "=", n)),
-    st.sampled_from(_VALUES).map(B),
-    st.sampled_from(_NODES).map(B),
-)
-_exprs = st.recursive(
-    _atoms,
-    lambda kids: st.one_of(
-        st.tuples(kids, kids).map(lambda ab: And(*ab)),
-        st.tuples(kids, kids).map(lambda ab: Or(*ab)),
-        kids.map(Not),
-    ),
-    max_leaves=8,
-)
+NAMES = spec_names(GRAPH)
+ATOMS = strategy(spec_atom, NAMES)
+EXPRS = strategy(spec_expr, NAMES)
 
 
-@given(_exprs)
+@given(EXPRS)
 def test_render_parse_round_trip(e):
     assert parse_spec(render_spec(e)) == e
 
 
-@given(_exprs)
+@given(EXPRS)
 @settings(max_examples=300)
 def test_denotation_matches_oracle(e):
     got = mask_keys(GRAPH, denote(e, GRAPH))
@@ -160,7 +143,7 @@ def test_denotation_matches_oracle(e):
     assert got == want
 
 
-@given(_exprs, _exprs)
+@given(EXPRS, EXPRS)
 @settings(max_examples=200)
 def test_de_morgan_at_denotation(a, b):
     d = functools.partial(denote, g=GRAPH)
@@ -304,7 +287,7 @@ def test_dnf_preserves_denotation(graph):
         assert rebuilt == ts.denotation
 
 
-@given(_exprs)
+@given(EXPRS)
 @settings(max_examples=300, deadline=None)
 def test_dnf_keeps_the_oracle_order(e):
     universe = oracle_universe()
@@ -387,7 +370,7 @@ def test_cover_deterministic(graph):
         assert render_cover(minimal_cover(m, graph)) == first
 
 
-@given(st.lists(_atoms, min_size=1, max_size=4))
+@given(st.lists(ATOMS, min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_cover_exact_on_random_unions(atom_list):
     m = 0
