@@ -100,7 +100,7 @@ def _cmd_compile(args) -> int:
         tree = build_mtree(rules)
         warnings = rules.warnings + tree.diagnostics
         tags = len(rules.inventory)
-    print(f"tags: {tags}, classes: {len(graph.universe)}, "
+    print(f"tags: {tags}, classes: {graph.full_mask.bit_length()}, "
           f"warnings: {len(warnings)}")
     _print_diags(warnings)
     if warnings and args.strict:

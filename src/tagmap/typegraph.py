@@ -23,6 +23,7 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, product, repeat, starmap
 from operator import add, mul, or_
@@ -105,7 +106,8 @@ class TypeGraph:
 
     Instances are immutable after construction and safe to read from several
     threads; the only internal mutations are idempotent caches: the minimal
-    covers found, by mask, and the candidate table, built on first read.
+    covers found, by mask, and the universe and the candidate table, each
+    built on first read.
     Build one with :func:`parse_tagset_definition`, not directly.
     """
 
@@ -126,8 +128,11 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
-        self.universe, self._atom_mask, self._node_mask = self._enumerate()
-        self.full_mask = (1 << len(self.universe)) - 1
+        # each leaf's assignments, and the index of each leaf's first class
+        # followed by the number of classes
+        self._assignments, self._starts, self._atom_mask, self._node_mask = \
+            self._enumerate()
+        self.full_mask = (1 << self._starts[-1]) - 1
         self._feature_mask = {f.name: reduce(or_, (self._atom_mask[(f.name, v)]
                                                    for v in f.values), 0)
                               for f in features}
@@ -185,22 +190,41 @@ class TypeGraph:
         return tuple(compress(self.universe,
                               map("1".__eq__, format(mask, "b")[::-1])))
 
+    @cached_property
+    def universe(self) -> tuple[TerminalClass, ...]:
+        """Every terminal class, in index order.  Built on first read, by one
+        ``map`` over the leaves' assignments with no Python loop per class;
+        set-up, queries and covers do not need the records, since
+        :meth:`_class_at` reads one class from its leaf's assignments."""
+        leaf_of = starmap(repeat, zip(self.leaves, map(len, self._assignments)))
+        return tuple(map(partial(tuple.__new__, TerminalClass), zip(
+            chain.from_iterable(leaf_of),
+            chain.from_iterable(self._assignments), count())))
+
+    def _class_at(self, index: int) -> tuple[str, tuple[tuple[str, str], ...]]:
+        """The leaf and the assignment of the class ``index``."""
+        k = bisect_right(self._starts, index) - 1
+        return self.leaves[k], self._assignments[k][index - self._starts[k]]
+
     # -- enumeration ----------------------------------------------------
 
-    def _enumerate(self) -> tuple[tuple[TerminalClass, ...],
-                                  dict[tuple[str, str], int], dict[str, int]]:
-        """The terminal classes, leaf by leaf, with the mask of each atom and
-        of each node, a leaf's filled in and any other's 0.  More than
+    def _enumerate(self) -> tuple[list[list[tuple[tuple[str, str], ...]]],
+                                  list[int], dict[tuple[str, str], int],
+                                  dict[str, int]]:
+        """Each leaf's assignments, the index of each leaf's first class
+        followed by the number of classes, and the mask of each atom and of
+        each node, a leaf's filled in and any other's 0.  More than
         :data:`MAX_CLASSES` classes in all is a :class:`CompileError`.
 
         One walk over the leaves expands each with :meth:`_expand`, which
-        gives its assignments with each atom's digits over them, and appends
-        them.  A leaf's classes are consecutive, so its mask is one run of
-        bits.  An atom's mask is its digits over every leaf, joined and read
-        as one binary numeral, converted to an integer once; or-ing bits
-        into a universe-wide integer one at a time would cost time quadratic
-        in the number of classes.  The classes are built by one ``map`` over
-        the assignments, with no Python loop per class.
+        gives its assignments with each atom's digits over them; leaves with
+        the same features, as siblings whose features are all homed above
+        them, share one expansion.  A leaf's classes are consecutive, so its
+        mask is one run of bits.  An atom's mask is its digits over every
+        leaf, joined and read as one binary numeral, converted to an integer
+        once; or-ing bits into a universe-wide integer one at a time would
+        cost time quadratic in the number of classes.  No record is built
+        per class.
         """
         assignments: list[list[tuple[tuple[str, str], ...]]] = []
         node_mask = dict.fromkeys(self.nodes, 0)
@@ -210,6 +234,9 @@ class TypeGraph:
         numerals: dict[tuple[str, str], list[str]] = {}
         ends: dict[tuple[str, str], int] = {}
         start = 0
+        starts: list[int] = []
+        # expansions by the names of their features
+        expanded: dict[tuple[str, ...], tuple[list, dict]] = {}
         for leaf in self.leaves:
             feats = self.features_at(leaf)
             if start >= MAX_CLASSES:
@@ -217,8 +244,15 @@ class TypeGraph:
                 # class is one too many; a leaf has no span to point at
                 raise (_too_large(f"feature {feats[0].name!r}", feats[0].span)
                        if feats else _too_large(f"leaf {leaf!r}", None))
-            partials, digits = self._expand(feats, MAX_CLASSES - start)
+            key = tuple(f.name for f in feats)
+            shared = expanded.get(key)
+            if shared is None or len(shared[0]) > MAX_CLASSES - start:
+                # a shared expansion past the room left is expanded again,
+                # to report the feature that takes it past
+                shared = expanded[key] = self._expand(feats, MAX_CLASSES - start)
+            partials, digits = shared
             assignments.append(partials)
+            starts.append(start)
             node_mask[leaf] = ((1 << len(partials)) - 1) << start
             for a, d in digits.items():
                 parts = numerals.get(a)
@@ -228,14 +262,11 @@ class TypeGraph:
                     parts += "0" * (start - ends[a]), d
                 ends[a] = start + len(d)
             start += len(partials)
-        leaf_of = starmap(repeat, zip(self.leaves, map(len, assignments)))
-        universe = tuple(map(partial(tuple.__new__, TerminalClass), zip(
-            chain.from_iterable(leaf_of), chain.from_iterable(assignments),
-            count())))
+        starts.append(start)
         # popped, so that an atom's digits are freed once its mask is read
         atom_mask = {a: int("".join(numerals.pop(a, ["0"]))[::-1], 2)
                      for a in self._value_key}
-        return universe, atom_mask, node_mask
+        return assignments, starts, atom_mask, node_mask
 
     @staticmethod
     def _expand(feats, room: int) -> tuple[list[tuple[tuple[str, str], ...]],
@@ -381,14 +412,14 @@ class TypeGraph:
           a state is dropped when all the atoms left still admit a class
           outside.  The maximal masks found are the primes.
         """
-        t = self.universe[index]
+        leaf, assignment = self._class_at(index)
         # the class's atoms with their features' homes
         homed = [(self.feature_map[f].home, self._atom_mask[(f, v)])
-                 for f, v in t.assignment]
+                 for f, v in assignment]
         found: set[int] = set()
         below, child = 0, None
         passed: set[str | None] = set()     # the nodes below ``node``
-        for node in self._up(t.leaf):
+        for node in self._up(leaf):
             passed.add(child)
             child = node
             inside = self._node_mask[node] & target
@@ -436,10 +467,10 @@ class TypeGraph:
         """
         # every class in the mask shares the node and the constant atoms, so
         # read both off the lowest one
-        lowest = self.universe[(mask & -mask).bit_length() - 1]
-        node = next(n for n in self._up(lowest.leaf)
+        leaf, assignment = self._class_at((mask & -mask).bit_length() - 1)
+        node = next(n for n in self._up(leaf)
                     if self._node_mask[n] & mask == mask)
-        atoms = tuple(a for a in lowest.assignment
+        atoms = tuple(a for a in assignment
                       if self._atom_mask[a] & mask == mask)
         by_atoms = self.full_mask
         for a in atoms:

@@ -91,6 +91,23 @@ def two_leaf_tagset(*features: str) -> str:
         "feature {} for root {}".format(*f.split(" ", 1)) for f in features)
 
 
+def guarded_two_leaf_tagset(rng, features=(0, 4)) -> str:
+    """:func:`two_leaf_tagset` of ``features`` features (an inclusive range)
+    of 1 to 3 values, each guarded, with even odds, by a disjunction of one
+    or two earlier values."""
+    decls: list[str] = []
+    declared: list[tuple[str, str]] = []
+    for i in range(rng.randint(*features)):
+        vs = [f"f{i}v{j}" for j in range(rng.randint(1, 3))]
+        guard = ""
+        if declared and rng.random() < 0.5:
+            conds = rng.sample(declared, min(len(declared), rng.randint(1, 2)))
+            guard = "when " + " or ".join(f"{f} = {v}" for f, v in conds) + " "
+        decls.append(f"f{i} {guard}{{ {', '.join(vs)} }}")
+        declared += [(f"f{i}", v) for v in vs]
+    return two_leaf_tagset(*decls)
+
+
 # -- specification expressions over a graph ------------------------------------
 
 # cumulative odds of f = v, f != v, pos = node and a bare value; a bare node

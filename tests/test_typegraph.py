@@ -17,16 +17,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 from tagmap import (
     CompileError,
     TypeGraph,
+    build_mtree,
+    cli,
     compile_spec,
     minimal_cover,
     parse_rules,
     parse_tagset_definition,
     render_cover,
+    render_explain,
     resolve,
     typegraph,
 )
 
-from inputs import nested_tagset, strategy, two_leaf_tagset
+from inputs import (guarded_two_leaf_tagset, nested_tagset, strategy,
+                    two_leaf_tagset)
 from oracles import (
     FIXTURES,
     key_of,
@@ -123,6 +127,65 @@ def test_enumeration_is_deterministic():
 def test_universe_is_the_full_mask(graph):
     assert graph.classes(graph.full_mask) == graph.universe
     assert sum(1 << t.index for t in graph.universe) == graph.full_mask
+
+
+def test_set_up_queries_and_covers_build_no_class_records(monkeypatch, capsys,
+                                                          tmp_path):
+    # the universe tuple is built on first read, and only tests and
+    # ``classes`` read it: set-up, queries and cover searches read a class
+    # from its leaf's assignments
+    ladder = gen.ladder_rules(random.Random(1))
+    sessions = [
+        ((FIXTURES / "eagles-en.tagset").read_text(),
+         (FIXTURES / "upenn.rules").read_text(),
+         ["vtype = con & vform = inf | vtype = prim & tense = past",
+          "v & !(vform = fin)", "n | pron"]),
+        (gen.ladder_tagset(), ladder.text,
+         # one query of each shape, disjunctions of up to three conjunctions
+         list(islice(gen.ladder_queries(random.Random(1)),
+                     len(gen.LADDER_SHAPES)))),
+    ]
+    for tagset, rules_text, queries in sessions:
+        g = parse_tagset_definition(tagset)
+        rules = parse_rules(rules_text, g)
+        render_explain(build_mtree(rules))
+        for query in queries:
+            resolve(rules, query).render()
+        assert len(g._cover_cache) > 1
+        assert "universe" not in vars(g)
+    graphs = []
+
+    def parse(source):
+        graphs.append(parse_tagset_definition(source))
+        return graphs[-1]
+
+    monkeypatch.setattr(cli, "parse_tagset_definition", parse)
+    (tmp_path / "ladder.tagset").write_text(gen.ladder_tagset())
+    (tmp_path / "ladder.rules").write_text(ladder.text)
+    for tagset, rules_path in [
+            (FIXTURES / "eagles-en.tagset", FIXTURES / "upenn.rules"),
+            (tmp_path / "ladder.tagset", tmp_path / "ladder.rules")]:
+        assert cli.main(["compile", "--tagset", str(tagset),
+                         "--rules", str(rules_path)]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == [
+        "tags: 36, classes: 89, warnings: 0",
+        f"tags: {len(ladder.inventory)}, classes: 2187, warnings: 10"]
+    assert ["universe" in vars(g) for g in graphs] == [False, False]
+
+
+def test_ladder_compile_peak_memory():
+    # 59,049 classes over three leaves with the same features: a record per
+    # class built with the masks peaked at 14.5 MB under tracemalloc, the
+    # records built after one expansion shared by the leaves at 8.7 MB, and
+    # that expansion alone at 3.1 MB
+    source = gen.ladder_tagset(9)
+    tracemalloc.start()
+    try:
+        parse_tagset_definition(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 1024 * 1024
 
 
 def test_restricted_graph_has_fourteen_classes():
@@ -352,6 +415,20 @@ def test_universe_matches_brute_force_on_random_tagsets(source):
     assert [(t.leaf, t.assignment, t.index) for t in g.universe] == \
         oracle_enumerate(g)
     _assert_masks_match(g)
+
+
+@given(source=st.one_of(TAGSETS, strategy(guarded_two_leaf_tagset)),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_classes_read_from_the_leaves_match_the_universe(source, data):
+    g = parse_tagset_definition(source)
+    read = [g._class_at(i) for i in range(g.full_mask.bit_length())]
+    assert "universe" not in vars(g)
+    assert read == [(t.leaf, t.assignment) for t in g.universe]
+    for _ in range(3):
+        mask = data.draw(_masks(g))
+        assert g.classes(mask) == tuple(t for t in g.universe
+                                        if mask >> t.index & 1)
 
 
 @pytest.mark.parametrize("n_features", [5, 6])
@@ -660,6 +737,25 @@ def test_universe_bound_counts_classes_across_leaves(monkeypatch):
     assert [d.render() for d in exc.value.diagnostics] == [
         "error [universe-too-large] at 4:9: feature 'g' takes the tagset "
         "past 15 terminal classes"]
+
+
+def test_universe_bound_counts_a_shared_expansion(monkeypatch):
+    # sibling leaves a and b share one expansion of 4 classes (h applies
+    # only where f=x); b's does not fit in the 3 that a leaves under 7, and
+    # is expanded again to name the feature that takes it past
+    source = ("tagset t hierarchy { a b }\nfeature f for root { x, y, z }\n"
+              "feature h for root when f=x { p, q }\n")
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 8)
+    g = parse_tagset_definition(source)
+    a, b = ([t.assignment for t in g.classes(g.node_mask(leaf))]
+            for leaf in "ab")
+    assert a == b and len(a) == 4
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 7)
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition(source)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [universe-too-large] at 3:9: feature 'h' takes the tagset "
+        "past 7 terminal classes"]
 
 
 def test_universe_bound_counts_leaves_without_features(monkeypatch):
