@@ -24,10 +24,10 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, partial, reduce
-from itertools import chain, compress, count, product, repeat, starmap
-from operator import add, mul, or_
-from typing import NamedTuple, Sequence
+from functools import cached_property, reduce
+from itertools import compress
+from operator import itemgetter, mul, or_
+from typing import NamedTuple
 
 from .diagnostics import (CompileError, Diagnostic, Span, SpecSyntaxError,
                           compare_first, error)
@@ -35,8 +35,8 @@ from .lexer import TokenCursor, tokenize
 
 POS_FEATURE = "pos"
 ROOT = "root"
-# the most terminal classes a tagset may have; each class costs a few
-# hundred bytes, and its bit a place in every denotation
+# the most terminal classes a tagset may have; each class costs one digit
+# per atom of its leaf's features, and its bit a place in every mask
 MAX_CLASSES = 1 << 20
 
 
@@ -104,6 +104,11 @@ class CoverNode(NamedTuple):
 class TypeGraph:
     """A compiled tagset definition.
 
+    The terminal classes are kept as digit columns only: each leaf holds,
+    for every atom of its features, one digit per class of the leaf, "1"
+    where the class holds the atom.  A class's leaf and assignment are
+    decoded from them when read.
+
     Instances are immutable after construction and safe to read from several
     threads; the only internal mutations are idempotent caches: the minimal
     covers found, by mask, and the universe and the candidate table, each
@@ -128,9 +133,9 @@ class TypeGraph:
             for j, v in enumerate(f.values):
                 self.value_index[v] = f.name
                 self._value_key[(f.name, v)] = (i, j)
-        # each leaf's assignments, and the index of each leaf's first class
-        # followed by the number of classes
-        self._assignments, self._starts, self._atom_mask, self._node_mask = \
+        # each leaf's atoms with their digits over its classes, and the index
+        # of each leaf's first class followed by the number of classes
+        self._digits, self._starts, self._atom_mask, self._node_mask = \
             self._enumerate()
         self.full_mask = (1 << self._starts[-1]) - 1
         self._feature_mask = {f.name: reduce(or_, (self._atom_mask[(f.name, v)]
@@ -150,10 +155,6 @@ class TypeGraph:
 
     def is_node(self, name: str) -> bool:
         return name in self._node_index
-
-    def ancestry(self, node: str) -> tuple[str, ...]:
-        """Path from the root down to ``node``, inclusive."""
-        return tuple(self._up(node))[::-1]
 
     def _up(self, node: str):
         """``node`` and its ancestors, deepest first.
@@ -192,41 +193,47 @@ class TypeGraph:
 
     @cached_property
     def universe(self) -> tuple[TerminalClass, ...]:
-        """Every terminal class, in index order.  Built on first read, by one
-        ``map`` over the leaves' assignments with no Python loop per class;
-        set-up, queries and covers do not need the records, since
-        :meth:`_class_at` reads one class from its leaf's assignments."""
-        leaf_of = starmap(repeat, zip(self.leaves, map(len, self._assignments)))
-        return tuple(map(partial(tuple.__new__, TerminalClass), zip(
-            chain.from_iterable(leaf_of),
-            chain.from_iterable(self._assignments), count())))
+        """Every terminal class, in index order, each decoded by
+        :meth:`_class_at`.  Built on first read; set-up, queries and covers
+        do not need the records."""
+        return tuple(TerminalClass(*self._class_at(i), i)
+                     for i in range(self._starts[-1]))
+
+    def _leaf_at(self, index: int) -> int:
+        """The position in ``leaves`` of the leaf of the class ``index``."""
+        return bisect_right(self._starts, index) - 1
 
     def _class_at(self, index: int) -> tuple[str, tuple[tuple[str, str], ...]]:
-        """The leaf and the assignment of the class ``index``."""
-        k = bisect_right(self._starts, index) - 1
-        return self.leaves[k], self._assignments[k][index - self._starts[k]]
+        """The leaf and the assignment of the class ``index``: the leaf's
+        atoms whose digit for the class is "1"."""
+        k = self._leaf_at(index)
+        digits = self._digits[k]
+        column = map(itemgetter(index - self._starts[k]), digits.values())
+        return self.leaves[k], tuple(compress(digits, map("1".__eq__, column)))
 
     # -- enumeration ----------------------------------------------------
 
-    def _enumerate(self) -> tuple[list[list[tuple[tuple[str, str], ...]]],
+    def _enumerate(self) -> tuple[list[dict[tuple[str, str], str]],
                                   list[int], dict[tuple[str, str], int],
                                   dict[str, int]]:
-        """Each leaf's assignments, the index of each leaf's first class
-        followed by the number of classes, and the mask of each atom and of
-        each node, a leaf's filled in and any other's 0.  More than
-        :data:`MAX_CLASSES` classes in all is a :class:`CompileError`.
+        """Each leaf's atoms with their digits over its classes, the index of
+        each leaf's first class followed by the number of classes, and the
+        mask of each atom and of each node, a leaf's filled in and any
+        other's 0.  More than :data:`MAX_CLASSES` classes in all is a
+        :class:`CompileError`.
 
         One walk over the leaves expands each with :meth:`_expand`, which
-        gives its assignments with each atom's digits over them; leaves with
-        the same features, as siblings whose features are all homed above
-        them, share one expansion.  A leaf's classes are consecutive, so its
-        mask is one run of bits.  An atom's mask is its digits over every
-        leaf, joined and read as one binary numeral, converted to an integer
-        once; or-ing bits into a universe-wide integer one at a time would
-        cost time quadratic in the number of classes.  No record is built
+        gives its number of classes and each atom's digits over them; leaves
+        with the same features, as siblings whose features are all homed
+        above them, share one expansion.  A leaf's classes are consecutive,
+        so its mask is one run of bits.  An atom's mask is its digits over
+        every leaf, joined and read as one binary numeral, converted to an
+        integer once; or-ing bits into a universe-wide integer one at a time
+        would cost time quadratic in the number of classes.  The digits are
+        all that is kept of the classes: no assignment or record is built
         per class.
         """
-        assignments: list[list[tuple[tuple[str, str], ...]]] = []
+        leaf_digits: list[dict[tuple[str, str], str]] = []
         node_mask = dict.fromkeys(self.nodes, 0)
         # an atom's numeral: the digits of each leaf whose classes have
         # some, after a "0" for each class since the last such leaf; it is
@@ -236,7 +243,7 @@ class TypeGraph:
         start = 0
         starts: list[int] = []
         # expansions by the names of their features
-        expanded: dict[tuple[str, ...], tuple[list, dict]] = {}
+        expanded: dict[tuple[str, ...], tuple[int, dict]] = {}
         for leaf in self.leaves:
             feats = self.features_at(leaf)
             if start >= MAX_CLASSES:
@@ -246,122 +253,108 @@ class TypeGraph:
                        if feats else _too_large(f"leaf {leaf!r}", None))
             key = tuple(f.name for f in feats)
             shared = expanded.get(key)
-            if shared is None or len(shared[0]) > MAX_CLASSES - start:
+            if shared is None or shared[0] > MAX_CLASSES - start:
                 # a shared expansion past the room left is expanded again,
                 # to report the feature that takes it past
                 shared = expanded[key] = self._expand(feats, MAX_CLASSES - start)
-            partials, digits = shared
-            assignments.append(partials)
+            n, digits = shared
+            leaf_digits.append(digits)
             starts.append(start)
-            node_mask[leaf] = ((1 << len(partials)) - 1) << start
+            node_mask[leaf] = ((1 << n) - 1) << start
             for a, d in digits.items():
                 parts = numerals.get(a)
                 if parts is None:
                     numerals[a] = ["0" * start, d]
                 else:
                     parts += "0" * (start - ends[a]), d
-                ends[a] = start + len(d)
-            start += len(partials)
+                ends[a] = start + n
+            start += n
         starts.append(start)
-        # popped, so that an atom's digits are freed once its mask is read
+        # popped, so that an atom's numeral is freed once its mask is read
         atom_mask = {a: int("".join(numerals.pop(a, ["0"]))[::-1], 2)
                      for a in self._value_key}
-        return assignments, starts, atom_mask, node_mask
+        return leaf_digits, starts, atom_mask, node_mask
 
     @staticmethod
-    def _expand(feats, room: int) -> tuple[list[tuple[tuple[str, str], ...]],
-                                           dict[tuple[str, str], str]]:
-        """Every consistent assignment to ``feats``, in value declaration
-        order, with each atom's digits over them: one per assignment, "1"
-        where it holds the atom and "0" where not.
+    def _expand(feats, room: int) -> tuple[int, dict[tuple[str, str], str]]:
+        """The number of consistent assignments to ``feats``, and each atom's
+        digits over them, in declaration order: one per assignment, "1" where
+        it holds the atom and "0" where not.
 
-        Partial assignments are extended feature by feature, each by every
-        value of the feature in turn, so the result is ordered by the value
-        positions of the earliest features first.  Every partial takes a
-        feature that is unguarded or guarded by an atom they all hold; else
-        the partials that take it are read off its guard atoms' digits.
+        The assignments are ordered by the value positions of the earliest
+        features first, as if partial assignments were extended feature by
+        feature, each by every value of the feature in turn; only their
+        digits are built.  Every partial takes a feature that is unguarded or
+        guarded by an atom they all hold; else the partials that take it are
+        read off its guard atoms' digits.
 
-        * A run, a stretch of features that every partial takes, is added in
-          one ``itertools.product`` of their values.  Earlier atoms' digits
-          are spread to the run's product size by ``str.translate``, and
-          each value of a run feature holds a repeated block of its stride,
-          the product size of the run's later features.
-        * One-value features outside a run add no partial; their atoms are
-          added in one copy, before the next run or multi-value step or at
-          the end, where a copy per feature took time quadratic in a chain.
-        * A multi-value feature that only some partials take extends each
-          taker by every value, one partial at a time.
+        * A run, a stretch of multi-value features that every partial takes,
+          multiplies the partials by its product size.  Earlier atoms' digits
+          are spread to that size by ``str.translate``, and each value of a
+          run feature holds a repeated block of its stride, the product size
+          of the run's later features.
+        * A one-value feature adds no partial: its atom's digits are its
+          takers' digits.
+        * A multi-value feature that only some partials take turns each
+          taker into one partial per value; earlier atoms' digits are
+          repeated at the takers.
 
         An atom that every partial holds gets its digits, all "1", at the
         end.  A feature that would take the partials past ``room`` is
-        reported before they are built.
+        reported before its digits are built.
         """
-        partials: list[tuple[tuple[str, str], ...]] = [()]
+        n = 1                   # partials so far
         digits: dict[tuple[str, str], str] = {}
+        declared: list[tuple[str, str]] = []    # every atom, in order
         # atoms held by every partial; their digits, all "1", are written
         # once at the end
         everywhere: set[tuple[str, str]] = set()
         # the pending run's features' atoms, and its product size
-        run: list[Sequence[tuple[str, str]]] = []
+        run: list[list[tuple[str, str]]] = []
         size = 1
-        # pending one-value atoms with their takers' digits, None for all
-        ones: list[tuple[tuple[str, str], str | None]] = []
         for f in feats:
             takes = None        # the takers' digits, None when all take f
             if f.conditions and everywhere.isdisjoint(f.conditions):
                 if run:
                     # the guard may read the run's atoms, which have no
                     # digits yet
-                    partials = _flush(partials, ones, run, size, digits)
-                    ones, run, size = [], [], 1
+                    n = _flush(n, run, size, digits)
+                    run, size = [], 1
                 held = [digits[c] for c in f.conditions if c in digits]
                 takes = held[0] if len(held) == 1 else format(
-                    reduce(or_, (int(d, 2) for d in held), 0),
-                    f"0{len(partials)}b")
+                    reduce(or_, (int(d, 2) for d in held), 0), f"0{n}b")
                 if "0" not in takes:
                     takes = None
-            if len(f.values) == 1:
-                atom = (f.name, f.values[0])
-                if takes is None:
-                    everywhere.add(atom)
-                else:
-                    digits[atom] = takes
-                if run:
-                    run.append((atom,))
-                else:
-                    ones.append((atom, takes))
-                continue
             atoms = [(f.name, v) for v in f.values]
-            if takes is None:
+            declared += atoms
+            if len(atoms) == 1:
+                if takes is None:
+                    everywhere.add(atoms[0])
+                else:
+                    digits[atoms[0]] = takes
+            elif takes is None:
                 size *= len(atoms)
-                if len(partials) * size > room:
+                if n * size > room:
                     raise _too_large(f"feature {f.name!r}", f.span)
                 run.append(atoms)
-                continue
-            n = len(atoms)
-            if len(partials) + (n - 1) * takes.count("1") > room:
-                raise _too_large(f"feature {f.name!r}", f.span)
-            # ``run`` is empty: the guard above flushed it
-            partials = _flush(partials, ones, run, size, digits)
-            ones = []
-            # a taker becomes n partials, one per value, and each inherits
-            # its digits
-            reps = [n if t == "1" else 1 for t in takes]
-            for a, d in digits.items():
-                digits[a] = "".join(map(mul, d, reps))
-            for j, a in enumerate(atoms):
-                digits[a] = takes.translate(
-                    {48: "0", 49: "0" * j + "1" + "0" * (n - j - 1)})
-            grown: list[tuple[tuple[str, str], ...]] = []
-            for seen, t in zip(partials, takes):
-                if t == "1":
-                    grown += [seen + (a,) for a in atoms]
-                else:
-                    grown.append(seen)
-            partials = grown
-        partials = _flush(partials, ones, run, size, digits)
-        digits.update(dict.fromkeys(everywhere, "1" * len(partials)))
-        return partials, digits
+            else:
+                k = len(atoms)
+                grown = n + (k - 1) * takes.count("1")
+                if grown > room:
+                    raise _too_large(f"feature {f.name!r}", f.span)
+                # ``run`` is empty: the guard above flushed it.  A taker
+                # becomes k partials, one per value, and each inherits its
+                # digits
+                reps = [k if t == "1" else 1 for t in takes]
+                for a, d in digits.items():
+                    digits[a] = "".join(map(mul, d, reps))
+                for j, a in enumerate(atoms):
+                    digits[a] = takes.translate(
+                        {48: "0", 49: "0" * j + "1" + "0" * (k - j - 1)})
+                n = grown
+        n = _flush(n, run, size, digits)
+        full = "1" * n
+        return n, {a: digits.get(a, full) for a in declared}
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -466,11 +459,11 @@ class TypeGraph:
         the node's mask and the atoms' mask together.
         """
         # every class in the mask shares the node and the constant atoms, so
-        # read both off the lowest one
-        leaf, assignment = self._class_at((mask & -mask).bit_length() - 1)
-        node = next(n for n in self._up(leaf)
+        # both are found from the leaf of the lowest one
+        k = self._leaf_at((mask & -mask).bit_length() - 1)
+        node = next(n for n in self._up(self.leaves[k])
                     if self._node_mask[n] & mask == mask)
-        atoms = tuple(a for a in assignment
+        atoms = tuple(a for a in self._digits[k]
                       if self._atom_mask[a] & mask == mask)
         by_atoms = self.full_mask
         for a in atoms:
@@ -487,7 +480,11 @@ class TypeGraph:
         """
         if not mask:
             raise ValueError("cannot describe the empty class set")
-        node, atoms, by_atoms = self._closure(mask)
+        return self._describe(mask, *self._closure(mask))
+
+    def _describe(self, mask: int, node: str,
+                  atoms: tuple[tuple[str, str], ...], by_atoms: int) -> CoverNode:
+        """:meth:`cover_node` of ``mask``, given its :meth:`_closure`."""
         implied = bool(atoms) and by_atoms == mask
         # more general descriptions order first, then hierarchy position,
         # then feature/value declaration order
@@ -497,39 +494,26 @@ class TypeGraph:
                          implied_node=implied, sort_key=key)
 
 
-def _flush(partials, ones, run, size, digits):
-    """``partials`` each extended by the pending atoms: first the atoms of
-    ``ones``, (atom, takers' digits) pairs in feature order, whose digit for
-    the partial is "1" (digits of None hold for every partial), then every
+def _flush(n, run, size, digits):
+    """The number of partials once each of ``n`` is extended by every
     combination of the values of ``run``, the last feature's varying
-    fastest, as one product of ``size`` combinations.  ``digits`` are
-    brought up to date in place."""
-    if ones:
-        atoms = [a for a, _ in ones]
-        if all(d is None for _, d in ones):
-            added = tuple(atoms)
-            partials = [seen + added for seen in partials]
-        else:
-            everyone = "1" * len(partials)
-            held = [tuple(compress(atoms, map("1".__eq__, column)))
-                    for column in zip(*[d or everyone for _, d in ones])]
-            partials = list(map(add, partials, held))
+    fastest, ``size`` combinations in all.  ``digits`` are brought up to
+    date in place."""
     if not run:
-        return partials
+        return n
     spread = {48: "0" * size, 49: "1" * size}       # ord("0"), ord("1")
     for a, d in digits.items():
         digits[a] = d.translate(spread)
-    width = len(partials) * size
+    width = n * size
     stride = size
     for atoms in run:
-        if len(atoms) > 1:
-            # value j holds positions j*stride to (j+1)*stride of each block
-            stride //= len(atoms)
-            block = len(atoms) * stride
-            for j, a in enumerate(atoms):
-                digits[a] = ("0" * (j * stride) + "1" * stride
-                             + "0" * (block - (j + 1) * stride)) * (width // block)
-    return list(starmap(add, product(partials, product(*run))))
+        # value j holds positions j*stride to (j+1)*stride of each block
+        stride //= len(atoms)
+        block = len(atoms) * stride
+        for j, a in enumerate(atoms):
+            digits[a] = ("0" * (j * stride) + "1" * stride
+                         + "0" * (block - (j + 1) * stride)) * (width // block)
+    return width
 
 
 def _too_large(what: str, span: Span | None) -> CompileError:
@@ -569,10 +553,11 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
-    deep, _, by_atoms = g._closure(mask)
+    closure = g._closure(mask)
+    deep, _, by_atoms = closure
     if g._node_mask[deep] & by_atoms == mask:
         # a conjunction is its own one prime
-        result = g._cover_cache[mask] = (g.cover_node(mask),)
+        result = g._cover_cache[mask] = (g._describe(mask, *closure),)
         return result
     # each class's primes with their bits, and the bit of each prime mask
     primes_of: dict[int, list[tuple[CoverNode, int]]] = {}

@@ -129,6 +129,16 @@ def oracle_universe_keys() -> frozenset[ClassKey]:
     return frozenset(class_key(leaf, a) for leaf, a in oracle_universe())
 
 
+def root_path(graph, node: str) -> tuple[str, ...]:
+    """The path from the root of ``graph`` down to ``node``, inclusive, read
+    off the parent links."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = graph._parents[node]
+    return tuple(reversed(path))
+
+
 def oracle_enumerate(graph) -> list[tuple[str, tuple, int]]:
     """(leaf, assignment, index) of every terminal class of any compiled
     ``graph``, by brute force.
@@ -141,7 +151,7 @@ def oracle_enumerate(graph) -> list[tuple[str, tuple, int]]:
     """
     classes: list[tuple[str, tuple]] = []
     for leaf in graph.leaves:
-        path = graph.ancestry(leaf)
+        path = root_path(graph, leaf)
         feats = [f for f in graph.features if f.home in path]
         kept = []
         for combo in itertools.product(*[(None, *f.values) for f in feats]):
@@ -381,7 +391,7 @@ def oracle_masks(graph) -> tuple[dict, dict, dict]:
         for f, v in t.assignment:
             atoms[(f, v)] |= bit
             features[f] |= bit
-        for n in graph.ancestry(t.leaf):
+        for n in root_path(graph, t.leaf):
             nodes[n] |= bit
     return atoms, features, nodes
 
@@ -403,7 +413,7 @@ def oracle_cover_node(graph, mask: int) -> tuple:
     classes = [t for t in graph.universe if mask >> t.index & 1]
     if not classes:
         raise ValueError("cannot describe the empty class set")
-    paths = [graph.ancestry(t.leaf) for t in classes]
+    paths = [root_path(graph, t.leaf) for t in classes]
     node = "root"
     for steps in zip(*paths):
         if len(set(steps)) > 1:
@@ -429,8 +439,8 @@ def oracle_cover_candidates(graph) -> list[tuple]:
     value per appropriate feature, from the full product of the choices."""
     masks = set()
     for node in graph.nodes:
-        path = graph.ancestry(node)
-        under = [t for t in graph.universe if node in graph.ancestry(t.leaf)]
+        path = root_path(graph, node)
+        under = [t for t in graph.universe if node in root_path(graph, t.leaf)]
         feats = [f for f in graph.features if f.home in path]
         for combo in itertools.product(*[(None, *f.values) for f in feats]):
             mask = sum(1 << t.index for t in under

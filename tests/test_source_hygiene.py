@@ -1,0 +1,61 @@
+"""Source hygiene of the package modules, read with the stdlib ``ast`` only:
+no unused imports and no unreferenced private functions or methods."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tagmap"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bare_names(tree):
+    """Every bare name the module mentions, outside the import statements
+    and the ``def`` lines that bind names."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _attributes(tree):
+    """Every attribute name the module reads or writes, as in ``self._x``."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _imported(tree):
+    """The names the module's imports bind, ``__future__`` features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _private_defs(tree):
+    """The names of private functions and methods, dunder methods aside."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            yield node.name
+
+
+def test_the_package_has_modules_to_check():
+    assert {p.name for p in MODULES} >= {"typegraph.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    read = _bare_names(tree)
+    assert [name for name in _imported(tree) if name not in read] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_function_is_referenced_in_its_module(path):
+    tree = _tree(path)
+    read = _bare_names(tree) | _attributes(tree)
+    assert [name for name in _private_defs(tree) if name not in read] == []

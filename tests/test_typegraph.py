@@ -42,6 +42,7 @@ from oracles import (
     oracle_primes,
     oracle_universe,
     oracle_universe_keys,
+    root_path,
 )
 from support import doubling_ratios, time_limit
 
@@ -86,7 +87,7 @@ def test_within_leaf_declaration_order(graph):
     the enumeration.
     """
     for leaf in graph.leaves:
-        feats = [f for f in graph.features if f.home in graph.ancestry(leaf)]
+        feats = [f for f in graph.features if f.home in root_path(graph, leaf)]
 
         def vector(t):
             assigned = dict(t.assignment)
@@ -176,8 +177,9 @@ def test_set_up_queries_and_covers_build_no_class_records(monkeypatch, capsys,
 def test_ladder_compile_peak_memory():
     # 59,049 classes over three leaves with the same features: a record per
     # class built with the masks peaked at 14.5 MB under tracemalloc, the
-    # records built after one expansion shared by the leaves at 8.7 MB, and
-    # that expansion alone at 3.1 MB
+    # records built after one expansion shared by the leaves at 8.7 MB, that
+    # expansion's assignment tuples with the digits at 2.9 to 3.1 MB, and
+    # the digits alone at 0.86 MB
     source = gen.ladder_tagset(9)
     tracemalloc.start()
     try:
@@ -185,7 +187,7 @@ def test_ladder_compile_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 1024 * 1024
+    assert peak < 1.5 * 1024 * 1024
 
 
 def test_restricted_graph_has_fourteen_classes():
@@ -365,7 +367,7 @@ def test_cover_candidates_match_product_enumeration(source):
     assert [_described(c) for c in g.cover_candidates] == \
         oracle_cover_candidates(g)
     for node in g.nodes:
-        path = g.ancestry(node)
+        path = root_path(g, node)
         assert g.features_at(node) == tuple(f for f in g.features
                                             if f.home in path)
 
@@ -424,7 +426,8 @@ def test_classes_read_from_the_leaves_match_the_universe(source, data):
     g = parse_tagset_definition(source)
     read = [g._class_at(i) for i in range(g.full_mask.bit_length())]
     assert "universe" not in vars(g)
-    assert read == [(t.leaf, t.assignment) for t in g.universe]
+    assert read == [(leaf, assignment) for leaf, assignment, _ in
+                    oracle_enumerate(g)]
     for _ in range(3):
         mask = data.draw(_masks(g))
         assert g.classes(mask) == tuple(t for t in g.universe
@@ -894,7 +897,7 @@ def test_deep_hierarchy_memory_is_linear_in_depth():
     # description lists them all
     assert [c.mask for c in cover] == [g.atom_mask("f", "a")]
     assert render_cover(cover).startswith("f=a & g0=w0 & g1=w1 & ")
-    assert g.ancestry("n2999") == ("root", *(f"n{i}" for i in range(depth)))
+    assert root_path(g, "n2999") == ("root", *(f"n{i}" for i in range(depth)))
     assert [f.name for f in g.features_at("n2999")] == [
         "f", *(f"g{i}" for i in range(depth))]
     assert [f.name for f in g.features_at("n0")] == ["f", "g0"]
