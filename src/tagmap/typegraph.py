@@ -284,30 +284,28 @@ class TypeGraph:
         The assignments are ordered by the value positions of the earliest
         features first, as if partial assignments were extended feature by
         feature, each by every value of the feature in turn; only their
-        digits are built.  Every partial takes a feature that is unguarded or
-        guarded by an atom they all hold; else the partials that take it are
-        read off its guard atoms' digits.
+        digits are built.  Each feature takes one of two steps:
 
-        * A run, a stretch of multi-value features that every partial takes,
-          multiplies the partials by its product size.  Earlier atoms' digits
-          are spread to that size by ``str.translate``, and each value of a
-          run feature holds a repeated block of its stride, the product size
-          of the run's later features.
-        * A one-value feature adds no partial: its atom's digits are its
-          takers' digits.
-        * A multi-value feature that only some partials take turns each
-          taker into one partial per value; earlier atoms' digits are
-          repeated at the takers.
+        * A feature that every partial takes, unguarded or guarded by an
+          atom they all hold, joins the pending run and multiplies its
+          product size by its number of values.  The run is flushed with
+          :func:`_flush` at a guard that only some partials may hold, since
+          the guard may read the run's atoms, and at the end.
+        * A feature that only some partials take, read off its guard atoms'
+          digits, turns each taker into one partial per value; earlier
+          atoms' digits are repeated at the takers, unless the feature has
+          one value and adds no partial.
 
-        An atom that every partial holds gets its digits, all "1", at the
-        end.  A feature that would take the partials past ``room`` is
-        reported before its digits are built.
+        An atom gets its digits at the step or flush that ends its feature,
+        so ``digits`` is in declaration order.  The atom of a one-value
+        feature in the run is held by every partial, then and after any
+        later step, so a guard on it leaves the run pending.  A feature that
+        would take the partials past ``room`` is reported before its digits
+        are built.
         """
         n = 1                   # partials so far
         digits: dict[tuple[str, str], str] = {}
-        declared: list[tuple[str, str]] = []    # every atom, in order
-        # atoms held by every partial; their digits, all "1", are written
-        # once at the end
+        # one-value atoms held by every partial
         everywhere: set[tuple[str, str]] = set()
         # the pending run's features' atoms, and its product size
         run: list[list[tuple[str, str]]] = []
@@ -315,46 +313,37 @@ class TypeGraph:
         for f in feats:
             takes = None        # the takers' digits, None when all take f
             if f.conditions and everywhere.isdisjoint(f.conditions):
-                if run:
-                    # the guard may read the run's atoms, which have no
-                    # digits yet
-                    n = _flush(n, run, size, digits)
-                    run, size = [], 1
+                n = _flush(n, run, size, digits)
+                run, size = [], 1
                 held = [digits[c] for c in f.conditions if c in digits]
                 takes = held[0] if len(held) == 1 else format(
                     reduce(or_, (int(d, 2) for d in held), 0), f"0{n}b")
                 if "0" not in takes:
                     takes = None
             atoms = [(f.name, v) for v in f.values]
-            declared += atoms
-            if len(atoms) == 1:
-                if takes is None:
-                    everywhere.add(atoms[0])
-                else:
-                    digits[atoms[0]] = takes
-            elif takes is None:
-                size *= len(atoms)
+            k = len(atoms)
+            if takes is None:
+                size *= k
                 if n * size > room:
                     raise _too_large(f"feature {f.name!r}", f.span)
                 run.append(atoms)
-            else:
-                k = len(atoms)
-                grown = n + (k - 1) * takes.count("1")
-                if grown > room:
-                    raise _too_large(f"feature {f.name!r}", f.span)
-                # ``run`` is empty: the guard above flushed it.  A taker
-                # becomes k partials, one per value, and each inherits its
-                # digits
+                if k == 1:
+                    everywhere.add(atoms[0])
+                continue
+            grown = n + (k - 1) * takes.count("1")
+            if grown > room:
+                raise _too_large(f"feature {f.name!r}", f.span)
+            # ``run`` is empty: the guard above flushed it.  A taker becomes
+            # k partials, one per value, and each inherits its digits
+            if k > 1:
                 reps = [k if t == "1" else 1 for t in takes]
                 for a, d in digits.items():
                     digits[a] = "".join(map(mul, d, reps))
-                for j, a in enumerate(atoms):
-                    digits[a] = takes.translate(
-                        {48: "0", 49: "0" * j + "1" + "0" * (k - j - 1)})
-                n = grown
-        n = _flush(n, run, size, digits)
-        full = "1" * n
-        return n, {a: digits.get(a, full) for a in declared}
+            for j, a in enumerate(atoms):
+                digits[a] = takes.translate(
+                    {48: "0", 49: "0" * j + "1" + "0" * (k - j - 1)})
+            n = grown
+        return _flush(n, run, size, digits), digits
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -419,8 +408,7 @@ class TypeGraph:
             if inside == below:
                 continue
             below = inside
-            deep, _, by_atoms = self._closure(inside)
-            closed = self._node_mask[deep] & by_atoms
+            closed = self._closure(inside)[0]
             if not closed & ~target:
                 found.add(closed)
                 continue
@@ -451,12 +439,13 @@ class TypeGraph:
         described.sort(key=lambda c: c.sort_key)
         return described
 
-    def _closure(self, mask: int) -> tuple[str, tuple[tuple[str, str], ...], int]:
-        """The deepest node containing the non-empty ``mask``, the atoms
-        constant across its classes, and the mask of those atoms alone.
+    def _closure(self, mask: int) -> tuple[int, CoverNode]:
+        """The closure of the non-empty ``mask``, the mask of the smallest
+        conjunction containing it, and the :meth:`cover_node` of ``mask``.
 
-        The closure of ``mask``, the smallest conjunction containing it, is
-        the node's mask and the atoms' mask together.
+        The conjunction is the deepest node containing every class of
+        ``mask`` and the atoms constant across them; ``mask`` is a
+        conjunction when it is its own closure.
         """
         # every class in the mask shares the node and the constant atoms, so
         # both are found from the leaf of the lowest one
@@ -468,10 +457,17 @@ class TypeGraph:
         by_atoms = self.full_mask
         for a in atoms:
             by_atoms &= self._atom_mask[a]
-        return node, atoms, by_atoms
+        # more general descriptions order first, then hierarchy position,
+        # then feature/value declaration order
+        key = (len(atoms), self._node_index[node],
+               tuple(map(self._value_key.__getitem__, atoms)))
+        implied = bool(atoms) and by_atoms == mask
+        return (self._node_mask[node] & by_atoms,
+                CoverNode(node, atoms, mask, implied, key))
 
     def cover_node(self, mask: int) -> CoverNode:
-        """Canonical conjunctive description of the classes in ``mask``.
+        """Canonical conjunctive description of the classes in ``mask``, the
+        second item of its :meth:`_closure`.
 
         The node is the deepest hierarchy node containing every class and the
         atoms are exactly the features constant across all of them, for any
@@ -480,30 +476,20 @@ class TypeGraph:
         """
         if not mask:
             raise ValueError("cannot describe the empty class set")
-        return self._describe(mask, *self._closure(mask))
-
-    def _describe(self, mask: int, node: str,
-                  atoms: tuple[tuple[str, str], ...], by_atoms: int) -> CoverNode:
-        """:meth:`cover_node` of ``mask``, given its :meth:`_closure`."""
-        implied = bool(atoms) and by_atoms == mask
-        # more general descriptions order first, then hierarchy position,
-        # then feature/value declaration order
-        key = (len(atoms), self._node_index[node],
-               tuple(self._value_key[a] for a in atoms))
-        return CoverNode(node, atoms, mask=mask,
-                         implied_node=implied, sort_key=key)
+        return self._closure(mask)[1]
 
 
 def _flush(n, run, size, digits):
     """The number of partials once each of ``n`` is extended by every
     combination of the values of ``run``, the last feature's varying
     fastest, ``size`` combinations in all.  ``digits`` are brought up to
-    date in place."""
-    if not run:
-        return n
-    spread = {48: "0" * size, 49: "1" * size}       # ord("0"), ord("1")
-    for a, d in digits.items():
-        digits[a] = d.translate(spread)
+    date in place: earlier atoms' digits are spread to ``size``, unless it
+    is 1, and each run atom's are added, so a run of one-value features
+    costs one write per atom."""
+    if size > 1:
+        spread = {48: "0" * size, 49: "1" * size}   # ord("0"), ord("1")
+        for a, d in digits.items():
+            digits[a] = d.translate(spread)
     width = n * size
     stride = size
     for atoms in run:
@@ -545,19 +531,19 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
     once, and a class whose primes are all excluded ends its branch.  Each
     prime takes a bit the first time it is found, and a state's excluded
     primes are the int of their bits.  A mask that is its own closure, a
-    conjunction, is its one prime and needs no search.  Results are cached
-    per graph.
+    conjunction, is its one prime and needs no search: its description comes
+    from the same :meth:`TypeGraph._closure` call.  Results are cached per
+    graph.
     """
     if mask == 0:
         return ()
     cached = g._cover_cache.get(mask)
     if cached is not None:
         return cached
-    closure = g._closure(mask)
-    deep, _, by_atoms = closure
-    if g._node_mask[deep] & by_atoms == mask:
+    closed, described = g._closure(mask)
+    if closed == mask:
         # a conjunction is its own one prime
-        result = g._cover_cache[mask] = (g._describe(mask, *closure),)
+        result = g._cover_cache[mask] = (described,)
         return result
     # each class's primes with their bits, and the bit of each prime mask
     primes_of: dict[int, list[tuple[CoverNode, int]]] = {}

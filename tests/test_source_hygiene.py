@@ -1,5 +1,6 @@
 """Source hygiene of the package modules, read with the stdlib ``ast`` only:
-no unused imports and no unreferenced private functions or methods."""
+no unused imports, no unreferenced private functions or methods, and no
+private attribute read that the reading module does not define."""
 
 import ast
 from pathlib import Path
@@ -35,11 +36,15 @@ def _imported(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _private_defs(tree):
     """The names of private functions and methods, dunder methods aside."""
     for node in ast.walk(tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_") and not node.name.endswith("__")):
+                and _private(node.name)):
             yield node.name
 
 
@@ -59,3 +64,31 @@ def test_every_private_function_is_referenced_in_its_module(path):
     tree = _tree(path)
     read = _bare_names(tree) | _attributes(tree)
     assert [name for name in _private_defs(tree) if name not in read] == []
+
+
+# the NamedTuple methods whose names start with an underscore
+NAMEDTUPLE_API = {"_replace", "_fields", "_asdict", "_make"}
+
+
+def _foreign_private_reads(tree):
+    """The private attributes read as ``x._name`` on anything but a bare
+    ``self`` or ``cls`` that the module neither defines as a function or
+    method nor uses on ``self``, NamedTuple's own aside."""
+    own = set(_private_defs(tree))
+    foreign = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            if node.value.id == "self":
+                own.add(node.attr)
+        elif isinstance(node.ctx, ast.Load) and node.attr not in NAMEDTUPLE_API:
+            foreign.append((node.lineno, node.attr))
+    return [(line, name) for line, name in foreign if name not in own]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_privates_are_read_only_in_their_own_module(path):
+    # callers do not reach into another module's privates, such as the
+    # masks a ``TypeGraph`` keeps
+    assert _foreign_private_reads(_tree(path)) == []

@@ -133,8 +133,8 @@ def test_universe_is_the_full_mask(graph):
 def test_set_up_queries_and_covers_build_no_class_records(monkeypatch, capsys,
                                                           tmp_path):
     # the universe tuple is built on first read, and only tests and
-    # ``classes`` read it: set-up, queries and cover searches read a class
-    # from its leaf's assignments
+    # ``classes`` read it: set-up, queries and cover searches read a class's
+    # atoms from its leaf's digit columns
     ladder = gen.ladder_rules(random.Random(1))
     sessions = [
         ((FIXTURES / "eagles-en.tagset").read_text(),
@@ -391,26 +391,36 @@ def test_masks_match_class_scan_on_random_tagsets(source):
 
 
 @given(TAGSETS)
-# a one-value feature between two runs of multi-value ones
+# a one-value feature inside a run of multi-value ones
 @example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 { p, q, r }"))
 # a multi-value feature guarded by an atom of an earlier run
 @example(two_leaf_tagset("f0 { x, y }", "f1 { p, q }",
                          "f2 when f0 = x { s, t }"))
-# guarded steps, one-value and multi-value, followed by a run
+# taker steps, one-value and multi-value, then a run that ends with a
+# one-value feature
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = y { w }",
                          "f2 when f1 = w { u }", "f3 when f1 = w { s, t }",
                          "f4 { p, q }", "f5 { z }"))
 # a guard that holds in every class, though no one atom of it does
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = x or f0 = y { p, q }",
                          "f2 { s, t }"))
-# a one-value atom ahead of a run, a guard that flushes the run, then
-# pending one-value atoms with and without takers' digits ahead of a run
+# a run that opens with a one-value feature, flushed by a guard that only
+# some classes hold; a one-value taker step; then a run of one-value and
+# multi-value features
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f1 = x { s }",
                          "f3 { z }", "f4 { p, q }"))
 # a guard held everywhere, so the feature joins the run, then a taker step
 # whose guard flushes the run
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f0 = w { p, q }",
                          "f3 when f1 = y { s, t }"))
+# a run of one-value features alone, after a one-value taker step, flushed
+# by a guard that only some classes hold: a flush of size 1
+@example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = x { p }", "f2 { w }",
+                         "f3 { z }", "f4 when f1 = p { s, t }"))
+# a one-value feature guarded by a one-value atom every class holds, inside
+# a run of multi-value features
+@example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 when f1 = w { u }",
+                         "f3 { p, q }", "f4 when f3 = p { s, t }"))
 @settings(max_examples=80, deadline=None)
 def test_universe_matches_brute_force_on_random_tagsets(source):
     g = parse_tagset_definition(source)
@@ -781,8 +791,10 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
     # one leaf, a two-value feature, then 6,000 one-value features with a
     # guarded one in the middle: copying each class's partial assignment at
     # every feature took 95 to 175 ms here to build the graph, adding each
-    # run of one-value features in one copy 11 to 28 ms.  The fastest of
-    # three builds is bounded, so that one spell of load cannot fail it.
+    # run of one-value features in one copy 11 to 28 ms.  The one-value
+    # features join the run of the two-value one, and a run of size 1 is
+    # flushed with one write per atom.  The fastest of seven builds is
+    # bounded, so that a spell of load cannot fail it.
     n = 6000
     ones = [(f"f{i}", f"v{i}") for i in range(n)]
     source = ("tagset wide\nhierarchy { a }\nfeature r for root { x, y }\n"
@@ -791,7 +803,7 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
               + "".join(f"feature {f} for root {{ {v} }}\n" for f, v in ones[n // 2:]))
     g = parse_tagset_definition(source)
     took = []
-    for _ in range(3):
+    for _ in range(7):
         with time_limit(2):
             start = time.perf_counter()
             again = TypeGraph(g.name, {"root": None, "a": "root"}, g.nodes,
@@ -842,8 +854,34 @@ def test_guarded_chain_from_a_partial_guard_compiles_in_linear_time():
         ((("r", "y"),), 1)]
     ratios = doubling_ratios(parse_tagset_definition,
                              [_guarded_chain(n) for n in (1500, 3000, 6000)],
-                             repeats=3)
+                             repeats=5)
     assert all(r < 2.5 for r in ratios), ratios
+
+
+def _held_guards(guarded):
+    """A one-value feature and nine three-value ones over three leaves,
+    each of the nine guarded by the one-value atom when ``guarded``."""
+    guard = " when g = w" if guarded else ""
+    return ("tagset held\nhierarchy { a b c }\nfeature g for root { w }\n"
+            + "".join(f"feature f{i} for root{guard} {{ x{i}, y{i}, z{i} }}\n"
+                      for i in range(9)))
+
+
+def test_a_guard_every_class_holds_leaves_the_run_pending():
+    # a guard on a one-value atom that every class holds needs no takers
+    # read off the digits; flushing the run at each of the nine guards built
+    # the guarded graph 3 to 4 times slower than the unguarded one on a
+    # shared 2-core VM, leaving it pending about as fast
+    parents = {"root": None, "a": "root", "b": "root", "c": "root"}
+    unguarded, guarded = (parse_tagset_definition(_held_guards(held))
+                          for held in (False, True))
+    assert guarded.full_mask == unguarded.full_mask == (1 << 3 ** 10) - 1
+    assert all(guarded.atom_mask(f.name, v) == unguarded.atom_mask(f.name, v)
+               for f in unguarded.features for v in f.values)
+    ratio, = doubling_ratios(
+        lambda g: TypeGraph(g.name, parents, g.nodes, g.features),
+        [unguarded, guarded])
+    assert ratio < 2, ratio
 
 
 def test_compile_time_is_linear_in_the_number_of_classes():
