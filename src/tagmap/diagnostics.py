@@ -48,13 +48,11 @@ class Diagnostic(NamedTuple):
         return f"{self.severity} [{self.kind}]{at}: {self.message}"
 
 
-def error(kind: str, message: str,
-          span: Span | None = Span(1, 1)) -> Diagnostic:
+def error(kind: str, message: str, span: Span | None) -> Diagnostic:
     return Diagnostic("error", kind, message, span)
 
 
-def warning(kind: str, message: str,
-            span: Span | None = Span(1, 1)) -> Diagnostic:
+def warning(kind: str, message: str, span: Span | None) -> Diagnostic:
     return Diagnostic("warning", kind, message, span)
 
 

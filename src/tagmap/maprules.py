@@ -136,7 +136,7 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
             diags.append(error("syntax",
                                f"expected a rule, found {c.cur.text!r}",
                                c.cur.span))
-            _sync(c)
+            _skip_to_rule(c)
             continue
         try:
             if is_note:
@@ -191,9 +191,7 @@ def _parse_inventory(c: TokenCursor,
         except SpecSyntaxError as exc:
             # keep the tags read so far and resume at the next rule or note
             diags.extend(exc.diagnostics)
-            while (c.cur.type not in ("LBRACKET", "EOF")
-                   and c.cur.text != "note"):
-                c.advance()
+            _skip_to_rule(c)
             break
         if tok.text in tags:
             diags.append(error("duplicate-tag",
@@ -205,6 +203,12 @@ def _parse_inventory(c: TokenCursor,
             break
         c.advance()
     return tags
+
+
+def _skip_to_rule(c: TokenCursor) -> None:
+    # skip to the start of the next rule or note
+    while c.cur.type not in ("LBRACKET", "EOF") and c.cur.text != "note":
+        c.advance()
 
 
 def _sync(c: TokenCursor) -> None:
@@ -227,7 +231,7 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: dict[str, Span],
             and c.tokens[c.pos + 2].type in ("COMMA", "RBRACKET")):
         words = _parse_words(c)
         c.expect("OUTOF", "'<<'")
-    tag = _parse_tag_head(c, graph, diags)
+    tag = _parse_tag_head(c, diags)
     if words:
         c.expect("INTO", "'>>'")
     else:
@@ -290,8 +294,7 @@ def _parse_words(c: TokenCursor) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _parse_tag_head(c: TokenCursor, graph: TypeGraph,
-                    diags: list[Diagnostic]) -> str | None:
+def _parse_tag_head(c: TokenCursor, diags: list[Diagnostic]) -> str | None:
     """Parse ``[pos = '<TAG>']`` and return the tag, or record a diagnostic."""
     span = c.cur.span
     head = parse_spec_at(c)

@@ -24,17 +24,20 @@ bitsets over the graph universe:
 
 An expression is well-typed when every disjunct of its disjunctive normal
 form denotes at least one terminal class; a single contradictory disjunct
-rejects the whole specification.  :func:`typecheck` finds the disjuncts in
-one walk of the expression that resolves each name, pushes negation down and
-returns every disjunct with its mask: ``&`` pairs each disjunct on its left
-with each on its right and intersects their masks, ``|`` concatenates.
-:func:`denote` walks the expression the same way but keeps only the mask.
-The way back, from a set of classes to a description, is
-:func:`tagmap.typegraph.minimal_cover`.
+rejects the whole specification.  One fold walks an expression for both
+:func:`typecheck` and :func:`denote`: it resolves each name, pushes negation
+down and combines the atoms with the algebra it is given.  :func:`typecheck`
+gives it the DNF, every disjunct with its mask: ``&`` pairs each disjunct on
+its left with each on its right and intersects their masks, ``|``
+concatenates.  :func:`denote` gives it the masks alone, with ``&`` and ``|``
+as bitwise and and or.  The way back, from a set of classes to a
+description, is :func:`tagmap.typegraph.minimal_cover`.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import reduce
+from operator import and_, iadd, or_
+from typing import Callable, NamedTuple, TypeVar
 
 from .diagnostics import (Diagnostic, Span, SpecSyntaxError, SpecTypeError,
                           compare_first, error)
@@ -87,6 +90,7 @@ class Not(NamedTuple):
 
 
 SpecExpr = Atom | BareAtom | And | Or | Not
+T = TypeVar("T")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -114,11 +118,12 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 # The parsers below return each subtree with its height, the number of
 # '!', '&' and '|' nodes on its longest path, and take the number of open
 # parentheses around it. Both are capped: parsing recurses three frames per
-# parenthesis, and each later walk one or two per level of height: the
-# typing walk that resolves names, pushes negation down and builds the DNF,
-# the denotation walk of ``denote``, and rendering. So every tree the parser
-# accepts stays inside the default recursion limit. Rendering parenthesises
-# nested negations, '!!a' as '!(!a)', which stays within the cap as well.
+# parenthesis, and each later walk one or two per level of height: the one
+# fold that resolves names, pushes negation down and builds the DNF for
+# ``typecheck`` or the mask for ``denote``, and rendering. So every tree the
+# parser accepts stays inside the default recursion limit. Rendering
+# parenthesises nested negations, '!!a' as '!(!a)', which stays within the
+# cap as well.
 MAX_SPEC_DEPTH = 150
 
 
@@ -234,7 +239,14 @@ def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
     """Resolve, normalise and check ``e``; raise :class:`SpecTypeError` if any
     disjunctive-normal-form disjunct is unsatisfiable in ``g``."""
     diags: list[Diagnostic] = []
-    pairs = _dnf(e, g, False, diags)
+    # the DNF as (conjunction, mask) pairs: '&' pairs each disjunct on its
+    # left with each on its right, until a name fails to resolve; '|'
+    # concatenates in place, since the walk builds every list afresh
+    pairs = _walk(e, g, False, diags,
+                  lambda atom, g: [] if atom is None else [((atom,), _atom_mask(atom, g))],
+                  lambda left, right: [] if diags else [
+                      (lc + rc, lm & rm) for lc, lm in left for rc, rm in right],
+                  iadd)
     if diags:
         raise SpecTypeError(diags)
     union = 0
@@ -264,47 +276,26 @@ def compile_spec(text: str, g: TypeGraph) -> TypedSpec:
 def denote(e: SpecExpr, g: TypeGraph) -> int:
     """Denotation bitset of ``e`` without the satisfiability requirement."""
     diags: list[Diagnostic] = []
-    mask = _denote(e, g, False, diags)
+    mask = _walk(e, g, False, diags, _atom_mask, and_, or_)
     if diags:
         raise SpecTypeError(diags)
     return mask
 
 
-# The two walks below resolve each name and push negation down to the atoms
-# on the way (De Morgan: a negated '&' acts as '|' and a negated '|' as '&').
-# Unknown names are collected into ``diags`` in source order and the walk
-# goes on, so that every one is reported.
-
-
-def _dnf(e: SpecExpr, g: TypeGraph, negated: bool,
-         diags: list[Diagnostic]) -> list[tuple[tuple[Atom, ...], int]]:
-    """The disjunctive normal form of ``e`` as (conjunction, mask) pairs;
-    empty once a name has failed to resolve."""
+def _walk(e: SpecExpr, g: TypeGraph, negated: bool, diags: list[Diagnostic],
+          leaf: Callable[[Atom | None, TypeGraph], T],
+          meet: Callable[[T, T], T], join: Callable[[T, T], T]) -> T:
+    """Fold ``e``, pushing negation down: each atom, resolved and flipped
+    under a negation, goes to ``leaf`` (as ``None`` once the reason it does
+    not resolve is in ``diags``; the walk goes on, so every one is reported),
+    each '&' to ``meet`` and each '|' to ``join``, swapped under a negation."""
     if isinstance(e, Not):
-        return _dnf(e.child, g, not negated, diags)
+        return _walk(e.child, g, not negated, diags, leaf, meet, join)
     if isinstance(e, (And, Or)):
-        left = _dnf(e.left, g, negated, diags)
-        right = _dnf(e.right, g, negated, diags)
-        if diags:
-            return []
-        if isinstance(e, And) != negated:
-            return [(lc + rc, lm & rm) for lc, lm in left for rc, rm in right]
-        left += right       # both lists are built afresh by this walk
-        return left
-    atom = _resolve_atom(e, g, negated, diags)
-    return [] if atom is None else [((atom,), _atom_mask(atom, g))]
-
-
-def _denote(e: SpecExpr, g: TypeGraph, negated: bool,
-            diags: list[Diagnostic]) -> int:
-    if isinstance(e, Not):
-        return _denote(e.child, g, not negated, diags)
-    if isinstance(e, (And, Or)):
-        left = _denote(e.left, g, negated, diags)
-        right = _denote(e.right, g, negated, diags)
-        return left & right if isinstance(e, And) != negated else left | right
-    atom = _resolve_atom(e, g, negated, diags)
-    return 0 if atom is None else _atom_mask(atom, g)
+        left = _walk(e.left, g, negated, diags, leaf, meet, join)
+        right = _walk(e.right, g, negated, diags, leaf, meet, join)
+        return (meet if isinstance(e, And) != negated else join)(left, right)
+    return leaf(_resolve_atom(e, g, negated, diags), g)
 
 
 def _resolve_atom(e: Atom | BareAtom, g: TypeGraph, negated: bool,
@@ -343,7 +334,10 @@ def _resolve_atom(e: Atom | BareAtom, g: TypeGraph, negated: bool,
     return e
 
 
-def _atom_mask(atom: Atom, g: TypeGraph) -> int:
+def _atom_mask(atom: Atom | None, g: TypeGraph) -> int:
+    """The classes ``atom`` holds in, none for an atom that did not resolve."""
+    if atom is None:
+        return 0
     if atom.feature == POS_FEATURE:
         mask = g.node_mask(atom.value)
         return mask if atom.op == "=" else g.full_mask & ~mask
@@ -353,13 +347,6 @@ def _atom_mask(atom: Atom, g: TypeGraph) -> int:
     return g.feature_mask(atom.feature) & ~mask
 
 
-def _conjunction_mask(atoms, g: TypeGraph) -> int:
-    mask = g.full_mask
-    for a in atoms:
-        mask &= _atom_mask(a, g)
-    return mask
-
-
 def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]:
     """Minimal subset of an unsatisfiable conjunction that stays unsatisfiable."""
     core = list(disjunct)
@@ -367,6 +354,6 @@ def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]
         if len(core) == 1:
             break
         trial = [a for a in core if a is not atom]
-        if not _conjunction_mask(trial, g):
+        if not reduce(and_, (_atom_mask(a, g) for a in trial), g.full_mask):
             core = trial
     return tuple(core)

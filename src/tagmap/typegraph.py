@@ -340,8 +340,7 @@ class TypeGraph:
                 for a, d in digits.items():
                     digits[a] = "".join(map(mul, d, reps))
             for j, a in enumerate(atoms):
-                digits[a] = takes.translate(
-                    {48: "0", 49: "0" * j + "1" + "0" * (k - j - 1)})
+                digits[a] = takes.replace("1", "0" * j + "1" + "0" * (k - j - 1))
             n = grown
         return _flush(n, run, size, digits), digits
 
@@ -357,8 +356,6 @@ class TypeGraph:
         masks: set[int] = set()
         for node in self.nodes:
             nmask = self._node_mask[node]
-            if not nmask:
-                continue
             # every non-empty conjunction of node and at most one value per
             # appropriate feature, grown one feature at a time; a mask
             # reached by several conjunctions is kept once
@@ -635,7 +632,7 @@ def parse_tagset_definition(source: str) -> TypeGraph:
     if p.cur.type != "EOF":
         diags.append(error("syntax", f"unexpected trailing input {p.cur.text!r}", p.cur.span))
 
-    _validate(diags, parents, order, spans, raw_features)
+    _validate(diags, order, spans, raw_features)
     if diags:
         raise CompileError(diags)
     return TypeGraph(name_tok.text, parents, tuple(order), tuple(raw_features))
@@ -704,7 +701,7 @@ def _parse_feature(p: TokenCursor) -> FeatureDecl:
                        tuple(conditions), span=name.span)
 
 
-def _validate(diags: list[Diagnostic], parents, order, spans,
+def _validate(diags: list[Diagnostic], order, spans,
               features: list[FeatureDecl]) -> None:
     reserved = {POS_FEATURE}
     for node in order:

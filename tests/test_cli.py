@@ -201,6 +201,13 @@ def test_interactive_eof_ends_session(capsys, monkeypatch):
     assert '[(pos = "MD")]' in out
 
 
+def test_interactive_blank_lines_print_nothing(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n   \n\\q\n"))
+    code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES)
+    assert code == 0
+    assert (out, err) == ("Query> " * 3, "")
+
+
 def test_query_strict_flags_noise(capsys):
     code, out, _ = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
                        "-e", FLAGSHIP, "--strict")

@@ -144,6 +144,25 @@ def test_broken_inventory_resumes_at_the_next_rule(graph):
     ]
 
 
+def test_a_stray_token_does_not_hide_the_next_rule(graph):
+    # parsing resumes at the next rule, so its own errors are reported too
+    src = header() + "tags MD, NN\nstray\n[pos = 'MD'] => [vtype = nosuch].\n"
+    with pytest.raises(CompileError) as exc:
+        parse_rules(src, graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [syntax] at 3:1: expected a rule, found 'stray'",
+        "error [unknown-value] at 4:18: 'nosuch' is not a value of feature "
+        "'vtype'",
+    ]
+
+
+def test_a_missing_tags_header_is_a_syntax_error(graph):
+    with pytest.raises(CompileError) as exc:
+        parse_rules(header() + "[pos = 'AA'] => [mass].\n", graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [syntax] at 2:1: expected a tags header"]
+
+
 def test_header_keyword_is_checked(graph):
     with pytest.raises(CompileError) as exc:
         parse_rules("mapping m fur tagset eagles-en", graph)

@@ -63,6 +63,11 @@ def test_tsv_malformed():
     assert isinstance(d, Diagnostic) and d.kind == "malformed-line"
 
 
+def test_an_unknown_corpus_format_is_an_error():
+    with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
+        parse_corpus_line("a/NN", 1, "xml")
+
+
 def test_exception_word_overrides_coverage(rules):
     rec = retag_token(rules, CorpusToken("anybody", "NN"))
     assert rec.reading == "[pos=pron & antec=prs & type=indef]"

@@ -1,6 +1,7 @@
 """Source hygiene of the package modules, read with the stdlib ``ast`` only:
-no unused imports, no unreferenced private functions or methods, and no
-private attribute read that the reading module does not define."""
+no unused imports, no unreferenced private functions or methods, no
+private attribute read that the reading module does not define, and no
+parameter that its function never reads."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,27 @@ def test_privates_are_read_only_in_their_own_module(path):
     # callers do not reach into another module's privates, such as the
     # masks a ``TypeGraph`` keeps
     assert _foreign_private_reads(_tree(path)) == []
+
+
+def _unread_parameters(tree):
+    """The parameters of each ``def`` that its body never reads, ``self``,
+    ``cls`` and the parameters of dunder methods, fixed by their protocol,
+    aside."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read and p.arg not in ("self", "cls"):
+                yield node.name, p.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert list(_unread_parameters(_tree(path))) == []

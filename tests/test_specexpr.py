@@ -246,6 +246,13 @@ def test_unknown_names_are_type_errors(graph):
         assert needle in exc.value.diagnostics[0].message
 
 
+def test_an_unknown_pos_value_is_reported_at_its_atom(graph):
+    with pytest.raises(SpecTypeError) as exc:
+        compile_spec("[pos = nosuch]", graph)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [unknown-value] at 1:2: 'nosuch' is not a hierarchy node"]
+
+
 @pytest.mark.parametrize("text, expected", [
     ("[!(foo & !(v | bar)) | baz]",
      [("unknown-name", 1, 4), ("unknown-name", 1, 16), ("unknown-name", 1, 24)]),

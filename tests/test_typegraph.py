@@ -234,6 +234,17 @@ def test_appropriate_features(graph):
     assert names("root") == []
 
 
+def test_features_at_an_unknown_node_is_an_error(graph):
+    with pytest.raises(ValueError, match="unknown hierarchy node 'nosuch'"):
+        graph.features_at("nosuch")
+
+
+def test_a_trailing_comma_ends_a_value_list():
+    g = parse_tagset_definition(
+        "tagset t hierarchy { a } feature f for root { x, y, }")
+    assert [t.render() for t in g.universe] == ["[pos=a & f=x]", "[pos=a & f=y]"]
+
+
 def test_node_masks_partition_by_leaf(graph):
     union = 0
     for leaf in graph.leaves:
