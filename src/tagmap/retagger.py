@@ -92,7 +92,7 @@ def parse_corpus_line(text: str, lineno: int,
                       fmt: str = "slash") -> list[CorpusToken] | Diagnostic:
     """Tokens of one corpus line, or a diagnostic if the line is malformed."""
     if fmt == "tsv":
-        stripped = text.rstrip("\n")
+        stripped = text.rstrip("\r\n")
         if not stripped.strip():
             return []
         parts = stripped.split("\t")

@@ -113,19 +113,21 @@ class TypeGraph:
     threads; the only internal mutations are idempotent caches: the minimal
     covers found, by mask, and the universe and the candidate table, each
     built on first read.
+    ``parents`` maps each hierarchy node to its parent, ``None`` for the
+    root, and lists each node after its parent; its order is ``nodes``.
     Build one with :func:`parse_tagset_definition`, not directly.
     """
 
     def __init__(self, name: str, parents: dict[str, str | None],
-                 order: tuple[str, ...], features: tuple[FeatureDecl, ...]):
+                 features: tuple[FeatureDecl, ...]):
         self.name = name
         self._parents = dict(parents)
-        self.nodes = order
+        self.nodes = tuple(parents)
         self.features = features
         self.feature_map = {f.name: f for f in features}
-        self._node_index = {n: i for i, n in enumerate(order)}
+        self._node_index = {n: i for i, n in enumerate(self.nodes)}
         inner = set(self._parents.values())
-        self.leaves = tuple(n for n in order if n not in inner)
+        self.leaves = tuple(n for n in self.nodes if n not in inner)
         self.value_index = {}
         # (feature, value) -> (feature position, value position)
         self._value_key: dict[tuple[str, str], tuple[int, int]] = {}
@@ -141,9 +143,9 @@ class TypeGraph:
         self._feature_mask = {f.name: reduce(or_, (self._atom_mask[(f.name, v)]
                                                    for v in f.values), 0)
                               for f in features}
-        # every node follows its parent in ``order``, so a node's mask is
-        # complete before it is passed up
-        for node in reversed(order):
+        # every node follows its parent, so a node's mask is complete before
+        # it is passed up
+        for node in reversed(self.nodes):
             parent = self._parents[node]
             if parent is not None:
                 self._node_mask[parent] |= self._node_mask[node]
@@ -220,7 +222,9 @@ class TypeGraph:
         each leaf's first class followed by the number of classes, and the
         mask of each atom and of each node, a leaf's filled in and any
         other's 0.  More than :data:`MAX_CLASSES` classes in all is a
-        :class:`CompileError`.
+        :class:`CompileError`, raised by :meth:`_expand`, which is given the
+        room left, at the feature that takes the tagset past, or at a leaf
+        without features when no room is left for its one class.
 
         One walk over the leaves expands each with :meth:`_expand`, which
         gives its number of classes and each atom's digits over them; leaves
@@ -246,18 +250,16 @@ class TypeGraph:
         expanded: dict[tuple[str, ...], tuple[int, dict]] = {}
         for leaf in self.leaves:
             feats = self.features_at(leaf)
-            if start >= MAX_CLASSES:
-                # earlier leaves filled the universe, and this leaf's first
-                # class is one too many; a leaf has no span to point at
-                raise (_too_large(f"feature {feats[0].name!r}", feats[0].span)
-                       if feats else _too_large(f"leaf {leaf!r}", None))
+            room = MAX_CLASSES - start
             key = tuple(f.name for f in feats)
             shared = expanded.get(key)
-            if shared is None or shared[0] > MAX_CLASSES - start:
+            if shared is None or shared[0] > room:
                 # a shared expansion past the room left is expanded again,
                 # to report the feature that takes it past
-                shared = expanded[key] = self._expand(feats, MAX_CLASSES - start)
+                shared = expanded[key] = self._expand(feats, room)
             n, digits = shared
+            if n > room:            # a leaf without features has no span
+                raise _too_large(f"leaf {leaf!r}", None)
             leaf_digits.append(digits)
             starts.append(start)
             node_mask[leaf] = ((1 << n) - 1) << start
@@ -376,46 +378,44 @@ class TypeGraph:
         inside ``target`` is prime when no other one inside has a larger
         mask.  One containing the class is an ancestor of its leaf with some
         of the class's atoms appropriate there (homed on its root path); an
-        atom homed lower gives no mask its home does not.  An ancestor with no
-        more classes inside ``target`` than the node below it has only that
-        node's inside conjunctions and is skipped; from each other one:
-
-        * when the closure of the ancestor's classes in ``target`` (the
-          smallest conjunction containing them) lies inside ``target``, it
-          holds every inside conjunction of the ancestor and is the only
-          prime the ancestor can give;
-        * otherwise the appropriate atoms are added depth-first in
-          declaration order.  A branch stops at its first mask inside
-          ``target``; an atom is added only if it removes a class outside,
-          since a prime reached with one that does not is reached without it;
-          a state is dropped when all the atoms left still admit a class
-          outside.  The maximal masks found are the primes.
+        atom homed lower gives no mask its home does not, so it is dropped
+        once the walk up passes its home.  An ancestor with no more classes
+        inside ``target`` than the node below it has only that node's inside
+        conjunctions and is skipped.  Each other one's inside conjunctions
+        lie in the closure of its classes in ``target``: its mask and-ed with
+        those of the class's atoms that all these classes hold.  One search
+        starts there and adds the class's other atoms depth-first in
+        declaration order.  A branch stops at its first mask inside
+        ``target``, the closure itself when that lies inside; an atom is
+        added only if it removes a class outside, since a prime reached with
+        one that does not is reached without it; a state is dropped when all
+        the atoms left still admit a class outside.  The maximal masks found
+        are the primes.
         """
         leaf, assignment = self._class_at(index)
         # the class's atoms with their features' homes
         homed = [(self.feature_map[f].home, self._atom_mask[(f, v)])
                  for f, v in assignment]
         found: set[int] = set()
-        below, child = 0, None
-        passed: set[str | None] = set()     # the nodes below ``node``
+        below = 0
         for node in self._up(leaf):
-            passed.add(child)
-            child = node
+            # ``atoms`` are appropriate at ``node``, ``homed`` above it
+            atoms, homed = homed, [a for a in homed if a[0] != node]
             inside = self._node_mask[node] & target
             if inside == below:
                 continue
             below = inside
-            closed = self._closure(inside)[0]
-            if not closed & ~target:
-                found.add(closed)
-                continue
-            # atoms homed at a node passed are not appropriate here
-            atom_masks = [m for h, m in homed if h not in passed]
+            closed, atom_masks = self._node_mask[node], []
+            for _, m in atoms:
+                if m & inside == inside:
+                    closed &= m
+                else:
+                    atom_masks.append(m)
             # rest[i]: the classes that every atom from position i on admits
             rest = [self.full_mask] * (len(atom_masks) + 1)
             for i in range(len(atom_masks) - 1, -1, -1):
                 rest[i] = rest[i + 1] & atom_masks[i]
-            stack = [(self._node_mask[node], 0)]
+            stack = [(closed, 0)]
             while stack:
                 m, i = stack.pop()
                 outside = m & ~target
@@ -609,20 +609,20 @@ def parse_tagset_definition(source: str) -> TypeGraph:
 
     Semantic problems (duplicate names, dangling homes, ambiguous values,
     bad appropriateness references) are collected exhaustively before the
-    error is raised.
+    error is raised, in source order within the hierarchy, where a node
+    named ``pos`` is reported at its own token, and then within the
+    features.
     """
     p = TokenCursor(tokenize(source))
     diags: list[Diagnostic] = []
     parents: dict[str, str | None] = {ROOT: None}
-    order: list[str] = [ROOT]
-    spans: dict[str, Span] = {}
     raw_features: list[FeatureDecl] = []
     try:
         p.keyword("tagset")
         name_tok = p.expect("NAME", "tagset name")
         p.keyword("hierarchy")
         p.expect("LBRACE", "'{'")
-        _parse_nodes(p, diags, ROOT, parents, order, spans)
+        _parse_nodes(p, diags, parents)
         p.expect("RBRACE", "'}'")
         while p.cur.type == "NAME" and p.cur.text == "feature":
             raw_features.append(_parse_feature(p))
@@ -632,16 +632,15 @@ def parse_tagset_definition(source: str) -> TypeGraph:
     if p.cur.type != "EOF":
         diags.append(error("syntax", f"unexpected trailing input {p.cur.text!r}", p.cur.span))
 
-    _validate(diags, order, spans, raw_features)
+    _validate(diags, parents, raw_features)
     if diags:
         raise CompileError(diags)
-    return TypeGraph(name_tok.text, parents, tuple(order), tuple(raw_features))
+    return TypeGraph(name_tok.text, parents, tuple(raw_features))
 
 
-def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parent: str,
-                 parents, order, spans) -> None:
+def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parents) -> None:
     # an explicit stack of open braces, so nesting depth costs no recursion
-    stack = [parent]
+    stack = [ROOT]
     while True:
         if p.cur.type == "NAME":
             tok = p.advance()
@@ -649,9 +648,10 @@ def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parent: str,
                 diags.append(error("duplicate-node",
                                    f"duplicate hierarchy node {tok.text!r}", tok.span))
             else:
+                if tok.text == POS_FEATURE:
+                    diags.append(error("name-collision", f"{tok.text!r} is reserved "
+                                       "for the position pseudo-feature", tok.span))
                 parents[tok.text] = stack[-1]
-                order.append(tok.text)
-                spans[tok.text] = tok.span
             if p.cur.type == "LBRACE":
                 p.advance()
                 stack.append(tok.text)
@@ -701,15 +701,9 @@ def _parse_feature(p: TokenCursor) -> FeatureDecl:
                        tuple(conditions), span=name.span)
 
 
-def _validate(diags: list[Diagnostic], order, spans,
+def _validate(diags: list[Diagnostic], node_set,
               features: list[FeatureDecl]) -> None:
     reserved = {POS_FEATURE}
-    for node in order:
-        if node in reserved:
-            diags.append(error("name-collision",
-                               f"{node!r} is reserved for the position pseudo-feature",
-                               spans[node]))
-    node_set = set(order)
     value_owner: dict[str, str] = {}
     all_names = {f.name for f in features}
     # features declared before the one being checked; of two declarations

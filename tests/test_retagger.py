@@ -63,6 +63,15 @@ def test_tsv_malformed():
     assert isinstance(d, Diagnostic) and d.kind == "malformed-line"
 
 
+def test_a_tsv_line_ending_in_crlf_loses_both_characters():
+    # a line read with ``newline=""`` keeps its "\r\n"; the slash format
+    # splits on whitespace, so only the tsv one would keep the "\r"
+    (tok,) = parse_corpus_line("w\tNN\r\n", 1, "tsv")
+    assert (tok.word, tok.tag) == ("w", "NN")
+    d = parse_corpus_line("w\t\r\n", 1, "tsv")
+    assert isinstance(d, Diagnostic) and d.kind == "malformed-line"
+
+
 def test_an_unknown_corpus_format_is_an_error():
     with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
         parse_corpus_line("a/NN", 1, "xml")

@@ -117,3 +117,64 @@ def _unread_parameters(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert list(_unread_parameters(_tree(path))) == []
+
+
+def _constant(node):
+    """A literal, or an all-caps module name, as a comparable key; None for
+    any other expression."""
+    if isinstance(node, ast.Constant):
+        return "literal", repr(node.value)
+    if isinstance(node, ast.Name) and node.id.isupper():
+        return "name", node.id
+    return None
+
+
+def _constant_parameters(tree):
+    """The parameters of each private function that every call in the
+    module passes the same literal or the same all-caps name; ``self``,
+    ``cls`` and dunder methods aside.  A function that is defined twice,
+    referenced other than by a call, or called with ``*`` or ``**``
+    arguments is skipped, since its calls are not all seen."""
+    defs = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _private(node.name)):
+            defs[node.name] = None if node.name in defs else node
+    calls = {name: [] for name in defs}
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in calls:
+                calls[name].append(node)
+                called.add(id(f))
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if (isinstance(node, (ast.Name, ast.Attribute)) and name in calls
+                and id(node) not in called):
+            defs[name] = None
+    for name, fn in defs.items():
+        if fn is None or not calls[name]:
+            continue
+        params = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+        bound = 1 if params[:1] in (["self"], ["cls"]) else 0
+        passed = {p: set() for p in params[bound:] + [
+            p.arg for p in fn.args.kwonlyargs]}
+        for call in calls[name]:
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                break
+            given = dict(zip(params[bound:], call.args))
+            given.update((k.arg, k.value) for k in call.keywords)
+            for p, values in passed.items():
+                values.add(_constant(given[p]) if p in given else None)
+        else:
+            yield from ((name, p) for p, values in passed.items()
+                        if len(values) == 1 and None not in values)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_parameter_is_always_passed_one_constant(path):
+    # such a parameter is a constant of the function, not an input
+    assert list(_constant_parameters(_tree(path))) == []

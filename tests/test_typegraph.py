@@ -318,6 +318,23 @@ def test_syntax_error_keeps_earlier_diagnostics(source, rendered):
     assert [d.render() for d in exc.value.diagnostics] == rendered
 
 
+@pytest.mark.parametrize("source,rendered", [
+    # the syntax error ends the parse, and the node was reported before it
+    ("tagset t hierarchy { pos a }\nfeature f for a {", [
+        "error [name-collision] at 1:22: 'pos' is reserved for the position "
+        "pseudo-feature",
+        "error [syntax] at 2:18: expected feature value"]),
+    ("tagset t hierarchy { a pos a }", [
+        "error [name-collision] at 1:24: 'pos' is reserved for the position "
+        "pseudo-feature",
+        "error [duplicate-node] at 1:28: duplicate hierarchy node 'a'"]),
+])
+def test_a_reserved_node_is_reported_at_its_token(source, rendered):
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition(source)
+    assert [d.render() for d in exc.value.diagnostics] == rendered
+
+
 def test_diagnostic_positions_point_into_source():
     with pytest.raises(CompileError) as exc:
         parse_tagset_definition("tagset t\nhierarchy { v n v }")
@@ -542,6 +559,25 @@ def test_primes_share_one_description_per_mask(graph):
     # the description is shared between the classes of one prime too
     other = graph.classes(graph.node_mask("v"))[-1].index
     assert graph.primes_containing(other, mask)[0] is first[0]
+
+
+def test_primes_of_a_described_prime_build_no_cover_node(monkeypatch):
+    # once a prime is described, searching its class's primes again builds
+    # no description: an ancestor's closure is read as a mask
+    g = parse_tagset_definition((FIXTURES / "eagles-en.tagset").read_text())
+    built, real = [], typegraph.CoverNode
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(typegraph, "CoverNode", counting)
+    target = g.node_mask("v") & ~g.atom_mask("vform", "inf")
+    low = (target & -target).bit_length() - 1
+    first = g.primes_containing(low, target)
+    del built[:]
+    assert g.primes_containing(low, target) == first
+    assert built == []
 
 
 # -- minimum covers ------------------------------------------------------------
@@ -793,6 +829,19 @@ def test_universe_bound_counts_leaves_without_features(monkeypatch):
         "terminal classes"]
 
 
+def test_universe_bound_reports_the_first_feature_of_a_leaf_past_it(
+        monkeypatch):
+    # leaves a and b fill the bound of 2, so c's first feature is reported
+    # by the expansion that has no room left
+    monkeypatch.setattr(typegraph, "MAX_CLASSES", 2)
+    with pytest.raises(CompileError) as exc:
+        parse_tagset_definition("tagset t hierarchy { a b c }\n"
+                                "feature f for c { x, y }\n")
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "error [universe-too-large] at 2:9: feature 'f' takes the tagset "
+        "past 2 terminal classes"]
+
+
 def test_nine_feature_ladder_is_within_the_universe_bound():
     g = parse_tagset_definition(gen.ladder_tagset(9))
     assert len(g.universe) == 3 ** 10
@@ -817,8 +866,7 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
     for _ in range(7):
         with time_limit(2):
             start = time.perf_counter()
-            again = TypeGraph(g.name, {"root": None, "a": "root"}, g.nodes,
-                              g.features)
+            again = TypeGraph(g.name, {"root": None, "a": "root"}, g.features)
             took.append(time.perf_counter() - start)
     assert min(took) < 0.05, took
     for graph in (g, again):
@@ -839,7 +887,7 @@ def test_guarded_chain_of_one_value_features_expands_in_linear_time():
                         for i in range(1, n)))
     g = parse_tagset_definition(source)
     with time_limit(0.25):
-        again = TypeGraph(g.name, {"root": None, "a": "root"}, g.nodes, g.features)
+        again = TypeGraph(g.name, {"root": None, "a": "root"}, g.features)
     for graph in (g, again):
         assert [(t.leaf, t.assignment, t.index) for t in graph.universe] == [
             ("a", tuple(ones), 0)]
@@ -890,7 +938,7 @@ def test_a_guard_every_class_holds_leaves_the_run_pending():
     assert all(guarded.atom_mask(f.name, v) == unguarded.atom_mask(f.name, v)
                for f in unguarded.features for v in f.values)
     ratio, = doubling_ratios(
-        lambda g: TypeGraph(g.name, parents, g.nodes, g.features),
+        lambda g: TypeGraph(g.name, parents, g.features),
         [unguarded, guarded])
     assert ratio < 2, ratio
 
