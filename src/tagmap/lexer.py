@@ -5,118 +5,121 @@ All three surface languages use one token alphabet: names, numbers, quoted
 strings and a small punctuation set.  ``#`` starts a comment running to the
 end of the line.  Input is whitespace-insensitive apart from the line and
 column of each token, which diagnostics report.  :func:`tokenize` scans the
-source line by line, one regular-expression match per token; comments and
-quoted strings end with their line, so a token's line is the index of the
-line it is on and its column its offset there.  Each parser walks its
-tokens with one :class:`TokenCursor`, whose expectations fail with
-:class:`SpecSyntaxError`.
+source line by line, one regular-expression match per token; no token
+spans lines, so its line is its line's index and its column its offset
+there.  Tokens are kept as columns, not records: parallel lists of kinds,
+texts, lines and columns, walked by index with one :class:`TokenCursor`,
+which builds a :class:`Span` only where a parser stores or reports one.
 """
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .diagnostics import Span, SpecSyntaxError, error
 
-# One match per token: the blanks before it, then the token.  The commonest
-# tokens are tried first, and longer operators before their prefixes, so
-# max-munch works: '!=' before '!', '=>' before '='.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r]*
-    (?:
-      (?P<NAME>    [A-Za-z_][A-Za-z0-9_$-]* )
-    | (?P<NUMBER>  [0-9]+               )
-    | (?P<QUOTED>  '[^']*' | "[^"]*"    )
-    | (?P<COMMENT> \#.*                 )
-    | (?P<OUTOF>   <<                   )
-    | (?P<INTO>    >>                   )
-    | (?P<ARROW>   =>                   )
-    | (?P<NEQ>     !=                   )
-    | (?P<EQ>      =                    )
-    | (?P<BANG>    !                    )
-    | (?P<AMP>     &                    )
-    | (?P<PIPE>    \|                   )
-    | (?P<LPAREN>  \(                   )
-    | (?P<RPAREN>  \)                   )
-    | (?P<LBRACKET>\[                   )
-    | (?P<RBRACKET>\]                   )
-    | (?P<LBRACE>  \{                   )
-    | (?P<RBRACE>  \}                   )
-    | (?P<COMMA>   ,                    )
-    | (?P<DOT>     \.                   )
-    | (?P<BAD>     [^ \t\r]             )
-    )
-    """,
-    re.VERBOSE,
-)
+# One match per token: the blanks before it, then a mark (punctuation, the
+# longer operators before their prefixes, so max-munch works: '!=' before
+# '!', '=>' before '='), a word (a name, a number or a quoted value), or any
+# other character: a comment if it is '#', else one outside the alphabet.
+_TOKEN_RE = re.compile(r"""([ \t\r]*)(?:(<<|>>|=>|!=|[=!&|()\[\]{},.])
+                                    |([A-Za-z_][A-Za-z0-9_$-]*|[0-9]+|'[^']*'|"[^"]*")
+                                    |(\#.*|[^ \t\r]))""", re.VERBOSE)
+# a word's kind by its first character, a mark's by its text
+_LEADS = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_",
+                          "NAME"),
+          **dict.fromkeys("0123456789", "NUMBER"), "'": "QUOTED", '"': "QUOTED"}
+_MARKS = {"<<": "OUTOF", ">>": "INTO", "=>": "ARROW", "!=": "NEQ", "=": "EQ",
+          "!": "BANG", "&": "AMP", "|": "PIPE", "(": "LPAREN", ")": "RPAREN",
+          "[": "LBRACKET", "]": "RBRACKET", "{": "LBRACE", "}": "RBRACE",
+          ",": "COMMA", ".": "DOT"}
 
 
-class Token(NamedTuple):
-    type: str
-    text: str
-    span: Span
-
-    @property
-    def value(self) -> str:
-        """Token payload: quoted tokens are unwrapped, others verbatim."""
-        if self.type == "QUOTED":
-            return self.text[1:-1]
-        return self.text
-
-
-def tokenize(source: str) -> list[Token]:
-    """Scan ``source`` into tokens, ending with a synthetic EOF token.
+def tokenize(source: str) -> TokenCursor:
+    """Scan ``source`` into token columns, ending with an EOF token, and
+    return a cursor at the first token; its length is the number of tokens.
 
     Raises :class:`SpecSyntaxError` on a character outside the alphabet.
     """
-    tokens: list[Token] = []
-    new = tuple.__new__
-    lines = source.split("\n")
-    for number, line in enumerate(lines, 1):
+    kinds, texts, lines, columns = [], [], [], []
+    rows = source.split("\n")
+    for number, line in enumerate(rows, 1):
+        column = 1
         # blanks at the end of a line precede no token; a match tried at each
         # of them would scan the rest of them again
-        for m in _TOKEN_RE.finditer(line.rstrip(" \t\r")):
-            kind = m.lastgroup
-            if kind == "COMMENT":
+        for blanks, mark, word, other in _TOKEN_RE.findall(line.rstrip(" \t\r")):
+            column += len(blanks)
+            if word:
+                kind, text = _LEADS[word[0]], word
+            elif mark:
+                kind, text = _MARKS[mark], mark
+            elif other[0] == "#":
                 break
-            span = new(Span, (number, m.start(kind) + 1))
-            if kind == "BAD":
-                raise SpecSyntaxError([
-                    error("syntax", f"unexpected character {m[kind]!r}", span)])
-            tokens.append(new(Token, (kind, m[kind], span)))
-    tokens.append(Token("EOF", "", Span(len(lines), len(lines[-1]) + 1)))
-    return tokens
+            else:
+                raise SpecSyntaxError([error("syntax", f"unexpected character "
+                                             f"{other!r}", Span(number, column))])
+            kinds.append(kind)
+            texts.append(text)
+            lines.append(number)
+            columns.append(column)
+            column += len(text)
+    kinds.append("EOF")
+    texts.append("")
+    lines.append(len(rows))
+    columns.append(len(rows[-1]) + 1)
+    return TokenCursor(kinds, texts, lines, columns)
 
 
 class TokenCursor:
-    """A position in a token list ending with EOF; it never moves past EOF."""
+    """A position ``pos`` in a source's tokens, kept as parallel columns
+    that end with a synthetic EOF token: each token's kind, its text, and
+    its 1-based line and column.  It never moves past EOF."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int],
+                 columns: list[int]) -> None:
+        self.kinds, self.texts = kinds, texts
+        self.lines, self.columns = lines, columns
+        self.end = len(kinds) - 1           # the EOF token's index
         self.pos = 0
-        self.cur = tokens[0]         # the token at ``pos``
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.type != "EOF":
-            self.pos += 1
-            self.cur = self.tokens[self.pos]
-        return tok
+    def __len__(self) -> int:
+        return len(self.kinds)
 
-    def expect(self, type_: str, what: str) -> Token:
-        """Consume a token of ``type_``; ``what`` names it in the error."""
-        if self.cur.type != type_:
-            self._fail(what)
-        return self.advance()
+    @property
+    def kind(self) -> str:
+        return self.kinds[self.pos]
 
-    def keyword(self, word: str) -> Token:
-        """Consume the name ``word``."""
-        if self.cur.type != "NAME" or self.cur.text != word:
-            self._fail(repr(word))
-        return self.advance()
+    @property
+    def text(self) -> str:
+        return self.texts[self.pos]
 
-    def _fail(self, what: str) -> NoReturn:
-        raise SpecSyntaxError([
-            error("syntax", f"expected {what}, found {self.cur.text or 'end of input'!r}",
-                  self.cur.span)])
+    def span(self, i: int | None = None) -> Span:
+        """The position of the token ``i``, the current one by default."""
+        i = self.pos if i is None else i
+        return tuple.__new__(Span, (self.lines[i], self.columns[i]))
+
+    def advance(self) -> int:
+        """Step past the current token, unless it is EOF; its index."""
+        i = self.pos
+        if i < self.end:
+            self.pos = i + 1
+        return i
+
+    def expect(self, kind: str, what: str) -> str:
+        """Consume a token of ``kind``, not EOF, and return its text; ``what``
+        names it in the error."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(f"expected {what}, found {self.text or 'end of input'!r}")
+        self.pos = i + 1
+        return self.texts[i]
+
+    def keyword(self, word: str) -> None:
+        """Consume the name ``word`` (no other kind of token has its text)."""
+        if self.text != word:
+            self.fail(f"expected {word!r}, found {self.text or 'end of input'!r}")
+        self.pos += 1
+
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise a syntax error at the token ``at``, by default the current."""
+        raise SpecSyntaxError([error("syntax", message, self.span(at))])

@@ -30,7 +30,7 @@ from .diagnostics import (
     error,
     warning,
 )
-from .lexer import Token, TokenCursor, tokenize
+from .lexer import TokenCursor, tokenize
 from .specexpr import (
     Atom,
     TypedSpec,
@@ -109,19 +109,19 @@ class RuleSet:
 
 def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
     """Parse and typecheck a rules file against ``graph``."""
-    c = TokenCursor(tokenize(source))
+    c = tokenize(source)
     diags: list[Diagnostic] = []
     warns: list[Diagnostic] = []
 
     try:
-        name, target = _parse_header(c)
+        name, at, target = _parse_header(c)
     except SpecSyntaxError as exc:
         raise CompileError(exc.diagnostics) from None
-    if target.text != graph.name:
+    if target != graph.name:
         diags.append(error(
             "tagset-mismatch",
-            f"rules target tagset {target.text!r} but were compiled against "
-            f"{graph.name!r}", target.span))
+            f"rules target tagset {target!r} but were compiled against "
+            f"{graph.name!r}", at))
     tags = _parse_inventory(c, diags)
 
     coverage: dict[str, Rule] = {}
@@ -130,12 +130,11 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
     seen_rule: set[str] = set()
     seen_word: set[tuple[str, str]] = set()
 
-    while c.cur.type != "EOF":
-        is_note = c.cur.type == "NAME" and c.cur.text == "note"
-        if not is_note and c.cur.type != "LBRACKET":
-            diags.append(error("syntax",
-                               f"expected a rule, found {c.cur.text!r}",
-                               c.cur.span))
+    while c.kind != "EOF":
+        is_note = c.text == "note"
+        if not is_note and c.kind != "LBRACKET":
+            diags.append(error("syntax", f"expected a rule, found {c.text!r}",
+                               c.span()))
             _skip_to_rule(c)
             continue
         try:
@@ -168,38 +167,37 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
                    tag_spans=tags, warnings=warns, notes=notes)
 
 
-def _parse_header(c: TokenCursor) -> tuple[str, Token]:
-    """The mapping's name and the token naming its target tagset."""
+def _parse_header(c: TokenCursor) -> tuple[str, Span, str]:
+    """The mapping's name, and its target tagset's position and name."""
     c.keyword("mapping")
-    name = c.expect("NAME", "a mapping name").text
+    name = c.expect("NAME", "a mapping name")
     c.keyword("for")
     c.keyword("tagset")
-    return name, c.expect("NAME", "a tagset name")
+    return name, c.span(), c.expect("NAME", "a tagset name")
 
 
 def _parse_inventory(c: TokenCursor,
                      diags: list[Diagnostic]) -> dict[str, Span]:
     """The inventory's tags, in order, with the position of each."""
-    if not (c.cur.type == "NAME" and c.cur.text == "tags"):
-        diags.append(error("syntax", "expected a tags header", c.cur.span))
+    if c.text != "tags":
+        diags.append(error("syntax", "expected a tags header", c.span()))
         return {}
     c.advance()
     tags: dict[str, Span] = {}
     while True:
+        span = c.span()
         try:
-            tok = c.expect("NAME", "a tag name")
+            tag = c.expect("NAME", "a tag name")
         except SpecSyntaxError as exc:
             # keep the tags read so far and resume at the next rule or note
             diags.extend(exc.diagnostics)
             _skip_to_rule(c)
             break
-        if tok.text in tags:
+        if tag in tags:
             diags.append(error("duplicate-tag",
-                               f"tag {tok.text} listed twice in the inventory",
-                               tok.span))
-        else:
-            tags[tok.text] = tok.span
-        if c.cur.type != "COMMA":
+                               f"tag {tag} listed twice in the inventory", span))
+        tags.setdefault(tag, span)
+        if c.kind != "COMMA":
             break
         c.advance()
     return tags
@@ -207,28 +205,26 @@ def _parse_inventory(c: TokenCursor,
 
 def _skip_to_rule(c: TokenCursor) -> None:
     # skip to the start of the next rule or note
-    while c.cur.type not in ("LBRACKET", "EOF") and c.cur.text != "note":
+    while c.kind not in ("LBRACKET", "EOF") and c.text != "note":
         c.advance()
 
 
 def _sync(c: TokenCursor) -> None:
-    # skip to just past the next rule terminator
-    while c.cur.type not in ("DOT", "EOF"):
-        c.advance()
-    if c.cur.type == "DOT":
-        c.advance()
+    # skip to just past the next rule terminator, or to the end
+    while c.kinds[c.advance()] not in ("DOT", "EOF"):
+        pass
 
 
 def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: dict[str, Span],
                 coverage: dict[str, Rule], entries: list[Rule],
                 seen_rule: set[str], seen_word: set[tuple[str, str]],
                 diags: list[Diagnostic]) -> None:
-    start = c.cur.span
+    start = c.span()
     # a word list is a bracketed comma or ']'-terminated run of names; a rule
     # head is a bracketed spec
     words: tuple[str, ...] = ()
-    if (c.tokens[c.pos + 1].type == "NAME"
-            and c.tokens[c.pos + 2].type in ("COMMA", "RBRACKET")):
+    if (c.kinds[c.pos + 1] == "NAME"
+            and c.kinds[c.pos + 2] in ("COMMA", "RBRACKET")):
         words = _parse_words(c)
         c.expect("OUTOF", "'<<'")
     tag = _parse_tag_head(c, diags)
@@ -270,9 +266,10 @@ def _parse_rule(c: TokenCursor, graph: TypeGraph, tags: dict[str, Span],
 
 def _parse_note(c: TokenCursor, tags: dict[str, Span],
                 notes: dict[str, str], diags: list[Diagnostic]) -> None:
-    start = c.keyword("note").span
-    tag = c.expect("NAME", "a tag name").text
-    text = c.expect("QUOTED", "a quoted note").value
+    start = c.span()
+    c.keyword("note")
+    tag = c.expect("NAME", "a tag name")
+    text = c.expect("QUOTED", "a quoted note")[1:-1]
     c.expect("DOT", "'.'")
     if tags and tag not in tags:
         diags.append(error("unknown-tag",
@@ -286,22 +283,21 @@ def _parse_note(c: TokenCursor, tags: dict[str, Span],
 
 def _parse_words(c: TokenCursor) -> tuple[str, ...]:
     c.expect("LBRACKET", "'['")
-    words = [c.expect("NAME", "a word").text]
-    while c.cur.type == "COMMA":
+    words = [c.expect("NAME", "a word")]
+    while c.kind == "COMMA":
         c.advance()
-        words.append(c.expect("NAME", "a word").text)
+        words.append(c.expect("NAME", "a word"))
     c.expect("RBRACKET", "']'")
     return tuple(words)
 
 
 def _parse_tag_head(c: TokenCursor, diags: list[Diagnostic]) -> str | None:
     """Parse ``[pos = '<TAG>']`` and return the tag, or record a diagnostic."""
-    span = c.cur.span
+    start = c.pos
     head = parse_spec_at(c)
     if (isinstance(head, Atom) and head.feature == POS_FEATURE
             and head.op == "=" and head.quoted):
         return head.value
-    diags.append(error(
-        "malformed-rule",
-        "rule head must name one physical tag, as in [pos = 'NN']", span))
+    diags.append(error("malformed-rule", "rule head must name one physical tag, "
+                       "as in [pos = 'NN']", c.span(start)))
     return None

@@ -90,6 +90,7 @@ def _check_pairs(rules: RuleSet,
     # node, listing every tag found below it
     g = rules.graph
     covered = list(assignments)
+    rule_of = [rules.coverage[t] for t in covered]
     nodes = [(i, node) for i, t in enumerate(covered)
              for node in assignments[t]]
     owner = [i for i, _ in nodes]
@@ -103,13 +104,14 @@ def _check_pairs(rules: RuleSet,
         overlaps.add((i, j) if i < j else (j, i))
         a, b = masks[p], masks[q]
         if a != b:
-            if not b & ~a:
+            both = a & b
+            if both == b:
                 inner[p].add(j)
-            elif not a & ~b:
+            elif both == a:
                 inner[q].add(i)
     out = []
     for i, j in sorted(overlaps):
-        ra, rb = rules.coverage[covered[i]], rules.coverage[covered[j]]
+        ra, rb = rule_of[i], rule_of[j]
         shared = ra.typed.denotation & rb.typed.denotation
         out.append(warning(
             "nondisjunctive",
@@ -123,7 +125,7 @@ def _check_pairs(rules: RuleSet,
                 f"covering node {node.render()} of tag {covered[i]} strictly "
                 f"contains coverage of "
                 f"{', '.join(covered[j] for j in sorted(below))}",
-                rules.coverage[covered[i]].span))
+                rule_of[i].span))
     return out
 
 

@@ -39,9 +39,9 @@ from functools import reduce
 from operator import and_, iadd, or_
 from typing import Callable, NamedTuple, TypeVar
 
-from .diagnostics import (Diagnostic, Span, SpecSyntaxError, SpecTypeError,
-                          compare_first, error)
-from .lexer import Token, TokenCursor, tokenize
+from .diagnostics import (Diagnostic, Span, SpecTypeError, compare_first,
+                          error)
+from .lexer import TokenCursor, tokenize
 from .typegraph import POS_FEATURE, TypeGraph
 
 
@@ -91,6 +91,8 @@ class Not(NamedTuple):
 
 SpecExpr = Atom | BareAtom | And | Or | Not
 T = TypeVar("T")
+# a record from its fields, without its class's keyword-handling __new__
+_new = tuple.__new__
 
 
 # -- parsing ---------------------------------------------------------------
@@ -98,21 +100,20 @@ T = TypeVar("T")
 
 def parse_spec(text: str) -> SpecExpr:
     """Parse one specification expression, consuming the entire input."""
-    c = TokenCursor(tokenize(text))
+    c = tokenize(text)
     e = parse_spec_at(c)
-    if c.cur.type != "EOF":
-        raise SpecSyntaxError([
-            error("syntax", f"unexpected trailing input {c.cur.text!r}", c.cur.span)])
+    if c.kind != "EOF":
+        c.fail(f"unexpected trailing input {c.text!r}")
     return e
 
 
 def parse_spec_at(c: TokenCursor) -> SpecExpr:
-    if c.cur.type == "LBRACKET":
-        c.advance()
-        e, _ = _parse_expr(c, 0)
-        c.expect("RBRACKET", "']'")
-        return e
-    return _parse_expr(c, 0)[0]
+    if c.kind != "LBRACKET":
+        return _parse_expr(c, 0)[0]
+    c.advance()
+    e, _ = _parse_expr(c, 0)
+    c.expect("RBRACKET", "']'")
+    return e
 
 
 # The parsers below return each subtree with its height, the number of
@@ -127,69 +128,64 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 MAX_SPEC_DEPTH = 150
 
 
-def _deeper(level: int, tok: Token) -> int:
+def _deeper(level: int, c: TokenCursor, at: int) -> int:
+    # one level more, or past the cap a syntax error at the token ``at``
     if level >= MAX_SPEC_DEPTH:
-        raise SpecSyntaxError([
-            error("syntax",
-                  f"expression nested deeper than {MAX_SPEC_DEPTH} levels",
-                  tok.span)])
+        c.fail(f"expression nested deeper than {MAX_SPEC_DEPTH} levels", at)
     return level + 1
 
 
-# the binary operators, loosest first: '|' builds an Or of '&' terms
-_BINARY = (("PIPE", Or), ("AMP", And))
-
-
-def _parse_expr(c: TokenCursor, depth: int,
-                level: int = 0) -> tuple[SpecExpr, int]:
-    # an operand is the next operator's expression, or a factor after the
-    # last; both are called directly, since a call through ``partial``
-    # costs the recursion limit more than its one frame
-    kind, node = _BINARY[level]
-    last = level + 1 == len(_BINARY)
-    e, height = (_parse_factor(c, depth) if last
-                 else _parse_expr(c, depth, level + 1))
-    while c.cur.type == kind:
+def _parse_expr(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    # '|' builds an Or of '&' terms
+    e, height = _parse_term(c, depth)
+    while c.kinds[c.pos] == "PIPE":
         op = c.advance()
-        right, right_height = (_parse_factor(c, depth) if last
-                               else _parse_expr(c, depth, level + 1))
-        e, height = node(e, right), _deeper(max(height, right_height), op)
+        right, right_height = _parse_term(c, depth)
+        e, height = _new(Or, (e, right)), _deeper(max(height, right_height), c, op)
+    return e, height
+
+
+def _parse_term(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    # '&' builds an And of factors
+    e, height = _parse_factor(c, depth)
+    while c.kinds[c.pos] == "AMP":
+        op = c.advance()
+        right, right_height = _parse_factor(c, depth)
+        e, height = _new(And, (e, right)), _deeper(max(height, right_height), c, op)
     return e, height
 
 
 def _parse_factor(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
+    kinds, texts, i = c.kinds, c.texts, c.pos
+    if kinds[i] == "NAME":
+        # an atom, read off the columns: a name, and for a comparison its
+        # operator and value
+        op = kinds[i + 1]
+        if op != "EQ" and op != "NEQ":
+            c.pos = i + 1
+            return _new(BareAtom, (texts[i], c.span(i))), 0
+        c.pos = i + 2
+        if kinds[i + 2] not in ("NAME", "NUMBER", "QUOTED"):
+            c.fail("expected a value after the comparison")
+        c.pos, value, quoted = i + 3, texts[i + 2], kinds[i + 2] == "QUOTED"
+        return _new(Atom, (texts[i], "=" if op == "EQ" else "!=",
+                           value[1:-1] if quoted else value, quoted, c.span(i))), 0
     # a run of '!' is read in a loop, so its length costs no recursion
-    bangs: list[Token] = []
-    while c.cur.type == "BANG":
-        _deeper(len(bangs), c.cur)
+    bangs: list[int] = []
+    while c.kinds[c.pos] == "BANG":
+        _deeper(len(bangs), c, c.pos)
         bangs.append(c.advance())
-    if c.cur.type == "LPAREN":
+    if c.kind == "LPAREN":
         paren = c.advance()
-        e, height = _parse_expr(c, _deeper(depth, paren))
+        e, height = _parse_expr(c, _deeper(depth, c, paren))
         c.expect("RPAREN", "')'")
-    elif c.cur.type == "NAME":
-        e, height = _parse_atom(c), 0
+    elif c.kind == "NAME":
+        e, height = _parse_factor(c, depth)
     else:
-        raise SpecSyntaxError([
-            error("syntax",
-                  f"expected an atom, found {c.cur.text or 'end of input'!r}",
-                  c.cur.span)])
+        c.fail(f"expected an atom, found {c.text or 'end of input'!r}")
     for op in reversed(bangs):
-        e, height = Not(e), _deeper(height, op)
+        e, height = Not(e), _deeper(height, c, op)
     return e, height
-
-
-def _parse_atom(c: TokenCursor) -> Atom | BareAtom:
-    name = c.advance()
-    if c.cur.type not in ("EQ", "NEQ"):
-        return BareAtom(name.text, span=name.span)
-    op = "=" if c.advance().type == "EQ" else "!="
-    if c.cur.type not in ("NAME", "NUMBER", "QUOTED"):
-        raise SpecSyntaxError([
-            error("syntax", "expected a value after the comparison",
-                  c.cur.span)])
-    val = c.advance()
-    return Atom(name.text, op, val.value, quoted=val.type == "QUOTED", span=name.span)
 
 
 # -- rendering --------------------------------------------------------------
@@ -264,8 +260,7 @@ def typecheck(e: SpecExpr, g: TypeGraph) -> TypedSpec:
         union |= mask
     if diags:
         raise SpecTypeError(diags, *first)
-    return TypedSpec(expr=e, denotation=union,
-                     dnf=tuple(disjunct for disjunct, _ in pairs))
+    return TypedSpec(e, union, tuple([disjunct for disjunct, _ in pairs]))
 
 
 def compile_spec(text: str, g: TypeGraph) -> TypedSpec:
@@ -289,12 +284,13 @@ def _walk(e: SpecExpr, g: TypeGraph, negated: bool, diags: list[Diagnostic],
     under a negation, goes to ``leaf`` (as ``None`` once the reason it does
     not resolve is in ``diags``; the walk goes on, so every one is reported),
     each '&' to ``meet`` and each '|' to ``join``, swapped under a negation."""
-    if isinstance(e, Not):
-        return _walk(e.child, g, not negated, diags, leaf, meet, join)
-    if isinstance(e, (And, Or)):
+    kind = type(e)
+    if kind is And or kind is Or:
         left = _walk(e.left, g, negated, diags, leaf, meet, join)
         right = _walk(e.right, g, negated, diags, leaf, meet, join)
-        return (meet if isinstance(e, And) != negated else join)(left, right)
+        return (meet if (kind is And) != negated else join)(left, right)
+    if kind is Not:
+        return _walk(e.child, g, not negated, diags, leaf, meet, join)
     return leaf(_resolve_atom(e, g, negated, diags), g)
 
 
@@ -302,14 +298,14 @@ def _resolve_atom(e: Atom | BareAtom, g: TypeGraph, negated: bool,
                   diags: list[Diagnostic]) -> Atom | None:
     """``e`` with its name resolved and its comparison flipped under a
     negation, or ``None`` after appending the reason it does not resolve."""
-    if isinstance(e, BareAtom):
+    if type(e) is BareAtom:
         feature = POS_FEATURE if g.is_node(e.name) else g.value_index.get(e.name)
         if feature is None:
             diags.append(error("unknown-name",
                                f"{e.name!r} is neither a hierarchy node nor a feature value",
                                e.span))
             return None
-        e = Atom(feature, "=", e.name, span=e.span)
+        e = _new(Atom, (feature, "=", e.name, False, e.span))
     elif e.quoted:
         diags.append(error("unknown-value",
                            f"quoted value {e.value!r} is a physical tag and cannot "
@@ -330,7 +326,8 @@ def _resolve_atom(e: Atom | BareAtom, g: TypeGraph, negated: bool,
                            e.span))
         return None
     if negated:
-        return Atom(e.feature, "!=" if e.op == "=" else "=", e.value, span=e.span)
+        return _new(Atom, (e.feature, "!=" if e.op == "=" else "=", e.value,
+                           False, e.span))
     return e
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import compress
-from operator import itemgetter, mul, or_
+from operator import mul, or_
 from typing import NamedTuple
 
 from .diagnostics import (CompileError, Diagnostic, Span, SpecSyntaxError,
@@ -92,7 +92,7 @@ class CoverNode(NamedTuple):
     def parts(self) -> tuple[str, ...]:
         """The rendered conjuncts: ``pos=<node>`` unless implied, then the
         atoms as ``feature=value``."""
-        atoms = tuple(f"{f}={v}" for f, v in self.atoms)
+        atoms = tuple([f"{f}={v}" for f, v in self.atoms])
         if atoms and self.implied_node:
             return atoms
         return (f"{POS_FEATURE}={self.node}",) + atoms
@@ -209,9 +209,9 @@ class TypeGraph:
         """The leaf and the assignment of the class ``index``: the leaf's
         atoms whose digit for the class is "1"."""
         k = self._leaf_at(index)
-        digits = self._digits[k]
-        column = map(itemgetter(index - self._starts[k]), digits.values())
-        return self.leaves[k], tuple(compress(digits, map("1".__eq__, column)))
+        column = index - self._starts[k]
+        return self.leaves[k], tuple([a for a, digits in self._digits[k].items()
+                                      if digits[column] == "1"])
 
     # -- enumeration ----------------------------------------------------
 
@@ -444,20 +444,21 @@ class TypeGraph:
         ``mask`` and the atoms constant across them; ``mask`` is a
         conjunction when it is its own closure.
         """
-        # every class in the mask shares the node and the constant atoms, so
-        # both are found from the leaf of the lowest one
-        k = self._leaf_at((mask & -mask).bit_length() - 1)
-        node = next(n for n in self._up(self.leaves[k])
-                    if self._node_mask[n] & mask == mask)
-        atoms = tuple(a for a in self._digits[k]
-                      if self._atom_mask[a] & mask == mask)
+        # the node is the first ancestor of the lowest class's leaf holding
+        # the mask, the atoms those of the lowest class that every class holds
+        low = (mask & -mask).bit_length() - 1
+        node, atoms = self._class_at(low)
+        while self._node_mask[node] & mask != mask:
+            node = self._parents[node]
+        if mask.bit_length() > low + 1:         # more than the one class
+            atoms = tuple([a for a in atoms if self._atom_mask[a] & mask == mask])
         by_atoms = self.full_mask
         for a in atoms:
             by_atoms &= self._atom_mask[a]
         # more general descriptions order first, then hierarchy position,
         # then feature/value declaration order
         key = (len(atoms), self._node_index[node],
-               tuple(map(self._value_key.__getitem__, atoms)))
+               tuple([self._value_key[a] for a in atoms]))
         implied = bool(atoms) and by_atoms == mask
         return (self._node_mask[node] & by_atoms,
                 CoverNode(node, atoms, mask, implied, key))
@@ -613,48 +614,48 @@ def parse_tagset_definition(source: str) -> TypeGraph:
     named ``pos`` is reported at its own token, and then within the
     features.
     """
-    p = TokenCursor(tokenize(source))
+    p = tokenize(source)
     diags: list[Diagnostic] = []
     parents: dict[str, str | None] = {ROOT: None}
     raw_features: list[FeatureDecl] = []
     try:
         p.keyword("tagset")
-        name_tok = p.expect("NAME", "tagset name")
+        name = p.expect("NAME", "tagset name")
         p.keyword("hierarchy")
         p.expect("LBRACE", "'{'")
         _parse_nodes(p, diags, parents)
         p.expect("RBRACE", "'}'")
-        while p.cur.type == "NAME" and p.cur.text == "feature":
+        while p.text == "feature":
             raw_features.append(_parse_feature(p))
     except SpecSyntaxError as exc:
         # keep the semantic diagnostics found before the syntax error
         raise CompileError(diags + exc.diagnostics) from None
-    if p.cur.type != "EOF":
-        diags.append(error("syntax", f"unexpected trailing input {p.cur.text!r}", p.cur.span))
+    if p.kind != "EOF":
+        diags.append(error("syntax", f"unexpected trailing input {p.text!r}", p.span()))
 
     _validate(diags, parents, raw_features)
     if diags:
         raise CompileError(diags)
-    return TypeGraph(name_tok.text, parents, tuple(raw_features))
+    return TypeGraph(name, parents, tuple(raw_features))
 
 
 def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parents) -> None:
     # an explicit stack of open braces, so nesting depth costs no recursion
     stack = [ROOT]
     while True:
-        if p.cur.type == "NAME":
-            tok = p.advance()
-            if tok.text in parents:
+        if p.kind == "NAME":
+            name = p.texts[i := p.advance()]
+            if name in parents:
                 diags.append(error("duplicate-node",
-                                   f"duplicate hierarchy node {tok.text!r}", tok.span))
+                                   f"duplicate hierarchy node {name!r}", p.span(i)))
             else:
-                if tok.text == POS_FEATURE:
-                    diags.append(error("name-collision", f"{tok.text!r} is reserved "
-                                       "for the position pseudo-feature", tok.span))
-                parents[tok.text] = stack[-1]
-            if p.cur.type == "LBRACE":
+                if name == POS_FEATURE:
+                    diags.append(error("name-collision", f"{name!r} is reserved "
+                                       "for the position pseudo-feature", p.span(i)))
+                parents[name] = stack[-1]
+            if p.kind == "LBRACE":
                 p.advance()
-                stack.append(tok.text)
+                stack.append(name)
         elif len(stack) > 1:
             p.expect("RBRACE", "'}'")
             stack.pop()
@@ -664,41 +665,34 @@ def _parse_nodes(p: TokenCursor, diags: list[Diagnostic], parents) -> None:
 
 def _parse_feature(p: TokenCursor) -> FeatureDecl:
     p.keyword("feature")
+    span = p.span()
     name = p.expect("NAME", "feature name")
     p.keyword("for")
     home = p.expect("NAME", "home node")
     conditions: list[tuple[str, str]] = []
-    if p.cur.type == "NAME" and p.cur.text == "when":
-        p.advance()
-        while True:
+    if p.text == "when":
+        # the first condition follows 'when', each later one 'or'
+        while not conditions or p.text == "or":
+            p.advance()
             cf = p.expect("NAME", "condition feature")
             p.expect("EQ", "'='")
-            if p.cur.type not in ("NAME", "NUMBER"):
-                raise SpecSyntaxError([
-                    error("syntax", "expected condition value", p.cur.span)])
-            cv = p.advance()
-            conditions.append((cf.text, cv.text))
-            if p.cur.type == "NAME" and p.cur.text == "or":
-                p.advance()
-                continue
-            break
+            conditions.append((cf, _value(p, "condition value")))
     p.expect("LBRACE", "'{'")
-    values: list[str] = []
-    while True:
-        if p.cur.type not in ("NAME", "NUMBER"):
-            raise SpecSyntaxError([
-                error("syntax", "expected feature value", p.cur.span)])
-        tok = p.advance()
-        values.append(tok.text)
-        if p.cur.type == "COMMA":
-            p.advance()
-            if p.cur.type == "RBRACE":
-                break
-            continue
-        break
+    values = [_value(p, "feature value")]
+    # values are separated by commas, and a comma may end the list
+    while p.kind == "COMMA" and p.kinds[p.pos + 1] != "RBRACE":
+        p.advance()
+        values.append(_value(p, "feature value"))
+    if p.kind == "COMMA":
+        p.advance()
     p.expect("RBRACE", "'}'")
-    return FeatureDecl(name.text, home.text, tuple(values),
-                       tuple(conditions), span=name.span)
+    return FeatureDecl(name, home, tuple(values), tuple(conditions), span)
+
+
+def _value(p: TokenCursor, what: str) -> str:
+    if p.kind not in ("NAME", "NUMBER"):
+        p.fail(f"expected {what}")
+    return p.texts[p.advance()]
 
 
 def _validate(diags: list[Diagnostic], node_set,

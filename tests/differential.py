@@ -29,6 +29,14 @@ tagmap.cli`` on the same inputs:
   ladder whose tags are unions of two or three conjunctions, so that
   covers have several nodes and two tags' covers meet in several pairs of
   nodes;
+* ``compile`` of tagsets and rules with lexical traps: CRLF line ends
+  and tab indents, a comment right after a quoted value, an unterminated
+  quote, a stray ``@``, a form feed and a non-ASCII name, and ``query -e``
+  of specifications with the same traps, so that the line and column of
+  every diagnostic are compared.  The CLI reads files with universal
+  newlines, which turn CRLF into LF before the lexer runs, so the CRLF
+  files test tab indents only; the ``query -e`` cases are the ones that
+  put a carriage return in front of the lexer;
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
   broken after a duplicate tag;
 * ``compile``, ``explain`` and one ``query -e`` of each of 30 seeded random
@@ -156,6 +164,8 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
     commands += [("disjunctive compile", ["compile", *disjunctive]),
                  ("disjunctive explain", ["explain", *disjunctive])]
 
+    commands += lexical_inputs(work, fixtures)
+
     broken = work / "broken.rules"
     broken.write_text("mapping m for tagset other\ntags AA, AA,\n"
                       "[pos = 'AA'] => [mass].\n")
@@ -177,6 +187,52 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
             + [("fixture query session", ["query", *fixture], session),
                ("fixture query session to end of input",
                 ["query", *fixture, "--strict"], "[mass]\n[vform = fin]")])
+
+
+def lexical_inputs(work: Path, fixtures: Path) -> list[tuple[str, list[str]]]:
+    """``compile`` and ``query -e`` commands on lexically tricky sources,
+    whose diagnostics give the line and column of what goes wrong."""
+    tagset = (fixtures / "eagles-en.tagset").read_text()
+    rules = (fixtures / "upenn.rules").read_text()
+    # CRLF line ends (read back as LF by the CLI) and tab indents, with an
+    # unknown tag and name to report
+    crlf = {"tagset": tagset.replace("\n  ", "\n\t"),
+            "rules": rules.replace("\n     ", "\n\t")
+            + "\t[pos = 'ZZ'] =>\t[nosuch & sg].\n"}
+    sources = {f"crlf.{kind}": text.replace("\n", "\r\n")
+               for kind, text in crlf.items()}
+    sources.update({
+        # a comment right after a quoted value, then an unknown tag
+        "comment.rules": rules.replace("[pos = 'CC']", "[pos = 'CC']# a note\n")
+        + "[pos = 'QQ'] => [n].\n",
+        "unterminated.rules": rules.replace("[pos = 'JJR']", "[pos = 'JJR]"),
+        "stray.rules": rules.replace("[adj & sup]", "[adj @ sup]"),
+        "formfeed.tagset": tagset.replace("\nfeature", "\n\fFeature", 1),
+        "accented.tagset": tagset.replace("  ex\n", "  ex\n  nöun\n"),
+    })
+    for name, text in sources.items():
+        (work / name).write_text(text)
+    tagset, rules = str(fixtures / "eagles-en.tagset"), str(fixtures / "upenn.rules")
+    commands = [
+        ("crlf compile", ["compile", "--tagset", str(work / "crlf.tagset"),
+                          "--rules", str(work / "crlf.rules")]),
+        ("comment after a quote compile", ["compile", "--tagset", tagset,
+                                           "--rules", str(work / "comment.rules")]),
+        ("unterminated quote compile", ["compile", "--tagset", tagset, "--rules",
+                                        str(work / "unterminated.rules")]),
+        ("stray character compile", ["compile", "--tagset", tagset,
+                                     "--rules", str(work / "stray.rules")]),
+        ("form feed compile", ["compile", "--tagset",
+                               str(work / "formfeed.tagset")]),
+        ("non-ASCII name compile", ["compile", "--tagset",
+                                    str(work / "accented.tagset")]),
+    ]
+    for i, text in enumerate(["[n &\r\n\tsg]\r\n", "[n &\r\n\tnosuch]",
+                              "[pos = 'NN'# note\n]", "[pos = 'NN]", "[n @ sg]",
+                              "[n\f& sg]", "[nöun & sg]", "[n & s$g-]"]):
+        commands.append((f"lexical query {i}", ["query", "--tagset", tagset,
+                                                "--rules", rules, "-e", text]))
+    return commands
 
 
 def run(src: Path, args: list[str], stdin: str, cwd: Path):

@@ -18,6 +18,7 @@ the per-token retagger with the package and checks only the streaming I/O.
 The overlap and containment checks of a mapping tree are kept in their
 former pairwise form, every tag against every other; they share cover
 rendering with the package and check only how candidates are found.
+Tokens come from the lexer's former scan, one record per token.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from tagmap.diagnostics import Diagnostic, warning
+from tagmap.diagnostics import Diagnostic, Span, SpecSyntaxError, error, warning
 from tagmap.retagger import RetagSummary, retag_lines
 from tagmap.specexpr import And, Atom, BareAtom, Not, Or, SpecExpr, parse_spec
 from tagmap.typegraph import minimal_cover, render_cover
@@ -277,6 +278,61 @@ def oracle_well_typed(spec: SpecExpr | str) -> bool:
         if not oracle_denote(conj, universe):
             return False
     return True
+
+
+# -- tokens, one record per token -------------------------------------------
+
+# The lexer's former form: one named group per token kind, one match object
+# and one (kind, text, line, column) record per token.
+_TOKEN_RE = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<NAME>    [A-Za-z_][A-Za-z0-9_$-]* )
+    | (?P<NUMBER>  [0-9]+               )
+    | (?P<QUOTED>  '[^']*' | "[^"]*"    )
+    | (?P<COMMENT> \#.*                 )
+    | (?P<OUTOF>   <<                   )
+    | (?P<INTO>    >>                   )
+    | (?P<ARROW>   =>                   )
+    | (?P<NEQ>     !=                   )
+    | (?P<EQ>      =                    )
+    | (?P<BANG>    !                    )
+    | (?P<AMP>     &                    )
+    | (?P<PIPE>    \|                   )
+    | (?P<LPAREN>  \(                   )
+    | (?P<RPAREN>  \)                   )
+    | (?P<LBRACKET>\[                   )
+    | (?P<RBRACKET>\]                   )
+    | (?P<LBRACE>  \{                   )
+    | (?P<RBRACE>  \}                   )
+    | (?P<COMMA>   ,                    )
+    | (?P<DOT>     \.                   )
+    | (?P<BAD>     [^ \t\r]             )
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """Each token of ``source`` as (kind, text, line, column), ending with
+    EOF; raises the lexer's :class:`SpecSyntaxError` at the first character
+    outside the alphabet."""
+    tokens = []
+    lines = source.split("\n")
+    for number, line in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(line.rstrip(" \t\r")):
+            kind = m.lastgroup
+            if kind == "COMMENT":
+                break
+            if kind == "BAD":
+                raise SpecSyntaxError([error(
+                    "syntax", f"unexpected character {m[kind]!r}",
+                    Span(number, m.start(kind) + 1))])
+            tokens.append((kind, m[kind], number, m.start(kind) + 1))
+    tokens.append(("EOF", "", len(lines), len(lines[-1]) + 1))
+    return tokens
 
 
 # -- rules fixture, scraped independently -------------------------------------

@@ -1,16 +1,20 @@
-"""The shared tokenizer: token kinds, source positions and fixture counts."""
+"""The shared tokenizer: token kinds, source positions and fixture counts,
+and agreement with the former per-token scan on random sources."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tagmap import SpecSyntaxError
 from tagmap.lexer import tokenize
+from tagmap.specexpr import parse_spec
 
-from oracles import FIXTURES
+from oracles import FIXTURES, oracle_tokenize
 from support import doubling_ratios
 
 
 def _scan(source):
-    return [(t.type, t.text, t.span.line, t.span.column) for t in tokenize(source)]
+    tokens = tokenize(source)
+    return list(zip(tokens.kinds, tokens.texts, tokens.lines, tokens.columns))
 
 
 def test_positions_across_comments_tabs_and_crlf():
@@ -40,18 +44,21 @@ def test_every_token_kind(text, kind):
 
 
 def test_longest_operator_wins():
-    assert [t.type for t in tokenize("a!=b=>c<<d>>e!c")] == [
+    assert tokenize("a!=b=>c<<d>>e!c").kinds == [
         "NAME", "NEQ", "NAME", "ARROW", "NAME", "OUTOF", "NAME", "INTO",
         "NAME", "BANG", "NAME", "EOF"]
 
 
 def test_quoted_value():
-    single, double, name, eof = tokenize("'VB$' \"a b\" VB")
-    assert (single.type, single.text, single.value) == ("QUOTED", "'VB$'", "VB$")
-    assert (double.type, double.text, double.value) == ("QUOTED", '"a b"', "a b")
-    assert (name.type, name.value) == ("NAME", "VB")
-    assert (double.span.line, double.span.column) == (1, 7)
-    assert eof.value == ""
+    single, double, name, eof = _scan("'VB$' \"a b\" VB")
+    assert single[:2] == ("QUOTED", "'VB$'")
+    assert double[:2] == ("QUOTED", '"a b"')
+    assert name[:2] == ("NAME", "VB")
+    assert double[2:] == (1, 7)
+    assert eof[1] == ""
+    # parsers unwrap a quoted value
+    assert parse_spec("pos = 'VB$'").value == "VB$"
+    assert parse_spec('pos = "a b"').value == "a b"
 
 
 def test_empty_source_is_one_eof_token():
@@ -82,7 +89,7 @@ def test_unexpected_character(source, char, line, column):
 def test_fixture_token_counts(name, count):
     tokens = tokenize((FIXTURES / name).read_text())
     assert len(tokens) == count
-    assert tokens[-1].type == "EOF"
+    assert tokens.kinds[-1] == "EOF"
 
 
 def test_tokenize_is_linear_in_the_input_length():
@@ -90,3 +97,34 @@ def test_tokenize_is_linear_in_the_input_length():
     text = (FIXTURES / "upenn.rules").read_text()
     ratios = doubling_ratios(tokenize, [text * n for n in (4, 8, 16)])
     assert all(r < 3 for r in ratios), ratios
+
+
+# sources drawn from the token alphabet, blanks and line ends, plus what is
+# lexically tricky: CRLF, tabs and form feeds, comments, lone and unterminated
+# quotes, non-ASCII letters, and '$' and '-' inside and at the start of names
+_PIECES = st.sampled_from([
+    "a", "VB", "PP$", "x-y", "_1", "0", "42", "'a b'", '"c d"', "'#'",
+    "<<", ">>", "=>", "!=", "=", "!", "&", "|", "(", ")", "[", "]", "{", "}",
+    ",", ".", "<", ">", " ", "  ", "\t", "\r", "\n", "\r\n", "\f", "#",
+    "# note", "'", '"', "'open", "é", "ß", "名", "$", "-", "@", ";"])
+_SOURCES = st.one_of(
+    st.lists(_PIECES, max_size=30).map("".join),
+    st.text(alphabet="aZ_9$-'\"#=!<>&|()[]{},. \t\r\n\fé@", max_size=40))
+
+
+def _outcome(scan, source):
+    try:
+        return scan(source)
+    except SpecSyntaxError as exc:
+        return exc.diagnostics
+
+
+@given(_SOURCES)
+@example("'VB'# comment\r\n\tx")
+@example("a 'b\nc' d")
+@example("ok\f")
+@example("na\u00efve")
+@settings(max_examples=400, deadline=None)
+def test_columns_match_the_per_token_scan(source):
+    # the same (kind, text, line, column) list, or the same first error
+    assert _outcome(_scan, source) == _outcome(oracle_tokenize, source)

@@ -5,9 +5,11 @@ import pytest
 
 from tagmap import (
     CompileError,
+    maprules,
     parse_rules,
     parse_tagset_definition,
 )
+from tagmap.lexer import TokenCursor, tokenize
 
 from inputs import positional_rules
 from oracles import FIXTURES, mask_keys, oracle_rules
@@ -301,3 +303,49 @@ def test_rule_parsing_is_linear_in_the_number_of_tags():
                              [positional_rules(6, k) for k in (3, 4, 5)],
                              repeats=9)
     assert all(r < 5 for r in ratios), ratios
+
+
+def test_rule_parsing_work_is_linear_in_the_number_of_tags(monkeypatch):
+    # the counter twin of the test above, on the same rule sets: the cursor
+    # steps over each token once, never back, and each rule is typechecked
+    # once, so the work grows exactly as the input does
+    six = parse_tagset_definition(gen.ladder_tagset(6))
+    steps, checks = [], []
+
+    class CountingCursor(TokenCursor):
+        @property
+        def pos(self):
+            return self._at
+
+        @pos.setter
+        def pos(self, at):
+            assert at >= getattr(self, "_at", 0), "the cursor stepped back"
+            steps[-1] += at - getattr(self, "_at", 0)
+            self._at = at
+
+    def counting_cursor(source):
+        c = tokenize(source)
+        return CountingCursor(c.kinds, c.texts, c.lines, c.columns)
+
+    def counting(target, graph):
+        checks[-1] += 1
+        return typecheck(target, graph)
+
+    typecheck = maprules.typecheck
+    monkeypatch.setattr(maprules, "tokenize", counting_cursor)
+    monkeypatch.setattr(maprules, "typecheck", counting)
+    tokens, tags = [], []
+    for k in (3, 4, 5):
+        text = positional_rules(6, k)
+        steps.append(0)
+        checks.append(0)
+        tags.append(len(parse_rules(text, six).inventory))
+        tokens.append(len(tokenize(text)))
+    assert tags == [81, 243, 729]
+    # every token but the final EOF is stepped over
+    assert steps == [n - 1 for n in tokens]
+    assert checks == tags
+    # a rule of k + 1 atoms is 12 + 4k tokens; the header, the tags line and
+    # EOF add 2n + 6 more for n tags
+    assert tokens == [n * (12 + 4 * k) + 2 * n + 6
+                      for n, k in zip(tags, (3, 4, 5))]
