@@ -6,9 +6,13 @@
     tagmap query   --tagset F --rules F [--batch F]  resolve abstract queries
     tagmap retag   --tagset F --rules F --corpus F   rewrite a corpus
 
-Exit status: 0 on success, 1 on compile errors or definition holes met while
-retagging, 2 when --strict is given and warnings were issued, 3 on I/O errors,
-an input file that cannot be decoded among them.
+Every subcommand takes --strict.  Exit status: 1 if the command failed
+(compile errors, an ill-typed -e or --batch query, definition holes met while
+retagging), else 2 if it issued warnings and --strict is given, else 0; 3 on
+I/O errors, an input file that cannot be decoded among them.
+
+Tagset and rules files are read without newline translation: a lone carriage
+return is a blank to the lexer, as it is for the library.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 
 from .diagnostics import CompileError, Diagnostic
 from .maprules import RuleSet, parse_rules
@@ -27,16 +30,16 @@ from .typegraph import TypeGraph, parse_tagset_definition
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        failed, warned = args.func(args)
     except CompileError as exc:
         _print_diags(exc.diagnostics)
         return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 1 if failed else 2 if warned and args.strict else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,46 +47,42 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tagmap",
         description="compile tagset mappings, resolve queries, retag corpora")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("compile", "check"):
-        p = sub.add_parser(name, help="compile a tagset and optional rules")
+    # each subcommand's help, its function and the options it adds to
+    # --tagset, --rules (required but for compile) and --strict
+    query = ((("-e", "--expr"), dict(action="append", default=[],
+                                     help="query expression (repeatable)")),
+             (("--batch",), dict(help="file with one query per line")))
+    retag = ((("--corpus",), dict(required=True, help="tagged corpus file")),
+             (("-o", "--output"), dict(help="output file (default stdout)")),
+             (("--format",), dict(choices=("slash", "tsv"), default="slash")))
+    compiled = ("compile a tagset and optional rules", _cmd_compile, ())
+    commands = {
+        "compile": compiled, "check": compiled,
+        "explain": ("print per-tag standard assignments", _cmd_explain, ()),
+        "query": ("resolve abstract queries to tag patterns", _cmd_query, query),
+        "retag": ("rewrite a tagged corpus with readings", _cmd_retag, retag)}
+    for name, (help_, func, options) in commands.items():
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--tagset", required=True, help="tagset definition file")
-        p.add_argument("--rules", help="mapping rules file")
+        p.add_argument("--rules", required=func is not _cmd_compile,
+                       help="mapping rules file")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--strict", action="store_true",
                        help="treat warnings as failures")
-        p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("explain", help="print per-tag standard assignments")
-    p.add_argument("--tagset", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser("query", help="resolve abstract queries to tag patterns")
-    p.add_argument("--tagset", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("-e", "--expr", action="append", default=[],
-                   help="query expression (repeatable)")
-    p.add_argument("--batch", help="file with one query per line")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("retag", help="rewrite a tagged corpus with readings")
-    p.add_argument("--tagset", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--corpus", required=True, help="tagged corpus file")
-    p.add_argument("-o", "--output", help="output file (default stdout)")
-    p.add_argument("--format", choices=("slash", "tsv"), default="slash")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_retag)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read(path: str) -> str:
+    """The file's text with its line ends untranslated."""
+    with open(path, newline="") as f:
+        return f.read()
+
+
 def _load(args) -> tuple[TypeGraph, RuleSet | None]:
-    graph = parse_tagset_definition(Path(args.tagset).read_text())
-    rules = None
-    if args.rules:
-        rules = parse_rules(Path(args.rules).read_text(), graph)
+    graph = parse_tagset_definition(_read(args.tagset))
+    rules = parse_rules(_read(args.rules), graph) if args.rules else None
     return graph, rules
 
 
@@ -92,33 +91,27 @@ def _print_diags(diags: list[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args) -> tuple[bool, bool]:
     graph, rules = _load(args)
-    warnings: list[Diagnostic] = []
-    tags = 0
+    tags, warnings = 0, []
     if rules is not None:
-        tree = build_mtree(rules)
-        warnings = rules.warnings + tree.diagnostics
         tags = len(rules.inventory)
+        warnings = rules.warnings + build_mtree(rules).diagnostics
     print(f"tags: {tags}, classes: {graph.full_mask.bit_length()}, "
           f"warnings: {len(warnings)}")
     _print_diags(warnings)
-    if warnings and args.strict:
-        return 2
-    return 0
+    return False, bool(warnings)
 
 
-def _cmd_explain(args) -> int:
+def _cmd_explain(args) -> tuple[bool, bool]:
     graph, rules = _load(args)
     tree = build_mtree(rules)
     print(render_explain(tree))
     _print_diags(rules.warnings)
-    if (rules.warnings or tree.diagnostics) and args.strict:
-        return 2
-    return 0
+    return False, bool(rules.warnings or tree.diagnostics)
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> tuple[bool, bool]:
     graph, rules = _load(args)
     failed = warned = False
     for line in _query_lines(args):
@@ -137,11 +130,7 @@ def _cmd_query(args) -> int:
         print(res.render())
     # the interactive session reports ill-typed queries and continues; they
     # do not fail the run
-    if failed and (args.expr or args.batch):
-        return 1
-    if warned and args.strict:
-        return 2
-    return 0
+    return failed and bool(args.expr or args.batch), warned
 
 
 def _query_lines(args):
@@ -150,7 +139,7 @@ def _query_lines(args):
     if args.expr or args.batch:
         yield from args.expr
         if args.batch:
-            for line in Path(args.batch).read_text().splitlines():
+            for line in _read(args.batch).splitlines():
                 if line.strip() != "\\q":
                     yield line
         return
@@ -165,7 +154,7 @@ def _query_lines(args):
         yield line
 
 
-def _cmd_retag(args) -> int:
+def _cmd_retag(args) -> tuple[bool, bool]:
     graph, rules = _load(args)
     if (args.output and os.path.exists(args.output)
             and os.path.samefile(args.corpus, args.output)):
@@ -188,11 +177,7 @@ def _cmd_retag(args) -> int:
             else:
                 out.write(item.render() + "\n")
         out.write(summary.render() + "\n")
-    if summary.holes:
-        return 1
-    if summary.malformed and args.strict:
-        return 2
-    return 0
+    return bool(summary.holes), bool(summary.malformed)
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@ tagmap.cli`` on the same inputs:
   covers have several nodes and two tags' covers meet in several pairs of
   nodes;
 * ``compile`` of tagsets and rules with lexical traps: CRLF line ends
-  and tab indents, a comment right after a quoted value, an unterminated
-  quote, a stray ``@``, a form feed and a non-ASCII name, and ``query -e``
-  of specifications with the same traps, so that the line and column of
-  every diagnostic are compared.  The CLI reads files with universal
-  newlines, which turn CRLF into LF before the lexer runs, so the CRLF
-  files test tab indents only; the ``query -e`` cases are the ones that
-  put a carriage return in front of the lexer;
+  and tab indents, a lone carriage return, a comment right after a quoted
+  value, an unterminated quote, a stray ``@``, a form feed and a non-ASCII
+  name, and ``query -e`` of specifications with the same traps, so that the
+  line and column of every diagnostic are compared.  The CLI reads files
+  without newline translation, so every carriage return reaches the lexer,
+  which takes a lone one for a blank;
 * ``compile`` of a rules file for another tagset whose ``tags`` line is
   broken after a duplicate tag;
 * ``compile``, ``explain`` and one ``query -e`` of each of 30 seeded random
@@ -194,8 +193,7 @@ def lexical_inputs(work: Path, fixtures: Path) -> list[tuple[str, list[str]]]:
     whose diagnostics give the line and column of what goes wrong."""
     tagset = (fixtures / "eagles-en.tagset").read_text()
     rules = (fixtures / "upenn.rules").read_text()
-    # CRLF line ends (read back as LF by the CLI) and tab indents, with an
-    # unknown tag and name to report
+    # CRLF line ends and tab indents, with an unknown tag and name to report
     crlf = {"tagset": tagset.replace("\n  ", "\n\t"),
             "rules": rules.replace("\n     ", "\n\t")
             + "\t[pos = 'ZZ'] =>\t[nosuch & sg].\n"}
@@ -209,9 +207,12 @@ def lexical_inputs(work: Path, fixtures: Path) -> list[tuple[str, list[str]]]:
         "stray.rules": rules.replace("[adj & sup]", "[adj @ sup]"),
         "formfeed.tagset": tagset.replace("\nfeature", "\n\fFeature", 1),
         "accented.tagset": tagset.replace("  ex\n", "  ex\n  nöun\n"),
+        # a lone carriage return, a blank that ends no line, before a stray
+        # character
+        "lonecr.tagset": "tagset t hierarchy { a }\rfeature f for a { x }\n@\n",
     })
     for name, text in sources.items():
-        (work / name).write_text(text)
+        (work / name).write_text(text, newline="")
     tagset, rules = str(fixtures / "eagles-en.tagset"), str(fixtures / "upenn.rules")
     commands = [
         ("crlf compile", ["compile", "--tagset", str(work / "crlf.tagset"),
@@ -226,6 +227,8 @@ def lexical_inputs(work: Path, fixtures: Path) -> list[tuple[str, list[str]]]:
                                str(work / "formfeed.tagset")]),
         ("non-ASCII name compile", ["compile", "--tagset",
                                     str(work / "accented.tagset")]),
+        ("lone carriage return compile", ["compile", "--tagset",
+                                          str(work / "lonecr.tagset")]),
     ]
     for i, text in enumerate(["[n &\r\n\tsg]\r\n", "[n &\r\n\tnosuch]",
                               "[pos = 'NN'# note\n]", "[pos = 'NN]", "[n @ sg]",

@@ -11,6 +11,7 @@ import gen
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tagmap import CompileError, parse_rules, parse_tagset_definition
 from tagmap.cli import main
 
 from oracles import FIXTURES, oracle_retag_cli
@@ -315,6 +316,82 @@ def test_undecodable_rules_file_is_io_error(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error:") and "decode" in err
     assert out == ""
+
+
+def _library_errors(tagset, rules):
+    """The diagnostics the library raises on the two sources, as the CLI
+    prints them."""
+    try:
+        graph = parse_tagset_definition(tagset)
+        if rules is not None:
+            parse_rules(rules, graph)
+    except CompileError as exc:
+        return "".join(d.render() + "\n" for d in exc.diagnostics)
+    raise AssertionError("the sources compile")
+
+
+_FIXTURE_TAGSET = (FIXTURES / "eagles-en.tagset").read_text()
+_FIXTURE_RULES = (FIXTURES / "upenn.rules").read_text()
+# a lone carriage return before an error: a blank to the lexer, a line end
+# to a reader with universal newlines
+_LONE_CR = {
+    "tagset": ("tagset t hierarchy { a }\rfeature f for a { x }\n@\n", None),
+    "rules": (_FIXTURE_TAGSET, _FIXTURE_RULES + "\r\r[pos = 'QQ'] => [n].\n"),
+}
+
+
+@pytest.mark.parametrize("tagset, rules", _LONE_CR.values(), ids=_LONE_CR)
+def test_sources_are_read_untranslated(capsys, tmp_path, tagset, rules):
+    argv = ["compile", "--tagset", str(tmp_path / "t.tagset")]
+    (tmp_path / "t.tagset").write_text(tagset, newline="")
+    if rules is not None:
+        argv += ["--rules", str(tmp_path / "t.rules")]
+        (tmp_path / "t.rules").write_text(rules, newline="")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == _library_errors(tagset, rules)
+
+
+_OVERLAP_RULES = (_FIXTURE_RULES.replace("tags CC,", "tags VBX, CC,")
+                  + "[pos = 'VBX'] => [vtype = con & vform = part].\n")
+_TYPO_RULES = (_FIXTURE_RULES.replace("\n     ", "\n\t")
+               + "\t[pos = 'ZZ'] =>\t[nosuch & sg].\n")
+
+
+@pytest.mark.parametrize("rules", [_OVERLAP_RULES, _TYPO_RULES],
+                         ids=["warnings", "errors"])
+def test_crlf_sources_match_their_lf_twins(capsys, tmp_path, rules):
+    outcomes = []
+    for end in ("\n", "\r\n"):
+        tagset, rules_file = tmp_path / "t.tagset", tmp_path / "t.rules"
+        tagset.write_text(_FIXTURE_TAGSET.replace("\n", end), newline="")
+        rules_file.write_text(rules.replace("\n", end), newline="")
+        outcomes.append(run(capsys, "compile", "--tagset", str(tagset),
+                            "--rules", str(rules_file)))
+    assert outcomes[0] == outcomes[1]
+    assert " at " in outcomes[0][2]
+
+
+def test_a_failure_outranks_strict_warnings(capsys, monkeypatch, tmp_path):
+    strict = ["--tagset", TAGSET, "--rules", RULES, "--strict"]
+    batch = tmp_path / "queries.txt"
+    batch.write_text("[pos = v & case = gen]\n" + FLAGSHIP + "\n")
+    code, out, _ = run(capsys, "query", *strict, "--batch", str(batch))
+    assert (code, out) == (1, FLAGSHIP_OUT)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("foo/XYZ\nbad line here\n")
+    code, out, _ = run(capsys, "retag", *strict, "--corpus", str(corpus))
+    assert code == 1
+    assert "# holes: 1 (XYZ: 1)" in out and "# malformed: 1" in out
+    # a tagset alone neither fails nor warns
+    assert run(capsys, "compile", "--tagset", TAGSET, "--strict")[0] == 0
+    # the prompt's ill-typed queries do not fail the session, so the noise
+    # of the next one decides
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("[pos = v & case = gen]\n" + FLAGSHIP + "\n"))
+    code, out, err = run(capsys, "query", *strict)
+    assert code == 2
+    assert "pos=v & case=gen" in err and "WARN noise VB" in out
 
 
 # line pieces for both formats: tokens, exception words, holes, malformed
