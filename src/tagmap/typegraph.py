@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import compress
-from operator import mul, or_
+from operator import and_, mul, or_
 from typing import NamedTuple
 
 from .diagnostics import (CompileError, Diagnostic, Span, SpecSyntaxError,
@@ -286,65 +286,63 @@ class TypeGraph:
         The assignments are ordered by the value positions of the earliest
         features first, as if partial assignments were extended feature by
         feature, each by every value of the feature in turn; only their
-        digits are built.  Each feature takes one of two steps:
+        digits are built.  ``spread`` is the product of the value counts of
+        the features that every partial took, and each atom is kept as a
+        pattern, a tile count and the spread when it was written.  An atom
+        is read, for a guard, a partial step or the result, by repeating
+        each digit of its pattern as many times as the spread has grown
+        since, then tiling that.  Each feature of k values takes one of two
+        steps, and its value j's atom has a pattern built on k digits, "1"
+        only at the j-th:
 
-        * A feature that every partial takes, unguarded or guarded by an
-          atom they all hold, joins the pending run and multiplies its
-          product size by its number of values.  The run is flushed with
-          :func:`_flush` at a guard that only some partials may hold, since
-          the guard may read the run's atoms, and at the end.
-        * A feature that only some partials take, read off its guard atoms'
-          digits, turns each taker into one partial per value; earlier
-          atoms' digits are repeated at the takers, unless the feature has
-          one value and adds no partial.
+        * A feature that every partial takes, unguarded or guarded by atoms
+          that every partial holds between them, multiplies the partials
+          and the spread by k; the k digits are the pattern, tiled once per
+          earlier partial.
+        * A feature that only some partials take, read off its guard atoms,
+          turns each taker into k partials, one per value; every atom is
+          read and repeated at the takers, unless k is 1, and the pattern
+          is the takers' digits with each "1" replaced by the k digits.
 
-        An atom gets its digits at the step or flush that ends its feature,
-        so ``digits`` is in declaration order.  The atom of a one-value
-        feature in the run is held by every partial, then and after any
-        later step, so a guard on it leaves the run pending.  A feature that
-        would take the partials past ``room`` is reported before its digits
-        are built.
+        A feature that would take the partials past ``room`` is reported
+        before its digits are built.
         """
-        n = 1                   # partials so far
-        digits: dict[tuple[str, str], str] = {}
-        # one-value atoms held by every partial
-        everywhere: set[tuple[str, str]] = set()
-        # the pending run's features' atoms, and its product size
-        run: list[list[tuple[str, str]]] = []
-        size = 1
+        n = spread = 1          # partials so far, and the spread
+        atoms: dict[tuple[str, str], tuple[str, int, int]] = {}
+
+        def read(a):
+            pattern, tiles, written = atoms[a]
+            if (k := spread // written) > 1:
+                pattern = pattern.replace("0", "0" * k).replace("1", "1" * k)
+            return pattern * tiles
+
         for f in feats:
+            k = len(f.values)
             takes = None        # the takers' digits, None when all take f
-            if f.conditions and everywhere.isdisjoint(f.conditions):
-                n = _flush(n, run, size, digits)
-                run, size = [], 1
-                held = [digits[c] for c in f.conditions if c in digits]
+            if f.conditions:
+                held = [read(c) for c in f.conditions if c in atoms]
                 takes = held[0] if len(held) == 1 else format(
                     reduce(or_, (int(d, 2) for d in held), 0), f"0{n}b")
                 if "0" not in takes:
                     takes = None
-            atoms = [(f.name, v) for v in f.values]
-            k = len(atoms)
             if takes is None:
-                size *= k
-                if n * size > room:
-                    raise _too_large(f"feature {f.name!r}", f.span)
-                run.append(atoms)
-                if k == 1:
-                    everywhere.add(atoms[0])
-                continue
-            grown = n + (k - 1) * takes.count("1")
+                tiles, grown, spread = n, n * k, spread * k
+            else:
+                tiles, grown = 1, n + (k - 1) * takes.count("1")
             if grown > room:
                 raise _too_large(f"feature {f.name!r}", f.span)
-            # ``run`` is empty: the guard above flushed it.  A taker becomes
-            # k partials, one per value, and each inherits its digits
-            if k > 1:
+            if takes is not None and k > 1:
+                # a taker becomes k partials, one per value, and each
+                # inherits its digits
                 reps = [k if t == "1" else 1 for t in takes]
-                for a, d in digits.items():
-                    digits[a] = "".join(map(mul, d, reps))
-            for j, a in enumerate(atoms):
-                digits[a] = takes.replace("1", "0" * j + "1" + "0" * (k - j - 1))
+                for a in atoms:
+                    atoms[a] = "".join(map(mul, read(a), reps)), 1, spread
+            for j, v in enumerate(f.values):
+                hot = "0" * j + "1" + "0" * (k - j - 1)
+                atoms[(f.name, v)] = (hot if takes is None else
+                                      takes.replace("1", hot)), tiles, spread
             n = grown
-        return _flush(n, run, size, digits), digits
+        return n, {a: read(a) for a in atoms}
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -384,13 +382,13 @@ class TypeGraph:
         conjunctions and is skipped.  Each other one's inside conjunctions
         lie in the closure of its classes in ``target``: its mask and-ed with
         those of the class's atoms that all these classes hold.  One search
-        starts there and adds the class's other atoms depth-first in
-        declaration order.  A branch stops at its first mask inside
-        ``target``, the closure itself when that lies inside; an atom is
-        added only if it removes a class outside, since a prime reached with
-        one that does not is reached without it; a state is dropped when all
-        the atoms left still admit a class outside.  The maximal masks found
-        are the primes.
+        starts there, each state a mask and a set of barred atoms, and takes
+        the class's other atoms as in Knuth's Algorithm X.  A state inside
+        ``target`` is found; one is dropped when a class outside is held by
+        every atom not barred; any other branches on the unbarred atoms that
+        leave out its lowest class outside, each branch barring the atoms
+        branched on before it, so each set of atoms is tried once.  The
+        maximal masks found are the primes.
         """
         leaf, assignment = self._class_at(index)
         # the class's atoms with their features' homes
@@ -405,26 +403,30 @@ class TypeGraph:
             if inside == below:
                 continue
             below = inside
-            closed, atom_masks = self._node_mask[node], []
+            closed, free = self._node_mask[node], []
             for _, m in atoms:
                 if m & inside == inside:
                     closed &= m
                 else:
-                    atom_masks.append(m)
-            # rest[i]: the classes that every atom from position i on admits
-            rest = [self.full_mask] * (len(atom_masks) + 1)
-            for i in range(len(atom_masks) - 1, -1, -1):
-                rest[i] = rest[i + 1] & atom_masks[i]
+                    free.append(m)
+            # each state's barred atoms are the bits of their positions in
+            # ``free``
             stack = [(closed, 0)]
             while stack:
-                m, i = stack.pop()
+                m, barred = stack.pop()
                 outside = m & ~target
                 if not outside:
                     found.add(m)
-                elif not outside & rest[i]:
-                    stack += [(m & am, j + 1)
-                              for j, am in enumerate(atom_masks[i:], i)
-                              if outside & ~am]
+                    continue
+                unbarred = [(1 << i, am) for i, am in enumerate(free)
+                            if not barred >> i & 1]
+                if reduce(and_, (am for _, am in unbarred), outside):
+                    continue
+                low = outside & -outside
+                for bit, am in unbarred:
+                    if not am & low:
+                        stack.append((m & am, barred))
+                        barred |= bit
         described = []
         for m in found:
             if any(m != o and not m & ~o for o in found):
@@ -475,29 +477,6 @@ class TypeGraph:
         if not mask:
             raise ValueError("cannot describe the empty class set")
         return self._closure(mask)[1]
-
-
-def _flush(n, run, size, digits):
-    """The number of partials once each of ``n`` is extended by every
-    combination of the values of ``run``, the last feature's varying
-    fastest, ``size`` combinations in all.  ``digits`` are brought up to
-    date in place: earlier atoms' digits are spread to ``size``, unless it
-    is 1, and each run atom's are added, so a run of one-value features
-    costs one write per atom."""
-    if size > 1:
-        spread = {48: "0" * size, 49: "1" * size}   # ord("0"), ord("1")
-        for a, d in digits.items():
-            digits[a] = d.translate(spread)
-    width = n * size
-    stride = size
-    for atoms in run:
-        # value j holds positions j*stride to (j+1)*stride of each block
-        stride //= len(atoms)
-        block = len(atoms) * stride
-        for j, a in enumerate(atoms):
-            digits[a] = ("0" * (j * stride) + "1" * stride
-                         + "0" * (block - (j + 1) * stride)) * (width // block)
-    return width
 
 
 def _too_large(what: str, span: Span | None) -> CompileError:

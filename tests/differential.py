@@ -29,6 +29,9 @@ tagmap.cli`` on the same inputs:
   ladder whose tags are unions of two or three conjunctions, so that
   covers have several nodes and two tags' covers meet in several pairs of
   nodes;
+* ``compile`` and ``explain`` of a chain of 20 three-value features, each
+  appropriate only under the middle value of the one before, with one tag
+  per last value, so that the hole left is covered by one prime per class;
 * ``compile`` of tagsets and rules with lexical traps: CRLF line ends
   and tab indents, a lone carriage return, a comment right after a quoted
   value, an unterminated quote, a stray ``@``, a form feed and a non-ASCII
@@ -72,11 +75,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 import oracles  # noqa: E402
 from inputs import (  # noqa: E402
-    disjunctive_rules, nested_tagset, positional_rules)
+    disjunctive_rules, guarded_chain, nested_tagset, positional_rules)
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
 RANDOM_TAGSETS = 30
+CHAIN_FEATURES = 20
 CORPUS_TOKENS = 20_000
 
 
@@ -162,6 +166,14 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
     disjunctive = ["--tagset", str(tagset), "--rules", str(path)]
     commands += [("disjunctive compile", ["compile", *disjunctive]),
                  ("disjunctive explain", ["explain", *disjunctive])]
+
+    tagset, rules = guarded_chain(CHAIN_FEATURES)
+    (work / "chain.tagset").write_text(tagset)
+    (work / "chain.rules").write_text(rules)
+    chain = ["--tagset", str(work / "chain.tagset"),
+             "--rules", str(work / "chain.rules")]
+    commands += [("guarded chain compile", ["compile", *chain]),
+                 ("guarded chain explain", ["explain", *chain])]
 
     commands += lexical_inputs(work, fixtures)
 

@@ -108,6 +108,21 @@ def guarded_two_leaf_tagset(rng, features=(0, 4)) -> str:
     return two_leaf_tagset(*decls)
 
 
+def guarded_chain(n: int) -> tuple[str, str]:
+    """A tagset of one leaf and ``n`` three-value features, each after the
+    first appropriate only under the middle value of the one before, so
+    that it has ``2 * n + 1`` classes; and rules with one tag per last
+    value, ``[f{i} = c{i}]``."""
+    lines = ["tagset chain", "hierarchy { x }",
+             "feature f0 for root { a0, b0, c0 }"]
+    lines += [f"feature f{i} for root when f{i - 1} = b{i - 1} "
+              f"{{ a{i}, b{i}, c{i} }}" for i in range(1, n)]
+    tags = [f"C{i}" for i in range(n)]
+    rules = ["mapping chain for tagset chain", "tags " + ", ".join(tags)]
+    rules += [f"[pos = 'C{i}'] => [f{i} = c{i}]." for i in range(n)]
+    return "\n".join(lines) + "\n", "\n".join(rules) + "\n"
+
+
 # -- specification expressions over a graph ------------------------------------
 
 # cumulative odds of f = v, f != v, pos = node and a bare value; a bare node

@@ -29,8 +29,8 @@ from tagmap import (
     typegraph,
 )
 
-from inputs import (guarded_two_leaf_tagset, nested_tagset, strategy,
-                    two_leaf_tagset)
+from inputs import (guarded_chain, guarded_two_leaf_tagset, nested_tagset,
+                    strategy, two_leaf_tagset)
 from oracles import (
     FIXTURES,
     key_of,
@@ -419,36 +419,41 @@ def test_masks_match_class_scan_on_random_tagsets(source):
 
 
 @given(TAGSETS)
-# a one-value feature inside a run of multi-value ones
+# a one-value feature between multi-value ones that every class takes
 @example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 { p, q, r }"))
-# a multi-value feature guarded by an atom of an earlier run
+# a multi-value feature guarded by an atom whose spread has grown since
 @example(two_leaf_tagset("f0 { x, y }", "f1 { p, q }",
                          "f2 when f0 = x { s, t }"))
-# taker steps, one-value and multi-value, then a run that ends with a
-# one-value feature
+# taker steps, one-value and multi-value, then features that every class
+# takes, the last a one-value one
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = y { w }",
                          "f2 when f1 = w { u }", "f3 when f1 = w { s, t }",
                          "f4 { p, q }", "f5 { z }"))
 # a guard that holds in every class, though no one atom of it does
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = x or f0 = y { p, q }",
                          "f2 { s, t }"))
-# a run that opens with a one-value feature, flushed by a guard that only
-# some classes hold; a one-value taker step; then a run of one-value and
-# multi-value features
+# a one-value feature that every class takes, then a guard that only some
+# classes hold; a one-value taker step; then one-value and multi-value
+# features that every class takes
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f1 = x { s }",
                          "f3 { z }", "f4 { p, q }"))
-# a guard held everywhere, so the feature joins the run, then a taker step
-# whose guard flushes the run
+# a guard held everywhere, so every class takes the feature, then a taker
+# step whose guard is read at the spread it has grown to
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f0 = w { p, q }",
                          "f3 when f1 = y { s, t }"))
-# a run of one-value features alone, after a one-value taker step, flushed
-# by a guard that only some classes hold: a flush of size 1
+# one-value features alone that every class takes, after a one-value taker
+# step, then a guard that only some classes hold, read at a spread of 1
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = x { p }", "f2 { w }",
                          "f3 { z }", "f4 when f1 = p { s, t }"))
-# a one-value feature guarded by a one-value atom every class holds, inside
-# a run of multi-value features
+# a one-value feature guarded by a one-value atom every class holds,
+# between multi-value features that every class takes
 @example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 when f1 = w { u }",
                          "f3 { p, q }", "f4 when f3 = p { s, t }"))
+# guards that read atoms whose spreads have grown by different factors,
+# one of them around a taker step
+@example(two_leaf_tagset("f0 { x, y }", "f1 { p, q, r }",
+                         "f2 when f0 = x { s, t }", "f3 { u, v }",
+                         "f4 when f1 = q or f3 = v { m, n }"))
 @settings(max_examples=80, deadline=None)
 def test_universe_matches_brute_force_on_random_tagsets(source):
     g = parse_tagset_definition(source)
@@ -727,6 +732,21 @@ def test_union_cover_on_deep_chain_is_prompt():
         f"g{i}=w{i}" for i in range(1, depth + 1))
 
 
+def test_cover_of_a_guarded_chain_is_prompt():
+    # 40 three-value features, each appropriate only under the middle value
+    # of the one before: every class holding f<i>=a<i> is its own prime.  A
+    # prime search adding atoms in declaration order took 3.9 s with 22
+    # features on a shared 2-core VM, and doubled with each feature more;
+    # branching on the lowest class outside, 2 ms with 40
+    n = 40
+    g = parse_tagset_definition(guarded_chain(n)[0])
+    mask = reduce(or_, (g.atom_mask(f"f{i}", f"a{i}") for i in range(n)))
+    with time_limit(0.5):
+        cover = minimal_cover(mask, g)
+    assert sorted(c.mask for c in cover) == sorted(
+        g.atom_mask(f"f{i}", f"a{i}") for i in range(n))
+
+
 def test_cover_of_many_primes_needs_no_recursion():
     # every other class of a 2,400-value feature over two leaves: the cover
     # is one prime per value kept, more than a search that recursed once per
@@ -851,10 +871,10 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
     # one leaf, a two-value feature, then 6,000 one-value features with a
     # guarded one in the middle: copying each class's partial assignment at
     # every feature took 95 to 175 ms here to build the graph, adding each
-    # run of one-value features in one copy 11 to 28 ms.  The one-value
-    # features join the run of the two-value one, and a run of size 1 is
-    # flushed with one write per atom.  The fastest of seven builds is
-    # bounded, so that a spell of load cannot fail it.
+    # run of one-value features in one copy 11 to 28 ms.  A one-value
+    # feature that every class takes leaves the spread as it is, and its
+    # atom is written as one digit and a tile count.  The fastest of seven
+    # builds is bounded, so that a spell of load cannot fail it.
     n = 6000
     ones = [(f"f{i}", f"v{i}") for i in range(n)]
     source = ("tagset wide\nhierarchy { a }\nfeature r for root { x, y }\n"
@@ -927,10 +947,11 @@ def _held_guards(guarded):
 
 
 def test_a_guard_every_class_holds_leaves_the_run_pending():
-    # a guard on a one-value atom that every class holds needs no takers
-    # read off the digits; flushing the run at each of the nine guards built
+    # a guard on a one-value atom that every class holds lets every class
+    # take the feature; flushing a pending run at each of the nine guards built
     # the guarded graph 3 to 4 times slower than the unguarded one on a
-    # shared 2-core VM, leaving it pending about as fast
+    # shared 2-core VM, skipping the flush about as fast, and reading the
+    # atom at the spread it has grown to about as fast again
     parents = {"root": None, "a": "root", "b": "root", "c": "root"}
     unguarded, guarded = (parse_tagset_definition(_held_guards(held))
                           for held in (False, True))
