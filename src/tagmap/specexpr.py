@@ -117,14 +117,16 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 
 
 # The parsers below return each subtree with its height, the number of
-# '!', '&' and '|' nodes on its longest path, and take the number of open
-# parentheses around it. Both are capped: parsing recurses three frames per
-# parenthesis, and each later walk one or two per level of height: the one
-# fold that resolves names, pushes negation down and builds the DNF for
-# ``typecheck`` or the mask for ``denote``, and rendering. So every tree the
-# parser accepts stays inside the default recursion limit. Rendering
-# parenthesises nested negations, '!!a' as '!(!a)', which stays within the
-# cap as well.
+# '!' nodes and runs of '&' or '|' on its longest path, and take the number
+# of open parentheses around it. A run of one operator, 'a & b & c', is one
+# level however many operands it has: its nodes form a left spine, which
+# every later walk follows in a loop. Both are capped: parsing recurses three
+# frames per parenthesis, and each later walk one or two per level of
+# height: the one fold that resolves names, pushes negation down and builds
+# the DNF for ``typecheck`` or the mask for ``denote``, and rendering. So
+# every tree the parser accepts stays inside the default recursion limit.
+# Rendering parenthesises nested negations, '!!a' as '!(!a)', which stays
+# within the cap as well.
 MAX_SPEC_DEPTH = 150
 
 
@@ -136,23 +138,26 @@ def _deeper(level: int, c: TokenCursor, at: int) -> int:
 
 
 def _parse_expr(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
-    # '|' builds an Or of '&' terms
+    # '|' builds an Or of '&' terms, one level above the tallest of them,
+    # which past the cap is an error at the first '|'
     e, height = _parse_term(c, depth)
+    first = c.pos
     while c.kinds[c.pos] == "PIPE":
-        op = c.advance()
+        c.advance()
         right, right_height = _parse_term(c, depth)
-        e, height = _new(Or, (e, right)), _deeper(max(height, right_height), c, op)
-    return e, height
+        e, height = _new(Or, (e, right)), max(height, right_height)
+    return e, height if c.pos == first else _deeper(height, c, first)
 
 
 def _parse_term(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
-    # '&' builds an And of factors
+    # '&' builds an And of factors, as '|' does of terms
     e, height = _parse_factor(c, depth)
+    first = c.pos
     while c.kinds[c.pos] == "AMP":
-        op = c.advance()
+        c.advance()
         right, right_height = _parse_factor(c, depth)
-        e, height = _new(And, (e, right)), _deeper(max(height, right_height), c, op)
-    return e, height
+        e, height = _new(And, (e, right)), max(height, right_height)
+    return e, height if c.pos == first else _deeper(height, c, first)
 
 
 def _parse_factor(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
@@ -188,6 +193,18 @@ def _parse_factor(c: TokenCursor, depth: int) -> tuple[SpecExpr, int]:
     return e, height
 
 
+def _operands(e: And | Or) -> list[SpecExpr]:
+    """The operands, from the left, of the run of one operator at ``e``,
+    read down the left spine of its nodes in a loop."""
+    kind, operands = type(e), []
+    while type(e) is kind:
+        operands.append(e.right)
+        e = e.left
+    operands.append(e)
+    operands.reverse()
+    return operands
+
+
 # -- rendering --------------------------------------------------------------
 
 _PREC = {Or: 1, And: 2, Not: 3}
@@ -203,9 +220,10 @@ def render_expr(e: SpecExpr) -> str:
         return e.render()
     if isinstance(e, Not):
         return "!" + _child(e.child, 3)
-    if isinstance(e, And):
-        return _child(e.left, 2, left=True) + " & " + _child(e.right, 2)
-    return _child(e.left, 1, left=True) + " | " + _child(e.right, 1)
+    prec = _PREC[type(e)]
+    first, *rest = _operands(e)
+    return (" & " if type(e) is And else " | ").join(
+        [_child(first, prec, left=True)] + [_child(r, prec) for r in rest])
 
 
 def _child(e: SpecExpr, parent_prec: int, left: bool = False) -> str:
@@ -286,9 +304,12 @@ def _walk(e: SpecExpr, g: TypeGraph, negated: bool, diags: list[Diagnostic],
     each '&' to ``meet`` and each '|' to ``join``, swapped under a negation."""
     kind = type(e)
     if kind is And or kind is Or:
-        left = _walk(e.left, g, negated, diags, leaf, meet, join)
-        right = _walk(e.right, g, negated, diags, leaf, meet, join)
-        return (meet if (kind is And) != negated else join)(left, right)
+        combine = meet if (kind is And) != negated else join
+        first, *rest = _operands(e)
+        result = _walk(first, g, negated, diags, leaf, meet, join)
+        for x in rest:
+            result = combine(result, _walk(x, g, negated, diags, leaf, meet, join))
+        return result
     if kind is Not:
         return _walk(e.child, g, not negated, diags, leaf, meet, join)
     return leaf(_resolve_atom(e, g, negated, diags), g)

@@ -89,16 +89,8 @@ class CoverNode(NamedTuple):
 
     __eq__, __ne__, __hash__ = compare_first(2)
 
-    def parts(self) -> tuple[str, ...]:
-        """The rendered conjuncts: ``pos=<node>`` unless implied, then the
-        atoms as ``feature=value``."""
-        atoms = tuple([f"{f}={v}" for f, v in self.atoms])
-        if atoms and self.implied_node:
-            return atoms
-        return (f"{POS_FEATURE}={self.node}",) + atoms
-
     def render(self) -> str:
-        return " & ".join(self.parts())
+        return render_cover((self,))
 
 
 class TypeGraph:
@@ -558,27 +550,33 @@ def minimal_cover(mask: int, g: TypeGraph) -> tuple[CoverNode, ...]:
 
 
 def render_cover(cover: tuple[CoverNode, ...]) -> str:
-    """Factored disjunctive rendering of a cover, shared atoms pulled out."""
-    if not cover:
-        return ""
-    return _factor([c.parts() for c in cover])
-
-
-def _factor(units: list[tuple[str, ...]]) -> str:
-    if len(units) == 1:
-        return " & ".join(units[0])
-    common = [u for u in units[0] if all(u in rest for rest in units[1:])]
-    if common:
-        rest = [tuple(u for u in row if u not in common) for row in units]
-        return " & ".join(common) + " & (" + _factor_groups(rest) + ")"
-    return _factor_groups(units)
-
-
-def _factor_groups(units: list[tuple[str, ...]]) -> str:
-    groups: dict[str, list[tuple[str, ...]]] = {}
-    for row in units:
-        groups.setdefault(row[0], []).append(row)
-    return " | ".join(_factor(rows) for rows in groups.values())
+    """Factored disjunctive rendering of a cover: the conjuncts that every
+    row of a group holds are written once, then `` & (``, the rest grouped
+    by first conjunct and joined with `` | ``, then ``)``."""
+    # one row per node: pos=<node> unless its atoms imply it, then the atoms
+    rows = [([] if c.atoms and c.implied_node else [f"{POS_FEATURE}={c.node}"])
+            + [f"{f}={v}" for f, v in c.atoms] for c in cover]
+    if len(rows) < 2:
+        return " & ".join(rows[0]) if rows else ""
+    # the groups wait on a stack, each text between them as a one-row group
+    pending, out = [rows], []
+    while pending:
+        rows = pending.pop()
+        if len(rows) == 1:
+            out.append(" & ".join(rows[0]))
+            continue
+        common = [u for u in rows[0] if all(u in row for row in rows[1:])]
+        if common:
+            out.append(" & ".join(common) + " & (")
+            pending.append([[")"]])
+            rows = [[u for u in row if u not in common] for row in rows]
+        groups: dict[str, list[list[str]]] = {}
+        for row in rows:
+            groups.setdefault(row[0], []).append(row)
+        for group in reversed(groups.values()):
+            pending += (group, [[" | "]])
+        pending.pop()        # the first group on top, no " | " before it
+    return "".join(out)
 
 
 # -- parsing -------------------------------------------------------------

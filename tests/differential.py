@@ -32,6 +32,11 @@ tagmap.cli`` on the same inputs:
 * ``compile`` and ``explain`` of a chain of 20 three-value features, each
   appropriate only under the middle value of the one before, with one tag
   per last value, so that the hole left is covered by one prime per class;
+  and of a chain of 300, whose hole's cover nests 299 factored groups;
+* ``query -e`` of a flat run of 1,000 ``|`` operands on the fixture, and
+  ``compile`` and ``explain`` of a rule whose specification is a cover of
+  200 primes (every other value of a 400-value feature over two leaves),
+  each a flat run of more operands than ``MAX_SPEC_DEPTH``;
 * ``compile`` of tagsets and rules with lexical traps: CRLF line ends
   and tab indents, a lone carriage return, a comment right after a quoted
   value, an unterminated quote, a stray ``@``, a form feed and a non-ASCII
@@ -81,6 +86,7 @@ TIMEOUT_S = 10
 LADDER_QUERIES = 150
 RANDOM_TAGSETS = 30
 CHAIN_FEATURES = 20
+DEEP_CHAIN_FEATURES = 300
 CORPUS_TOKENS = 20_000
 
 
@@ -167,13 +173,27 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
     commands += [("disjunctive compile", ["compile", *disjunctive]),
                  ("disjunctive explain", ["explain", *disjunctive])]
 
-    tagset, rules = guarded_chain(CHAIN_FEATURES)
-    (work / "chain.tagset").write_text(tagset)
-    (work / "chain.rules").write_text(rules)
-    chain = ["--tagset", str(work / "chain.tagset"),
-             "--rules", str(work / "chain.rules")]
-    commands += [("guarded chain compile", ["compile", *chain]),
-                 ("guarded chain explain", ["explain", *chain])]
+    for n, name in ((CHAIN_FEATURES, "guarded chain"),
+                    (DEEP_CHAIN_FEATURES, f"guarded chain {DEEP_CHAIN_FEATURES}")):
+        tagset, rules = guarded_chain(n)
+        (work / f"chain{n}.tagset").write_text(tagset)
+        (work / f"chain{n}.rules").write_text(rules)
+        chain = ["--tagset", str(work / f"chain{n}.tagset"),
+                 "--rules", str(work / f"chain{n}.rules")]
+        commands += [(f"{name} compile", ["compile", *chain]),
+                     (f"{name} explain", ["explain", *chain])]
+
+    commands.append(("1,000 disjuncts query", [
+        "query", *fixture, "-e", " | ".join(["n"] * 1000)]))
+    values = ", ".join(f"v{i}" for i in range(400))
+    (work / "wide.tagset").write_text(
+        f"tagset wide hierarchy {{ a b }}\nfeature f for root {{ {values} }}\n")
+    cover = " | ".join(f"f=v{i}" for i in range(0, 400, 2))
+    (work / "wide.rules").write_text(
+        f"mapping wide for tagset wide\ntags W\n[pos = 'W'] => [{cover}].\n")
+    wide = ["--tagset", str(work / "wide.tagset"), "--rules", str(work / "wide.rules")]
+    commands += [("200-prime cover compile", ["compile", *wide]),
+                 ("200-prime cover explain", ["explain", *wide])]
 
     commands += lexical_inputs(work, fixtures)
 

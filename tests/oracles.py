@@ -10,7 +10,7 @@ compiled universe by or-ing in its classes one at a time, and conjunctive
 cover descriptions by a class-by-class scan of a compiled universe over the
 full product of feature choices, with the primes of a mask filtered from
 that full table and its minimum cover found by trying every combination of
-them.
+them, and written out by the former recursive factoring.
 Expression trees come from the package parser (the surface grammar is
 shared); every semantic step is recomputed from first principles.
 The retag command line is kept in its former read-all form, which shares
@@ -538,6 +538,36 @@ def oracle_minimal_cover(graph, mask: int) -> list[tuple]:
                 return list(combo)
     raise AssertionError("the primes of a mask cover it")
 
+
+
+def oracle_render_cover(cover) -> str:
+    """A cover rendered in the package's former recursive form: one row of
+    conjuncts per node, and ``_factor`` pulling out the conjuncts that every
+    row holds and handing the rest to ``_factor_groups``, which groups the
+    rows by first conjunct and factors each group, one call deeper per
+    factored level."""
+    if not cover:
+        return ""
+    return _factor([
+        (() if c.atoms and c.implied_node else (f"pos={c.node}",))
+        + tuple(f"{f}={v}" for f, v in c.atoms) for c in cover])
+
+
+def _factor(units: list[tuple[str, ...]]) -> str:
+    if len(units) == 1:
+        return " & ".join(units[0])
+    common = [u for u in units[0] if all(u in rest for rest in units[1:])]
+    if common:
+        rest = [tuple(u for u in row if u not in common) for row in units]
+        return " & ".join(common) + " & (" + _factor_groups(rest) + ")"
+    return _factor_groups(units)
+
+
+def _factor_groups(units: list[tuple[str, ...]]) -> str:
+    groups: dict[str, list[tuple[str, ...]]] = {}
+    for row in units:
+        groups.setdefault(row[0], []).append(row)
+    return " | ".join(_factor(rows) for rows in groups.values())
 
 # -- consistency checks, every pair of tags -------------------------------------
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tagmap import CompileError, parse_rules, parse_tagset_definition
 from tagmap.cli import main
 
+from inputs import guarded_chain
 from oracles import FIXTURES, oracle_retag_cli
 from support import doubling_ratios, time_limit
 
@@ -486,27 +487,81 @@ def test_retag_is_linear_in_the_number_of_tokens(capsys, rules, tmp_path):
 _ADVERSARIAL = {
     "parentheses": "(" * 1200 + "noun" + ")" * 1200,
     "negations": "!" * 3000 + "noun",
-    "conjuncts": " & ".join(["noun"] * 2000),
+    # a flat run is one level however long, so these are not too deep and
+    # mean what their one operand, the noun node, means
+    "conjuncts": " & ".join(["n"] * 2000),
+    "disjuncts": " | ".join(["n"] * 1000),
 }
+_FLAT_RUNS = ("conjuncts", "disjuncts")
 
 
-@pytest.mark.parametrize("expr", _ADVERSARIAL.values(), ids=_ADVERSARIAL)
-def test_deep_query_is_a_syntax_error(capsys, expr):
+@pytest.mark.parametrize("name", _ADVERSARIAL)
+def test_deep_query_is_a_syntax_error(capsys, name):
     code, out, err = run(capsys, "query", "--tagset", TAGSET, "--rules", RULES,
-                         "-e", expr)
-    assert code == 1
-    assert "error [syntax]" in err and "nested deeper" in err
+                         "-e", _ADVERSARIAL[name])
+    if name in _FLAT_RUNS:
+        assert (code, out, err) == run(capsys, "query", "--tagset", TAGSET,
+                                       "--rules", RULES, "-e", "n")
+        assert code == 0
+    else:
+        assert code == 1
+        assert "error [syntax]" in err and "nested deeper" in err
     assert "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("expr", _ADVERSARIAL.values(), ids=_ADVERSARIAL)
-def test_deep_rule_is_a_syntax_error(capsys, tmp_path, expr):
-    f = tmp_path / "deep.rules"
-    f.write_text("mapping deep for tagset eagles-en\ntags NN\n"
-                 f"[pos = 'NN'] => [{expr}].\n")
-    code, out, err = run(capsys, "compile", "--tagset", TAGSET, "--rules", str(f))
-    assert code == 1
-    assert "error [syntax]" in err and "nested deeper" in err
+@pytest.mark.parametrize("name", _ADVERSARIAL)
+def test_deep_rule_is_a_syntax_error(capsys, tmp_path, name):
+    def compile_rule(spec):
+        f = tmp_path / "deep.rules"
+        f.write_text("mapping deep for tagset eagles-en\ntags NN\n"
+                     f"[pos = 'NN'] => [{spec}].\n")
+        return run(capsys, "compile", "--tagset", TAGSET, "--rules", str(f))
+
+    code, out, err = compile_rule(_ADVERSARIAL[name])
+    if name in _FLAT_RUNS:
+        assert (code, out, err) == compile_rule("n")
+        assert code == 0
+    else:
+        assert code == 1
+        assert "error [syntax]" in err and "nested deeper" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["compile", "explain"])
+def test_a_guarded_chain_of_300_features_is_reported(capsys, tmp_path, command):
+    # the hole's cover nests one factored group per feature, 299 of them,
+    # which a renderer that recursed once per group could not write
+    tagset, rules = guarded_chain(300)
+    (tmp_path / "chain.tagset").write_text(tagset)
+    (tmp_path / "chain.rules").write_text(rules)
+    with time_limit(20):
+        code, out, err = run(capsys, command, "--tagset", str(tmp_path / "chain.tagset"),
+                             "--rules", str(tmp_path / "chain.rules"))
+    assert code == 0
+    assert "Traceback" not in out + err
+    hole = "no physical tag reaches f0=a0 | f0=b0 & (f1=a1 | f1=b1 & (f2=a2 | "
+    if command == "compile":
+        assert out == "tags: 300, classes: 601, warnings: 1\n"
+        assert err.startswith("warning [definition_hole_target]: " + hole)
+    else:
+        assert len(out.splitlines()) == 301
+        assert "WARN [definition_hole_target] " + hole in out
+    assert "(f299=a299 | f299=b299" + ")" * 299 + " [301 classes]" in out + err
+
+
+def test_a_cover_of_200_primes_compiles_back(capsys, tmp_path):
+    # every other class of a 400-value feature over two leaves is 200
+    # primes, more than MAX_SPEC_DEPTH levels if each counted as one
+    values = ", ".join(f"v{i}" for i in range(400))
+    cover = " | ".join(f"f=v{i}" for i in range(0, 400, 2))
+    (tmp_path / "wide.tagset").write_text(
+        f"tagset wide hierarchy {{ a b }}\nfeature f for root {{ {values} }}\n")
+    (tmp_path / "wide.rules").write_text(
+        f"mapping wide for tagset wide\ntags W\n[pos = 'W'] => [{cover}].\n")
+    code, out, err = run(capsys, "explain", "--tagset", str(tmp_path / "wide.tagset"),
+                         "--rules", str(tmp_path / "wide.rules"))
+    assert code == 0
+    assert out.splitlines()[0] == f"W -> {cover} [400 classes]"
     assert "Traceback" not in out + err
 
 

@@ -178,3 +178,45 @@ def _constant_parameters(tree):
 def test_no_private_parameter_is_always_passed_one_constant(path):
     # such a parameter is a constant of the function, not an input
     assert list(_constant_parameters(_tree(path))) == []
+
+
+def _self_reaching(tree):
+    """The module-level functions that reach themselves through calls by
+    plain name to module-level functions; calls of attributes, such as
+    ``x.render()``, are not followed, since method names collide across
+    classes."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    calls = {name: {node.func.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in defs}
+             for name, fn in defs.items()}
+    for name in defs:
+        reached, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in reached:
+                reached.add(callee)
+                todo += calls[callee]
+        if name in reached:
+            yield name
+
+
+# each function that reaches itself, by module, with the module constant
+# that bounds the depth of its recursion
+BOUNDED_RECURSION = {
+    "specexpr.py": {name: "MAX_SPEC_DEPTH" for name in (
+        "_parse_expr", "_parse_term", "_parse_factor", "_walk",
+        "render_expr", "_child")},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_recursion_has_a_named_bound(path):
+    # a depth that input can grow without a bound ends in RecursionError
+    tree = _tree(path)
+    bounds = BOUNDED_RECURSION.get(path.name, {})
+    assert sorted(_self_reaching(tree)) == sorted(bounds)
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    assert set(bounds.values()) <= constants

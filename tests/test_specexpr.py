@@ -417,19 +417,44 @@ def test_deepest_spec_stays_inside_the_recursion_limit(graph, shape):
         sys.setrecursionlimit(limit)
 
 
-@pytest.mark.parametrize("shape", _DEPTH_SHAPES.values(), ids=_DEPTH_SHAPES)
-def test_one_level_deeper_is_a_syntax_error(shape):
+# a flat run of one operator is one level, however many operands it has
+_FLAT_RUNS = ("conjuncts", "disjuncts")
+
+
+@pytest.mark.parametrize("name", _DEPTH_SHAPES)
+def test_one_level_deeper_is_a_syntax_error(name):
+    text = _DEPTH_SHAPES[name](MAX_SPEC_DEPTH + 1)
+    if name in _FLAT_RUNS:
+        # the run parses; under MAX_SPEC_DEPTH - 1 negations it is at the
+        # cap, and under one more, one level deeper
+        run = f"({_DEPTH_SHAPES[name](2000)})"
+        assert parse_spec(text) and parse_spec("!" * (MAX_SPEC_DEPTH - 1) + run)
+        text = "!" * MAX_SPEC_DEPTH + run
     with pytest.raises(SpecSyntaxError) as exc:
-        parse_spec(shape(MAX_SPEC_DEPTH + 1))
+        parse_spec(text)
     (d,) = exc.value.diagnostics
     assert d.kind == "syntax"
     assert d.message == f"expression nested deeper than {MAX_SPEC_DEPTH} levels"
 
 
+def test_a_flat_run_keeps_its_meaning_and_rendering(graph):
+    # 2,000 operands are one level: the fold and rendering follow the run
+    # in a loop, so neither nears the recursion limit
+    conjuncts = " & ".join(["n", "sg"] * 1000)
+    disjuncts = " | ".join(f"pos={n}" for n in graph.nodes[1:] * 100)
+    for text, mask in ((conjuncts, graph.node_mask("n") & graph.atom_mask("num", "sg")),
+                       (disjuncts, graph.full_mask)):
+        e = parse_spec(text)
+        assert render_spec(e) == f"[{text}]"
+        assert denote(e, graph) == compile_spec(text, graph).denotation == mask
+
+
 @pytest.mark.parametrize("text, column", [
     ("(" * 1200 + "n" + ")" * 1200, MAX_SPEC_DEPTH + 1),
     ("!" * 3000 + "n", MAX_SPEC_DEPTH + 1),
-    (" & ".join(["n"] * 2000), 4 * MAX_SPEC_DEPTH + 3),
+    # a run one level too deep is reported at its first operator, however
+    # far on its tallest operand is
+    (" & ".join(["n"] * 2000) + " & " + "!" * MAX_SPEC_DEPTH + "n", 3),
 ], ids=["parentheses", "negations", "conjuncts"])
 def test_depth_error_points_at_the_first_token_too_deep(text, column):
     with pytest.raises(SpecSyntaxError) as exc:

@@ -1,18 +1,20 @@
 """Hierarchy compilation and terminal-class enumeration."""
 
+import inspect
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from hashlib import sha256
 from itertools import islice
-from operator import or_
+from operator import and_, or_
 
 import gen
 import pytest
 import ref
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from tagmap import (
     CompileError,
@@ -40,6 +42,7 @@ from oracles import (
     oracle_masks,
     oracle_minimal_cover,
     oracle_primes,
+    oracle_render_cover,
     oracle_universe,
     oracle_universe_keys,
     root_path,
@@ -657,6 +660,60 @@ def test_cover_ties_go_to_the_least_sort_keys():
         " | f0=v0_0 & f1=v1_1 | f0=v0_1 & f1=v1_1")
 
 
+# the graphs whose covers are rendered against the recursive oracle, the
+# guarded chain built only when its example runs
+RENDER_GRAPHS = {
+    "fixture": lambda: GRAPHS["fixture"],
+    "ladder 3": lambda: parse_tagset_definition(gen.ladder_tagset(3)),
+    "ladder 4": lambda: parse_tagset_definition(gen.ladder_tagset(4)),
+    "guarded chain 250": lambda: parse_tagset_definition(guarded_chain(250)[0]),
+}
+
+
+@cache
+def _render_graph(name):
+    return RENDER_GRAPHS[name]()
+
+
+@st.composite
+def _candidate_unions(draw):
+    """A graph's name and one to six of its conjunctions, each a node and
+    its atoms, drawn from its candidate table."""
+    name = draw(st.sampled_from(["fixture", "ladder 3", "ladder 4"]))
+    picks = st.sampled_from(_render_graph(name).cover_candidates)
+    return name, tuple((c.node, c.atoms)
+                       for c in draw(st.lists(picks, min_size=1, max_size=6)))
+
+
+@given(case=_candidate_unions())
+# the hole of a chain of 250 guarded features, every f<i>=a<i> and the
+# class of every middle value: 249 factored groups, one inside the next
+@example(case=("guarded chain 250",
+               tuple(("root", ((f"f{i}", f"a{i}"),)) for i in range(250))
+               + (("root", (("f249", "b249"),)),)))
+@settings(max_examples=200, deadline=None)
+@seed(31)
+def test_render_cover_matches_the_recursive_oracle(case):
+    name, conjunctions = case
+    g = _render_graph(name)
+    mask = 0
+    for node, atoms in conjunctions:
+        mask |= reduce(and_, (g.atom_mask(f, v) for f, v in atoms),
+                       g.node_mask(node))
+    cover = minimal_cover(mask, g)
+    # the renderer keeps the groups it has still to write in a list, while
+    # the oracle recurses three frames per factored level
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        rendered = render_cover(cover)
+        sys.setrecursionlimit(limit + 3 * len(cover))
+        assert rendered == oracle_render_cover(cover)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.render() for c in cover] == [oracle_render_cover((c,)) for c in cover]
+
+
 # -- size limits ---------------------------------------------------------------
 
 
@@ -750,15 +807,17 @@ def test_cover_of_a_guarded_chain_is_prompt():
 def test_cover_of_many_primes_needs_no_recursion():
     # every other class of a 2,400-value feature over two leaves: the cover
     # is one prime per value kept, more than a search that recursed once per
-    # chosen prime could stack
+    # chosen prime could stack, and its rendering is one flat run of '|',
+    # one level however long, so it reads back in
     g = parse_tagset_definition(
         "tagset wide hierarchy { a b }\nfeature f for root { "
         + ", ".join(f"v{i}" for i in range(2400)) + " }")
     mask = sum(1 << i for i in range(0, len(g.universe), 2))
     cover = minimal_cover(mask, g)
     assert len(cover) == 1200
-    assert render_cover(cover) == " | ".join(f"f=v{i}"
-                                             for i in range(0, 2400, 2))
+    rendered = render_cover(cover)
+    assert rendered == " | ".join(f"f=v{i}" for i in range(0, 2400, 2))
+    assert compile_spec(rendered, g).denotation == mask
 
 
 # the digest of each rendered cover is that of the search before it excluded
