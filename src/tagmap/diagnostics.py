@@ -21,20 +21,25 @@ class Span(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-def compare_first(n: int):
-    """``__eq__``, ``__ne__`` and ``__hash__`` for a NamedTuple record equal
-    only to records of its type with the same first ``n`` fields (``tuple``
-    has its own ``__ne__``, and ``__eq__`` alone would unset ``__hash__``)."""
+def compare_by(key):
+    """``__eq__``, ``__ne__`` and ``__hash__`` for a record equal only to
+    records of its type with the same ``key(record)`` (``tuple`` has its own
+    ``__ne__``, and ``__eq__`` alone would unset ``__hash__``)."""
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self[:n] == other[:n]
+        return type(other) is type(self) and key(self) == key(other)
 
     def __ne__(self, other) -> bool:
         return not __eq__(self, other)
 
     def __hash__(self) -> int:
-        return hash(self[:n])
+        return hash(key(self))
 
     return __eq__, __ne__, __hash__
+
+
+def compare_first(n: int):
+    """:func:`compare_by` the first ``n`` fields of a NamedTuple record."""
+    return compare_by(lambda record: record[:n])
 
 
 class Diagnostic(NamedTuple):

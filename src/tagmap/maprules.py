@@ -20,6 +20,7 @@ failing.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 
 from .diagnostics import (
     CompileError,
@@ -27,6 +28,7 @@ from .diagnostics import (
     Span,
     SpecSyntaxError,
     SpecTypeError,
+    compare_by,
     error,
     warning,
 )
@@ -50,19 +52,13 @@ class Rule:
 
     def __init__(self, tag: str, typed: TypedSpec, words: tuple[str, ...] = (),
                  span: Span = Span(1, 1)) -> None:
-        vars(self).update(tag=tag, typed=typed, words=words, span=span,
-                          _key=(tag, typed, words))
+        vars(self).update(tag=tag, typed=typed, words=words, span=span)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete {name!r} of a Rule")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Rule and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+    __eq__, __ne__, __hash__ = compare_by(attrgetter("tag", "typed", "words"))
 
     @cached_property
     def reading(self) -> str:

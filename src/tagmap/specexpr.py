@@ -39,8 +39,8 @@ from functools import reduce
 from operator import and_, iadd, or_
 from typing import Callable, NamedTuple, TypeVar
 
-from .diagnostics import (Diagnostic, Span, SpecTypeError, compare_first,
-                          error)
+from .diagnostics import (Diagnostic, Span, SpecTypeError, compare_by,
+                          compare_first, error)
 from .lexer import TokenCursor, tokenize
 from .typegraph import POS_FEATURE, TypeGraph
 
@@ -73,14 +73,14 @@ class And(NamedTuple):
     left: "SpecExpr"
     right: "SpecExpr"
 
-    __eq__, __ne__, __hash__ = compare_first(2)
+    __eq__, __ne__, __hash__ = compare_by(lambda e: tuple(_operands(e)))
 
 
 class Or(NamedTuple):
     left: "SpecExpr"
     right: "SpecExpr"
 
-    __eq__, __ne__, __hash__ = compare_first(2)
+    __eq__, __ne__, __hash__ = compare_by(lambda e: tuple(_operands(e)))
 
 
 class Not(NamedTuple):
@@ -121,9 +121,9 @@ def parse_spec_at(c: TokenCursor) -> SpecExpr:
 # of open parentheses around it. A run of one operator, 'a & b & c', is one
 # level however many operands it has: its nodes form a left spine, which
 # every later walk follows in a loop. Both are capped: parsing recurses three
-# frames per parenthesis, and each later walk one or two per level of
-# height: the one fold that resolves names, pushes negation down and builds
-# the DNF for ``typecheck`` or the mask for ``denote``, and rendering. So
+# frames per parenthesis, and each later walk one per level of height: the
+# one fold that resolves names, pushes negation down and builds the DNF for
+# ``typecheck`` or the mask for ``denote``, rendering, '==' and 'hash'. So
 # every tree the parser accepts stays inside the default recursion limit.
 # Rendering parenthesises nested negations, '!!a' as '!(!a)', which stays
 # within the cap as well.
@@ -215,25 +215,21 @@ def render_spec(e: SpecExpr) -> str:
     return f"[{render_expr(e)}]"
 
 
-def render_expr(e: SpecExpr) -> str:
-    if isinstance(e, (Atom, BareAtom)):
+def render_expr(e: SpecExpr, outer: int = 0) -> str:
+    """``e`` as text, in parentheses when it is an operand of an operator
+    of precedence ``outer`` that binds at least as tightly as its own.  A
+    run's first operand never has the run's operator, so this keeps
+    'a & (b & c)' and '!(!a)' explicit: '&' and '|' associate to the left."""
+    kind = type(e)
+    if kind is Not:
+        text = "!" + render_expr(e.child, 3)
+    elif kind is And or kind is Or:
+        prec = _PREC[kind]
+        text = (" & " if kind is And else " | ").join(
+            [render_expr(x, prec) for x in _operands(e)])
+    else:
         return e.render()
-    if isinstance(e, Not):
-        return "!" + _child(e.child, 3)
-    prec = _PREC[type(e)]
-    first, *rest = _operands(e)
-    return (" & " if type(e) is And else " | ").join(
-        [_child(first, prec, left=True)] + [_child(r, prec) for r in rest])
-
-
-def _child(e: SpecExpr, parent_prec: int, left: bool = False) -> str:
-    text = render_expr(e)
-    prec = _PREC.get(type(e), 4)
-    # same-precedence right children keep their parentheses: '&' and '|'
-    # associate to the left, so a right-nested tree must stay explicit
-    if prec < parent_prec or (prec == parent_prec and not left):
-        return f"({text})"
-    return text
+    return f"({text})" if _PREC[kind] <= outer else text
 
 
 # -- typing and denotation ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Compare the command-line behaviour of two revisions of tagmap.
 
-    python tests/differential.py REV [REV2]
+    python tests/differential.py REV [REV2] [--mutants N]
 
 Each revision's ``src/`` is extracted with ``git archive`` into a temporary
 directory; ``REV2`` defaults to the working tree, whose ``src/`` is used in
@@ -51,6 +51,13 @@ tagmap.cli`` on the same inputs:
   leaf and one per feature value; some fail with diagnostics, which are
   compared too.
 
+With ``--mutants N``, the commands are instead the first ``N`` seed-1
+mutants of ``tests/fuzzing.py``, of the fixtures and of the catalogue's
+inputs: ``compile``, ``explain``, ``query --batch`` and ``retag`` on inputs
+with tokens dropped, duplicated or swapped, deep brackets, long flat runs,
+guard chains or wide alternations spliced in, or line ends, tabs, NULs
+and undecodable bytes injected.
+
 Every command but the interactive sessions gets an empty stdin.  Stdout,
 stderr and exit status are compared.  A command still running after
 ``TIMEOUT_S`` seconds on either side is reported as a time-out, not as a
@@ -63,6 +70,7 @@ collect this file.
 """
 from __future__ import annotations
 
+import argparse
 import difflib
 import io
 import os
@@ -77,6 +85,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import fuzzing  # noqa: E402
 import gen  # noqa: E402
 import oracles  # noqa: E402
 from inputs import (  # noqa: E402
@@ -296,17 +305,23 @@ def differences(a, b) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if not 1 <= len(argv) <= 2:
-        print("usage: python tests/differential.py REV [REV2]", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="python tests/differential.py")
+    parser.add_argument("rev")
+    parser.add_argument("rev2", nargs="?", help="default: the working tree")
+    parser.add_argument("--mutants", type=int, metavar="N",
+                        help="compare N mutants of tests/fuzzing.py instead")
+    opts = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        src_a = extract(argv[0], tmp / "a")
-        src_b = extract(argv[1], tmp / "b") if len(argv) == 2 else ROOT / "src"
+        src_a = extract(opts.rev, tmp / "a")
+        src_b = extract(opts.rev2, tmp / "b") if opts.rev2 else ROOT / "src"
         work = tmp / "inputs"
         work.mkdir()
+        commands = ([(m.name, m.argv(work), "")
+                     for m in fuzzing.mutants(1, opts.mutants, catalogue=True)]
+                    if opts.mutants else inputs(work))
         differ = timed_out = same = 0
-        for name, args, stdin in inputs(work):
+        for name, args, stdin in commands:
             a, b = run(src_a, args, stdin, work), run(src_b, args, stdin, work)
             if a is None or b is None:
                 timed_out += 1

@@ -12,7 +12,10 @@ full product of feature choices, with the primes of a mask filtered from
 that full table and its minimum cover found by trying every combination of
 them, and written out by the former recursive factoring.
 Expression trees come from the package parser (the surface grammar is
-shared); every semantic step is recomputed from first principles.
+shared); every semantic step is recomputed from first principles, and a
+run of one operator is read down its left spine by the oracles' own loop.
+Specifications are rendered by the former renderer, whose ``_child`` kept
+a flag for a run's first operand.
 The retag command line is kept in its former read-all form, which shares
 the per-token retagger with the package and checks only the streaming I/O.
 The overlap and containment checks of a mapping tree are kept in their
@@ -179,6 +182,18 @@ def resolve_bare(name: str) -> tuple[str, str]:
     return VALUE_OWNER[name], name
 
 
+def oracle_operands(e: And | Or) -> list[SpecExpr]:
+    """The operands of the run of one operator at ``e``, from the left:
+    the right child of each node down its left spine, then the first node
+    of another type, gathered in a loop so that a run of any length is read
+    without recursion."""
+    kind, rights = type(e), []
+    while type(e) is kind:
+        e, right = e
+        rights.append(right)
+    return [e, *reversed(rights)]
+
+
 def eval_spec(e: SpecExpr, leaf: str, assignment: dict[str, str]) -> bool:
     if isinstance(e, BareAtom):
         f, v = resolve_bare(e.name)
@@ -193,11 +208,9 @@ def eval_spec(e: SpecExpr, leaf: str, assignment: dict[str, str]) -> bool:
             return assignment[e.feature] == e.value
         return assignment[e.feature] != e.value
     if isinstance(e, And):
-        return (eval_spec(e.left, leaf, assignment)
-                and eval_spec(e.right, leaf, assignment))
+        return all(eval_spec(x, leaf, assignment) for x in oracle_operands(e))
     if isinstance(e, Or):
-        return (eval_spec(e.left, leaf, assignment)
-                or eval_spec(e.right, leaf, assignment))
+        return any(eval_spec(x, leaf, assignment) for x in oracle_operands(e))
     if isinstance(e, Not):
         return eval_neg(e.child, leaf, assignment)
     raise AssertionError(e)
@@ -212,11 +225,9 @@ def eval_neg(e: SpecExpr, leaf: str, assignment: dict[str, str]) -> bool:
         flipped = Atom(e.feature, "!=" if e.op == "=" else "=", e.value)
         return eval_spec(flipped, leaf, assignment)
     if isinstance(e, And):
-        return (eval_neg(e.left, leaf, assignment)
-                or eval_neg(e.right, leaf, assignment))
+        return any(eval_neg(x, leaf, assignment) for x in oracle_operands(e))
     if isinstance(e, Or):
-        return (eval_neg(e.left, leaf, assignment)
-                and eval_neg(e.right, leaf, assignment))
+        return all(eval_neg(x, leaf, assignment) for x in oracle_operands(e))
     if isinstance(e, Not):
         return eval_spec(e.child, leaf, assignment)
     raise AssertionError(e)
@@ -245,10 +256,8 @@ def oracle_nnf(e: SpecExpr, negate: bool = False) -> SpecExpr:
         return Atom(e.feature, "!=" if e.op == "=" else "=", e.value)
     if isinstance(e, Not):
         return oracle_nnf(e.child, not negate)
-    a, b = oracle_nnf(e.left, negate), oracle_nnf(e.right, negate)
-    if isinstance(e, And):
-        return Or(a, b) if negate else And(a, b)
-    return And(a, b) if negate else Or(a, b)
+    kind = (Or if isinstance(e, And) else And) if negate else type(e)
+    return functools.reduce(kind, [oracle_nnf(x, negate) for x in oracle_operands(e)])
 
 
 def oracle_dnf(e: SpecExpr) -> list[list[Atom]]:
@@ -258,9 +267,14 @@ def oracle_dnf(e: SpecExpr) -> list[list[Atom]]:
         if isinstance(x, Atom):
             return [[x]]
         if isinstance(x, Or):
-            return walk(x.left) + walk(x.right)
+            return [d for y in oracle_operands(x) for d in walk(y)]
         if isinstance(x, And):
-            return [l + r for l in walk(x.left) for r in walk(x.right)]
+            first, *rest = oracle_operands(x)
+            disjuncts = walk(first)
+            for y in rest:
+                right = walk(y)
+                disjuncts = [l + r for l in disjuncts for r in right]
+            return disjuncts
         raise AssertionError(x)
 
     return walk(e)
@@ -278,6 +292,39 @@ def oracle_well_typed(spec: SpecExpr | str) -> bool:
         if not oracle_denote(conj, universe):
             return False
     return True
+
+
+# -- specifications rendered in the former form ----------------------------------
+
+_PRECEDENCE = {Or: 1, And: 2, Not: 3}
+
+
+def oracle_render_spec(e: SpecExpr) -> str:
+    """``render_spec`` in the package's former form: ``_child`` wraps an
+    operand in parentheses when its precedence is below its parent's, or
+    equal to it and the operand is not the first of its run."""
+    return f"[{_render_expr(e)}]"
+
+
+def _render_expr(e: SpecExpr) -> str:
+    if isinstance(e, (Atom, BareAtom)):
+        return e.render()
+    if isinstance(e, Not):
+        return "!" + _child(e.child, 3)
+    prec = _PRECEDENCE[type(e)]
+    first, *rest = oracle_operands(e)
+    return (" & " if type(e) is And else " | ").join(
+        [_child(first, prec, left=True)] + [_child(r, prec) for r in rest])
+
+
+def _child(e: SpecExpr, parent_prec: int, left: bool = False) -> str:
+    text = _render_expr(e)
+    prec = _PRECEDENCE.get(type(e), 4)
+    # same-precedence right children keep their parentheses: '&' and '|'
+    # associate to the left, so a right-nested tree must stay explicit
+    if prec < parent_prec or (prec == parent_prec and not left):
+        return f"({text})"
+    return text
 
 
 # -- tokens, one record per token -------------------------------------------

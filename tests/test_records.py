@@ -93,6 +93,22 @@ def test_hash_agrees_with_equality(name):
     assert len({record, same, other}) == 2
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_long_run_compares_and_hashes_without_recursion(op):
+    # 2,000 operands are one level of a parsed specification; '==' and
+    # 'hash' read the run in a loop, as the parser and the walks do
+    text = f" {op} ".join(["a", "b"] * 1000)
+    run, same, other = parse_spec(text), parse_spec(text), parse_spec(text + f" {op} a")
+    assert run == same and not run != same
+    assert hash(run) == hash(same)
+    assert run != other and not run == other
+    assert len({run, same, other}) == 2
+    typed = TypedSpec(run, 1), TypedSpec(same, 1, ((A,),)), TypedSpec(other, 1)
+    assert typed[0] == typed[1] != typed[2] and len(set(typed)) == 2
+    rules = Rule("NN", typed[0]), Rule("NN", typed[1], span=Span(2, 1)), Rule("NN", typed[2])
+    assert rules[0] == rules[1] != rules[2] and len(set(rules)) == 2
+
+
 def test_records_differing_only_in_span_are_equal():
     assert (FeatureDecl("f", "root", ("v",), (("g", "w"),), Span(1, 1))
             == FeatureDecl("f", "root", ("v",), (("g", "w"),), Span(7, 3)))

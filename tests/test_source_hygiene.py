@@ -207,7 +207,7 @@ def _self_reaching(tree):
 BOUNDED_RECURSION = {
     "specexpr.py": {name: "MAX_SPEC_DEPTH" for name in (
         "_parse_expr", "_parse_term", "_parse_factor", "_walk",
-        "render_expr", "_child")},
+        "render_expr")},
 }
 
 

@@ -5,7 +5,7 @@ import inspect
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from tagmap import (
     SpecSyntaxError,
@@ -26,6 +26,7 @@ from oracles import (
     mask_keys,
     oracle_denote,
     oracle_dnf,
+    oracle_render_spec,
     oracle_universe,
 )
 
@@ -129,6 +130,34 @@ EXPRS = strategy(spec_expr, NAMES)
 @given(EXPRS)
 def test_render_parse_round_trip(e):
     assert parse_spec(render_spec(e)) == e
+
+
+@given(EXPRS)
+@example(parse_spec("!!n"))
+@example(parse_spec("n & (sg & mass)"))
+@example(parse_spec("(n | v) & !(sg | (mass | v)) | (adj | (v & fin))"))
+@settings(max_examples=300)
+@seed(32)
+def test_render_matches_the_former_renderer(e):
+    # the former renderer passed a run's first operand a flag that never
+    # changed the output: that operand never has the run's own operator
+    assert render_spec(e) == oracle_render_spec(e)
+
+
+# 2,000-operand runs of '&' and '|', each operand a nested expression.  They
+# are not @examples of the property tests: hypothesis takes the repr of
+# every explicit example, and a NamedTuple's repr recurses once per node.
+@pytest.mark.parametrize("text", [
+    " & ".join(["n", "!(mass | v)"] * 1000),
+    " | ".join(["n & sg", "(v | adj)"] * 1000),
+], ids=["conjuncts", "disjuncts"])
+def test_a_long_run_matches_the_oracles(text):
+    e = parse_spec(text)
+    assert render_spec(e) == oracle_render_spec(e) == f"[{text}]"
+    assert list(map(list, typecheck(e, GRAPH).dnf)) == oracle_dnf(e)
+    assert mask_keys(GRAPH, denote(e, GRAPH)) == frozenset(
+        (leaf, frozenset(a.items())) for leaf, a in oracle_universe()
+        if eval_spec(e, leaf, a))
 
 
 @given(EXPRS)
