@@ -35,7 +35,7 @@ description, is :func:`tagmap.typegraph.minimal_cover`.
 """
 from __future__ import annotations
 
-from functools import reduce
+from itertools import accumulate
 from operator import and_, iadd, or_
 from typing import Callable, NamedTuple, TypeVar
 
@@ -69,11 +69,18 @@ class BareAtom(NamedTuple):
         return self.name
 
 
+def _run_repr(e: And | Or) -> str:
+    first, *rest = _operands(e)
+    return (f"{type(e).__name__}(left=" * len(rest) + repr(first)
+            + "".join([f", right={x!r})" for x in rest]))
+
+
 class And(NamedTuple):
     left: "SpecExpr"
     right: "SpecExpr"
 
     __eq__, __ne__, __hash__ = compare_by(lambda e: tuple(_operands(e)))
+    __repr__ = _run_repr        # the NamedTuple default text, in one loop
 
 
 class Or(NamedTuple):
@@ -81,6 +88,7 @@ class Or(NamedTuple):
     right: "SpecExpr"
 
     __eq__, __ne__, __hash__ = compare_by(lambda e: tuple(_operands(e)))
+    __repr__ = _run_repr
 
 
 class Not(NamedTuple):
@@ -362,12 +370,13 @@ def _atom_mask(atom: Atom | None, g: TypeGraph) -> int:
 
 
 def _conflict_core(disjunct: tuple[Atom, ...], g: TypeGraph) -> tuple[Atom, ...]:
-    """Minimal subset of an unsatisfiable conjunction that stays unsatisfiable."""
-    core = list(disjunct)
-    for atom in list(core):
-        if len(core) == 1:
-            break
-        trial = [a for a in core if a is not atom]
-        if not reduce(and_, (_atom_mask(a, g) for a in trial), g.full_mask):
-            core = trial
+    """Minimal subset of an unsatisfiable conjunction that stays unsatisfiable:
+    each atom is kept when those kept before it and all after it meet."""
+    masks = [_atom_mask(a, g) for a in disjunct]
+    after = list(accumulate(reversed(masks), and_, initial=g.full_mask))[::-1]
+    kept, core = g.full_mask, []
+    for atom, mask, rest in zip(disjunct, masks, after[1:]):
+        if kept & rest:
+            kept &= mask
+            core.append(atom)
     return tuple(core)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, islice, repeat
 from operator import and_, mul, or_
 from typing import NamedTuple
 
@@ -98,8 +98,8 @@ class TypeGraph:
 
     The terminal classes are kept as digit columns only: each leaf holds,
     for every atom of its features, one digit per class of the leaf, "1"
-    where the class holds the atom.  A class's leaf and assignment are
-    decoded from them when read.
+    where the class holds the atom, each column spread once from the digits
+    its feature wrote.  A class's leaf and assignment are read off them.
 
     Instances are immutable after construction and safe to read from several
     threads; the only internal mutations are idempotent caches: the minimal
@@ -193,14 +193,10 @@ class TypeGraph:
         return tuple(TerminalClass(*self._class_at(i), i)
                      for i in range(self._starts[-1]))
 
-    def _leaf_at(self, index: int) -> int:
-        """The position in ``leaves`` of the leaf of the class ``index``."""
-        return bisect_right(self._starts, index) - 1
-
     def _class_at(self, index: int) -> tuple[str, tuple[tuple[str, str], ...]]:
         """The leaf and the assignment of the class ``index``: the leaf's
         atoms whose digit for the class is "1"."""
-        k = self._leaf_at(index)
+        k = bisect_right(self._starts, index) - 1       # the leaf's position
         column = index - self._starts[k]
         return self.leaves[k], tuple([a for a, digits in self._digits[k].items()
                                       if digits[column] == "1"])
@@ -271,70 +267,57 @@ class TypeGraph:
 
     @staticmethod
     def _expand(feats, room: int) -> tuple[int, dict[tuple[str, str], str]]:
-        """The number of consistent assignments to ``feats``, and each atom's
-        digits over them, in declaration order: one per assignment, "1" where
-        it holds the atom and "0" where not.
-
-        The assignments are ordered by the value positions of the earliest
-        features first, as if partial assignments were extended feature by
-        feature, each by every value of the feature in turn; only their
-        digits are built.  ``spread`` is the product of the value counts of
-        the features that every partial took, and each atom is kept as a
-        pattern, a tile count and the spread when it was written.  An atom
-        is read, for a guard, a partial step or the result, by repeating
-        each digit of its pattern as many times as the spread has grown
-        since, then tiling that.  Each feature of k values takes one of two
-        steps, and its value j's atom has a pattern built on k digits, "1"
-        only at the j-th:
-
-        * A feature that every partial takes, unguarded or guarded by atoms
-          that every partial holds between them, multiplies the partials
-          and the spread by k; the k digits are the pattern, tiled once per
-          earlier partial.
-        * A feature that only some partials take, read off its guard atoms,
-          turns each taker into k partials, one per value; every atom is
-          read and repeated at the takers, unless k is 1, and the pattern
-          is the takers' digits with each "1" replaced by the k digits.
-
-        A feature that would take the partials past ``room`` is reported
-        before its digits are built.
+        """The number of consistent assignments to ``feats`` and each atom's
+        digits over them, in declaration order: "1" where one holds the atom.
+        Partial assignments are extended feature by feature, each by every
+        value in turn: a feature of k values turns each partial that takes it
+        (all, unless a guard leaves some out) into k, and its step records
+        what each partial became, an int when all became the same number.
+        Value j's atom is the takers' digits with each "1" replaced by k
+        digits, "1" only at the j-th (just those k when all take it), spread
+        through the later steps when a guard reads it and at the end.  A
+        feature past ``room`` partials is reported before its digits are built.
         """
-        n = spread = 1          # partials so far, and the spread
-        atoms: dict[tuple[str, str], tuple[str, int, int]] = {}
+        n, steps = 1, []        # partials so far; what each became, by step
+        atoms: dict = {}        # each atom's digits, and the steps taken then
 
-        def read(a):
-            pattern, tiles, written = atoms[a]
-            if (k := spread // written) > 1:
-                pattern = pattern.replace("0", "0" * k).replace("1", "1" * k)
-            return pattern * tiles
+        def forward(keys):
+            # walks back from the last step, composing what each of the m
+            # partials before step i has become, and spreads their atoms
+            counts, i, m, last = 1, len(steps), n, len(steps)
+            for a in sorted(keys, key=lambda a: atoms[a][1], reverse=True):
+                digits, at = atoms[a]
+                while i > at:
+                    i -= 1
+                    step = steps[i]
+                    m = m // step if type(step) is int else len(step)
+                    if type(step) is int and type(counts) is int:
+                        counts *= step
+                    else:
+                        sums = repeat(counts) if type(counts) is int else iter(counts)
+                        counts = [sum(islice(sums, r)) for r in (
+                            repeat(step, m) if type(step) is int else step)]
+                atoms[a] = _spread(digits, counts, m // len(digits)), last
 
         for f in feats:
             k = len(f.values)
-            takes = None        # the takers' digits, None when all take f
+            takes = "1"         # the takers' digits, one untiled "1" when all take f
             if f.conditions:
-                held = [read(c) for c in f.conditions if c in atoms]
-                takes = held[0] if len(held) == 1 else format(
-                    reduce(or_, (int(d, 2) for d in held), 0), f"0{n}b")
-                if "0" not in takes:
-                    takes = None
-            if takes is None:
-                tiles, grown, spread = n, n * k, spread * k
-            else:
-                tiles, grown = 1, n + (k - 1) * takes.count("1")
+                held = [c for c in f.conditions if c in atoms]
+                forward([c for c in held if len(atoms[c][0]) < n])
+                mask = reduce(or_, (int(atoms[c][0], 2) for c in held), 0)
+                takes = format(mask, f"0{n}b") if mask.bit_count() < n else "1"
+            grown = n * k if takes == "1" else n + (k - 1) * takes.count("1")
             if grown > room:
                 raise _too_large(f"feature {f.name!r}", f.span)
-            if takes is not None and k > 1:
-                # a taker becomes k partials, one per value, and each
-                # inherits its digits
-                reps = [k if t == "1" else 1 for t in takes]
-                for a in atoms:
-                    atoms[a] = "".join(map(mul, read(a), reps)), 1, spread
+            if grown > n:       # a step that leaves every partial as it was is not kept
+                steps.append(k if takes == "1" else [k if t == "1" else 1 for t in takes])
             for j, v in enumerate(f.values):
                 hot = "0" * j + "1" + "0" * (k - j - 1)
-                atoms[(f.name, v)] = (hot if takes is None else
-                                      takes.replace("1", hot)), tiles, spread
+                atoms[(f.name, v)] = takes.replace("1", hot), len(steps)
             n = grown
-        return n, {a: read(a) for a in atoms}
+        forward(atoms)
+        return n, {a: digits for a, (digits, _) in atoms.items()}
 
     # -- conjunctive descriptions ----------------------------------------
 
@@ -475,6 +458,14 @@ def _too_large(what: str, span: Span | None) -> CompileError:
     return CompileError([error(
         "universe-too-large",
         f"{what} takes the tagset past {MAX_CLASSES} terminal classes", span)])
+
+
+def _spread(digits: str, counts, tiles: int) -> str:
+    """``digits`` tiled ``tiles`` times, each digit repeated ``counts``
+    times, or as many as its entry in ``counts`` when that is a list."""
+    if type(counts) is int:
+        return digits.replace("0", "0" * counts).replace("1", "1" * counts) * tiles
+    return "".join(map(mul, digits * tiles, counts))
 
 
 # -- minimal covers ----------------------------------------------------------

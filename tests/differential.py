@@ -49,7 +49,11 @@ tagmap.cli`` on the same inputs:
 * ``compile``, ``explain`` and one ``query -e`` of each of 30 seeded random
   tagsets of 2 to 6 nested nodes and 3 to 8 features, with one tag per
   leaf and one per feature value; some fail with diagnostics, which are
-  compared too.
+  compared too;
+* ``compile`` and ``explain`` of each of 30 seeded two-leaf tagsets of 2 to
+  6 features of 1 to 3 values, each guarded with even odds by one or two
+  earlier values, so that some features are taken by only some partial
+  assignments, with one tag per leaf and one per feature value.
 
 With ``--mutants N``, the commands are instead the first ``N`` seed-1
 mutants of ``tests/fuzzing.py``, of the fixtures and of the catalogue's
@@ -89,11 +93,13 @@ import fuzzing  # noqa: E402
 import gen  # noqa: E402
 import oracles  # noqa: E402
 from inputs import (  # noqa: E402
-    disjunctive_rules, guarded_chain, nested_tagset, positional_rules)
+    disjunctive_rules, guarded_chain, guarded_two_leaf_tagset, nested_tagset,
+    positional_rules, two_leaf_rules)
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
 RANDOM_TAGSETS = 30
+GUARDED_FEATURES = (2, 6)
 CHAIN_FEATURES = 20
 DEEP_CHAIN_FEATURES = 300
 CORPUS_TOKENS = 20_000
@@ -220,6 +226,15 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
         commands += [(f"random {i} compile", ["compile", *drawn]),
                      (f"random {i} explain", ["explain", *drawn]),
                      (f"random {i} query", ["query", *drawn, "-e", query])]
+    for i in range(RANDOM_TAGSETS):
+        tagset = guarded_two_leaf_tagset(random.Random(f"{i}:guarded"),
+                                         GUARDED_FEATURES)
+        (work / f"guarded{i}.tagset").write_text(tagset)
+        (work / f"guarded{i}.rules").write_text(two_leaf_rules(tagset))
+        drawn = ["--tagset", str(work / f"guarded{i}.tagset"),
+                 "--rules", str(work / f"guarded{i}.rules")]
+        commands += [(f"guarded {i} compile", ["compile", *drawn]),
+                     (f"guarded {i} explain", ["explain", *drawn])]
 
     session = ("[vtype = aux].\n\n[pos = v & case = gen]\n"
                "[n & (common & sg | mass)]\n\\q\n[mass]\n")

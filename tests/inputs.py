@@ -7,6 +7,7 @@ test draws and shrinks the inputs a seed gives the differential runner.
 from __future__ import annotations
 
 import itertools
+import re
 
 import gen
 from hypothesis import strategies as st
@@ -78,10 +79,16 @@ def nested_tagset(rng, nodes=(2, 6), features=(3, 8)) -> tuple[str, str, str]:
 
     specs = {f"L{c}": names[c] for c in children if not children[c]}
     specs.update((f"T{v}", f"{f} = {v}") for f, v in declared)
-    rules = ["mapping rand for tagset rand", "tags " + ", ".join(specs)]
-    rules += [f"[pos = '{tag}'] => [{spec}]." for tag, spec in specs.items()]
     query = "[" + " | ".join(rng.sample(sorted(specs.values()), 2)) + "]"
-    return "\n".join(lines) + "\n", "\n".join(rules) + "\n", query
+    return "\n".join(lines) + "\n", _mapping("rand", specs), query
+
+
+def _mapping(tagset: str, specs: dict[str, str]) -> str:
+    """A rules file for ``tagset`` mapping each tag of ``specs`` to its
+    specification."""
+    rules = [f"mapping {tagset} for tagset {tagset}", "tags " + ", ".join(specs)]
+    rules += [f"[pos = '{tag}'] => [{spec}]." for tag, spec in specs.items()]
+    return "\n".join(rules) + "\n"
 
 
 def two_leaf_tagset(*features: str) -> str:
@@ -106,6 +113,16 @@ def guarded_two_leaf_tagset(rng, features=(0, 4)) -> str:
         decls.append(f"f{i} {guard}{{ {', '.join(vs)} }}")
         declared += [(f"f{i}", v) for v in vs]
     return two_leaf_tagset(*decls)
+
+
+def two_leaf_rules(tagset: str) -> str:
+    """Rules for a :func:`two_leaf_tagset` with one tag per leaf, ``[a]`` and
+    ``[b]``, and one per feature value, ``[f = v]``, as
+    :func:`nested_tagset` writes them."""
+    specs = {"La": "a", "Lb": "b"}
+    for f, values in re.findall(r"^feature (\S+) for root .*\{ (.*) \}$", tagset, re.M):
+        specs.update((f"T{v}", f"{f} = {v}") for v in values.split(", "))
+    return _mapping("shapes", specs)
 
 
 def guarded_chain(n: int) -> tuple[str, str]:

@@ -15,7 +15,10 @@ Expression trees come from the package parser (the surface grammar is
 shared); every semantic step is recomputed from first principles, and a
 run of one operator is read down its left spine by the oracles' own loop.
 Specifications are rendered by the former renderer, whose ``_child`` kept
-a flag for a run's first operand.
+a flag for a run's first operand, and written by the default repr of plain
+namedtuples; the conflict core of an unsatisfiable conjunction is found by
+the former search, which recomputes the rest's masks for each atom it
+tries, with the atom masks of the package.
 The retag command line is kept in its former read-all form, which shares
 the per-token retagger with the package and checks only the streaming I/O.
 The overlap and containment checks of a mapping tree are kept in their
@@ -25,15 +28,17 @@ Tokens come from the lexer's former scan, one record per token.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from tagmap.diagnostics import Diagnostic, Span, SpecSyntaxError, error, warning
 from tagmap.retagger import RetagSummary, retag_lines
-from tagmap.specexpr import And, Atom, BareAtom, Not, Or, SpecExpr, parse_spec
+from tagmap.specexpr import And, Atom, BareAtom, Not, Or, SpecExpr, denote, parse_spec
 from tagmap.typegraph import minimal_cover, render_cover
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "tagmap" / "fixtures"
@@ -325,6 +330,40 @@ def _child(e: SpecExpr, parent_prec: int, left: bool = False) -> str:
     if prec < parent_prec or (prec == parent_prec and not left):
         return f"({text})"
     return text
+
+
+# -- specifications written by the default repr ----------------------------------
+
+_DEFAULT = {kind: collections.namedtuple(kind.__name__, kind._fields)
+            for kind in (And, Or, Not)}
+
+
+def oracle_repr(e: SpecExpr) -> str:
+    """The repr of ``e`` as plain namedtuples of the same names and fields
+    write it, one call per node."""
+    def plain(x):
+        kind = _DEFAULT.get(type(x))
+        return x if kind is None else kind(*map(plain, x))
+    return repr(plain(e))
+
+
+# -- conflict cores by the former search --------------------------------------
+
+
+def oracle_conflict_core(disjunct, g) -> tuple:
+    """The conflict core of an unsatisfiable conjunction as the package
+    found it before: each atom in turn is dropped, with every occurrence of
+    the same object, when the masks of the rest, all recomputed, still
+    meet in no class."""
+    core = list(disjunct)
+    for atom in list(core):
+        if len(core) == 1:
+            break
+        trial = [a for a in core if a is not atom]
+        if not functools.reduce(operator.and_, (denote(a, g) for a in trial),
+                                g.full_mask):
+            core = trial
+    return tuple(core)
 
 
 # -- tokens, one record per token -------------------------------------------

@@ -10,7 +10,7 @@ MUTANTS = 300
 def test_fixture_mutants_end_with_an_exit_status(tmp_path):
     # each mutant must finish within BOUND_S (5 s) with status 0-3; the
     # slowest of these, a guard chain spliced into the fixture tagset, takes
-    # about 0.6 s, nearly all of it in TypeGraph._expand
+    # about 0.06 s on a shared 2-core VM, most of it in TypeGraph._expand
     failures, statuses = [], set()
     for m in mutants(1, MUTANTS):
         outcome = run_in_process(m, tmp_path)

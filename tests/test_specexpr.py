@@ -5,7 +5,7 @@ import inspect
 import sys
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from tagmap import (
     SpecSyntaxError,
@@ -18,15 +18,17 @@ from tagmap import (
     render_spec,
     typecheck,
 )
-from tagmap.specexpr import MAX_SPEC_DEPTH, And, Atom, BareAtom, Not, Or
+from tagmap.specexpr import MAX_SPEC_DEPTH, And, Atom, BareAtom, Not, Or, _conflict_core
 
 from inputs import spec_atom, spec_expr, spec_names, strategy
 from oracles import (
     eval_spec,
     mask_keys,
+    oracle_conflict_core,
     oracle_denote,
     oracle_dnf,
     oracle_render_spec,
+    oracle_repr,
     oracle_universe,
 )
 
@@ -125,6 +127,9 @@ GRAPH = _graph()
 NAMES = spec_names(GRAPH)
 ATOMS = strategy(spec_atom, NAMES)
 EXPRS = strategy(spec_expr, NAMES)
+# 2,000-operand runs of '&' and '|', each operand a nested expression
+LONG_RUNS = [" & ".join(["n", "!(mass | v)"] * 1000),
+             " | ".join(["n & sg", "(v | adj)"] * 1000)]
 
 
 @given(EXPRS)
@@ -136,6 +141,8 @@ def test_render_parse_round_trip(e):
 @example(parse_spec("!!n"))
 @example(parse_spec("n & (sg & mass)"))
 @example(parse_spec("(n | v) & !(sg | (mass | v)) | (adj | (v & fin))"))
+@example(parse_spec(LONG_RUNS[0]))
+@example(parse_spec(LONG_RUNS[1]))
 @settings(max_examples=300)
 @seed(32)
 def test_render_matches_the_former_renderer(e):
@@ -144,13 +151,21 @@ def test_render_matches_the_former_renderer(e):
     assert render_spec(e) == oracle_render_spec(e)
 
 
-# 2,000-operand runs of '&' and '|', each operand a nested expression.  They
-# are not @examples of the property tests: hypothesis takes the repr of
-# every explicit example, and a NamedTuple's repr recurses once per node.
-@pytest.mark.parametrize("text", [
-    " & ".join(["n", "!(mass | v)"] * 1000),
-    " | ".join(["n & sg", "(v | adj)"] * 1000),
-], ids=["conjuncts", "disjuncts"])
+@given(EXPRS)
+@example(parse_spec("(a | b) & c & (d & e) | !(f | g)"))
+@settings(max_examples=100)
+def test_repr_is_the_named_tuple_default(e):
+    # And and Or write their run in a loop, and must give the text the
+    # default repr gives, which recurses once per node
+    assert repr(e) == oracle_repr(e)
+
+
+# The long runs are @examples of the rendering and DNF property tests,
+# since repr, which hypothesis takes of every explicit example, follows a
+# run in a loop.  This test also checks that rendering gives back the source
+# text, and the denotation, whose oracle takes longer on a long run than the
+# denotation property test's deadline.
+@pytest.mark.parametrize("text", LONG_RUNS, ids=["conjuncts", "disjuncts"])
 def test_a_long_run_matches_the_oracles(text):
     e = parse_spec(text)
     assert render_spec(e) == oracle_render_spec(e) == f"[{text}]"
@@ -324,6 +339,8 @@ def test_dnf_preserves_denotation(graph):
 
 
 @given(EXPRS)
+@example(parse_spec(LONG_RUNS[0]))
+@example(parse_spec(LONG_RUNS[1]))
 @settings(max_examples=300, deadline=None)
 def test_dnf_keeps_the_oracle_order(e):
     universe = oracle_universe()
@@ -340,6 +357,30 @@ def test_dnf_keeps_the_oracle_order(e):
     else:
         assert not dead
         assert list(map(list, got.dnf)) == want
+
+
+@given(st.lists(ATOMS, min_size=2, max_size=12))
+@settings(max_examples=300)
+def test_conflict_core_matches_the_former_search(atom_list):
+    # a parsed conjunction holds one Atom object per operand, so deciding
+    # each operand in one pass finds the core the former search found
+    text = " & ".join(a.render() for a in atom_list)
+    assume(not denote(parse_spec(text), GRAPH))
+    (disjunct,) = oracle_dnf(parse_spec(text))
+    core = _conflict_core(tuple(disjunct), GRAPH)
+    assert list(map(id, core)) == list(map(id, oracle_conflict_core(disjunct, GRAPH)))
+    with pytest.raises(SpecTypeError) as exc:
+        compile_spec(text, GRAPH)
+    assert exc.value.conflict == tuple(a.render() for a in core)
+
+
+def test_conflict_core_decides_each_operand(graph):
+    # a hand-built conjunction holding one Atom object twice: each
+    # occurrence is decided on its own, so the core keeps the last one
+    # needed, where the former search kept or dropped both at once
+    n, v = Atom("pos", "=", "n"), Atom("pos", "=", "v")
+    assert oracle_conflict_core((n, v, n), graph) == (n, v, n)
+    assert _conflict_core((n, v, n), graph) == (v, n)
 
 
 def test_typed_spec_classes_sorted_by_index(graph):

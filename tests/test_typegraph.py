@@ -424,7 +424,7 @@ def test_masks_match_class_scan_on_random_tagsets(source):
 @given(TAGSETS)
 # a one-value feature between multi-value ones that every class takes
 @example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 { p, q, r }"))
-# a multi-value feature guarded by an atom whose spread has grown since
+# a multi-value feature guarded by an atom that a later feature spread
 @example(two_leaf_tagset("f0 { x, y }", "f1 { p, q }",
                          "f2 when f0 = x { s, t }"))
 # taker steps, one-value and multi-value, then features that every class
@@ -441,18 +441,18 @@ def test_masks_match_class_scan_on_random_tagsets(source):
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f1 = x { s }",
                          "f3 { z }", "f4 { p, q }"))
 # a guard held everywhere, so every class takes the feature, then a taker
-# step whose guard is read at the spread it has grown to
+# step whose guard a later feature spread
 @example(two_leaf_tagset("f0 { w }", "f1 { x, y }", "f2 when f0 = w { p, q }",
                          "f3 when f1 = y { s, t }"))
 # one-value features alone that every class takes, after a one-value taker
-# step, then a guard that only some classes hold, read at a spread of 1
+# step, then a guard that only some classes hold, read as it was written
 @example(two_leaf_tagset("f0 { x, y }", "f1 when f0 = x { p }", "f2 { w }",
                          "f3 { z }", "f4 when f1 = p { s, t }"))
 # a one-value feature guarded by a one-value atom every class holds,
 # between multi-value features that every class takes
 @example(two_leaf_tagset("f0 { x, y }", "f1 { w }", "f2 when f1 = w { u }",
                          "f3 { p, q }", "f4 when f3 = p { s, t }"))
-# guards that read atoms whose spreads have grown by different factors,
+# guards that read atoms spread by different factors since,
 # one of them around a taker step
 @example(two_leaf_tagset("f0 { x, y }", "f1 { p, q, r }",
                          "f2 when f0 = x { s, t }", "f3 { u, v }",
@@ -931,9 +931,9 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
     # guarded one in the middle: copying each class's partial assignment at
     # every feature took 95 to 175 ms here to build the graph, adding each
     # run of one-value features in one copy 11 to 28 ms.  A one-value
-    # feature that every class takes leaves the spread as it is, and its
-    # atom is written as one digit and a tile count.  The fastest of seven
-    # builds is bounded, so that a spell of load cannot fail it.
+    # feature that every class takes keeps no step, and its atom is written
+    # as one digit, tiled at the end.  The fastest of seven builds is
+    # bounded, so that a spell of load cannot fail it.
     n = 6000
     ones = [(f"f{i}", f"v{i}") for i in range(n)]
     source = ("tagset wide\nhierarchy { a }\nfeature r for root { x, y }\n"
@@ -994,6 +994,38 @@ def test_guarded_chain_from_a_partial_guard_compiles_in_linear_time():
                              [_guarded_chain(n) for n in (1500, 3000, 6000)],
                              repeats=5)
     assert all(r < 2.5 for r in ratios), ratios
+
+
+def _digits_spread(monkeypatch, sources):
+    """The digits that ``typegraph._spread``, the one helper that spreads
+    an atom's digits through later features, writes to compile each of
+    ``sources``."""
+    spread, counts = typegraph._spread, []
+
+    def counting(*args):
+        digits = spread(*args)
+        counts[-1] += len(digits)
+        return digits
+
+    monkeypatch.setattr(typegraph, "_spread", counting)
+    for source in sources:
+        counts.append(0)
+        parse_tagset_definition(source)
+    return counts
+
+
+def test_a_guarded_chain_spreads_each_atom_once(monkeypatch):
+    # the counter twin of the guarded-chain compile: its 3n atoms of 2n + 1
+    # digits are each spread once, so the work is quadratic, where
+    # re-spreading every atom at each guarded feature made it cubic
+    counts = _digits_spread(monkeypatch, [guarded_chain(n)[0] for n in (100, 200, 400)])
+    assert counts[0] and all(b <= 4.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_guarded_chain_from_a_partial_guard_spreads_linear_work(monkeypatch):
+    # the counter twin of the doubling test above, on the same chains
+    counts = _digits_spread(monkeypatch, [_guarded_chain(n) for n in (1500, 3000, 6000)])
+    assert counts[0] and all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def _held_guards(guarded):
