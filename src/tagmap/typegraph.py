@@ -24,6 +24,7 @@ pseudo-feature ``pos`` whose values are the hierarchy node names.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 from functools import cached_property, reduce
 from itertools import compress, islice, repeat
 from operator import and_, mul, or_
@@ -38,6 +39,9 @@ ROOT = "root"
 # the most terminal classes a tagset may have; each class costs one digit
 # per atom of its leaf's features, and its bit a place in every mask
 MAX_CLASSES = 1 << 20
+# the most covers and prime descriptions a graph keeps; past it, the oldest
+# stored is dropped, so a long query session holds a bounded number of masks
+MAX_CACHED_COVERS = 1024
 
 
 class FeatureDecl(NamedTuple):
@@ -103,8 +107,9 @@ class TypeGraph:
 
     Instances are immutable after construction and safe to read from several
     threads; the only internal mutations are idempotent caches: the minimal
-    covers found, by mask, and the universe and the candidate table, each
-    built on first read.
+    covers found, by mask, at most :data:`MAX_CACHED_COVERS` of them, the
+    oldest stored dropped first, and the universe and the candidate table,
+    each built on first read.
     ``parents`` maps each hierarchy node to its parent, ``None`` for the
     root, and lists each node after its parent; its order is ``nodes``.
     Build one with :func:`parse_tagset_definition`, not directly.
@@ -143,7 +148,7 @@ class TypeGraph:
                 self._node_mask[parent] |= self._node_mask[node]
         # minimal covers by mask; a prime's is its one description, which
         # every cover holding the prime shares
-        self._cover_cache: dict[int, tuple[CoverNode, ...]] = {}
+        self._cover_cache: dict[int, tuple[CoverNode, ...]] = _Bounded()
 
     # -- structure -----------------------------------------------------
 
@@ -275,8 +280,9 @@ class TypeGraph:
         what each partial became, an int when all became the same number.
         Value j's atom is the takers' digits with each "1" replaced by k
         digits, "1" only at the j-th (just those k when all take it), spread
-        through the later steps when a guard reads it and at the end.  A
-        feature past ``room`` partials is reported before its digits are built.
+        through the later steps when a guard reads it and at the end, unless
+        it has one digit per partial already.  A feature past ``room``
+        partials is reported before its digits are built.
         """
         n, steps = 1, []        # partials so far; what each became, by step
         atoms: dict = {}        # each atom's digits, and the steps taken then
@@ -304,9 +310,12 @@ class TypeGraph:
             takes = "1"         # the takers' digits, one untiled "1" when all take f
             if f.conditions:
                 held = [c for c in f.conditions if c in atoms]
-                forward([c for c in held if len(atoms[c][0]) < n])
-                mask = reduce(or_, (int(atoms[c][0], 2) for c in held), 0)
-                takes = format(mask, f"0{n}b") if mask.bit_count() < n else "1"
+                if stale := [c for c in held if len(atoms[c][0]) < n]:
+                    forward(stale)
+                takes = atoms[held[0]][0] if len(held) == 1 else format(
+                    reduce(or_, (int(atoms[c][0], 2) for c in held), 0), f"0{n}b")
+                if "0" not in takes:
+                    takes = "1"
             grown = n * k if takes == "1" else n + (k - 1) * takes.count("1")
             if grown > room:
                 raise _too_large(f"feature {f.name!r}", f.span)
@@ -316,7 +325,7 @@ class TypeGraph:
                 hot = "0" * j + "1" + "0" * (k - j - 1)
                 atoms[(f.name, v)] = takes.replace("1", hot), len(steps)
             n = grown
-        forward(atoms)
+        forward([a for a, (digits, _) in atoms.items() if len(digits) < n])
         return n, {a: digits for a, (digits, _) in atoms.items()}
 
     # -- conjunctive descriptions ----------------------------------------
@@ -384,6 +393,10 @@ class TypeGraph:
                     closed &= m
                 else:
                     free.append(m)
+            # the most specific conjunction here holds a class outside, and
+            # every one above, with a larger node and fewer atoms, holds it
+            if reduce(and_, free, closed & ~target):
+                break
             # each state's barred atoms are the bits of their positions in
             # ``free``
             stack = [(closed, 0)]
@@ -452,6 +465,17 @@ class TypeGraph:
         if not mask:
             raise ValueError("cannot describe the empty class set")
         return self._closure(mask)[1]
+
+
+class _Bounded(OrderedDict):
+    """A dict of at most :data:`MAX_CACHED_COVERS` entries: storing one
+    more drops the oldest stored, in one call, so that a reader in another
+    thread never sees a half-made eviction."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if len(self) > MAX_CACHED_COVERS:
+            self.popitem(last=False)
 
 
 def _too_large(what: str, span: Span | None) -> CompileError:

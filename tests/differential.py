@@ -33,6 +33,9 @@ tagmap.cli`` on the same inputs:
   appropriate only under the middle value of the one before, with one tag
   per last value, so that the hole left is covered by one prime per class;
   and of a chain of 300, whose hole's cover nests 299 factored groups;
+* ``compile`` and ``explain`` of a hierarchy chain of 400 levels, each
+  with a leaf beside the next level, and one tag for every other leaf,
+  whose cover is one prime per leaf;
 * ``query -e`` of a flat run of 1,000 ``|`` operands on the fixture, and
   ``compile`` and ``explain`` of a rule whose specification is a cover of
   200 primes (every other value of a 400-value feature over two leaves),
@@ -94,7 +97,7 @@ import gen  # noqa: E402
 import oracles  # noqa: E402
 from inputs import (  # noqa: E402
     disjunctive_rules, guarded_chain, guarded_two_leaf_tagset, nested_tagset,
-    positional_rules, two_leaf_rules)
+    positional_rules, sibling_chain, two_leaf_rules)
 
 TIMEOUT_S = 10
 LADDER_QUERIES = 150
@@ -102,6 +105,7 @@ RANDOM_TAGSETS = 30
 GUARDED_FEATURES = (2, 6)
 CHAIN_FEATURES = 20
 DEEP_CHAIN_FEATURES = 300
+SIBLING_CHAIN_LEVELS = 400
 CORPUS_TOKENS = 20_000
 
 
@@ -197,6 +201,13 @@ def inputs(work: Path) -> list[tuple[str, list[str], str]]:
                  "--rules", str(work / f"chain{n}.rules")]
         commands += [(f"{name} compile", ["compile", *chain]),
                      (f"{name} explain", ["explain", *chain])]
+    for path, text in zip(("siblings.tagset", "siblings.rules"),
+                          sibling_chain(SIBLING_CHAIN_LEVELS)):
+        (work / path).write_text(text)
+    siblings = ["--tagset", str(work / "siblings.tagset"),
+                "--rules", str(work / "siblings.rules")]
+    commands += [("sibling chain compile", ["compile", *siblings]),
+                 ("sibling chain explain", ["explain", *siblings])]
 
     commands.append(("1,000 disjuncts query", [
         "query", *fixture, "-e", " | ".join(["n"] * 1000)]))

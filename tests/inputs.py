@@ -140,6 +140,21 @@ def guarded_chain(n: int) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(rules) + "\n"
 
 
+def sibling_chain(n: int) -> tuple[str, str]:
+    """A tagset whose hierarchy is a chain of ``n`` levels, ``b1 a1 { b2 a2
+    { ... } }``, with a one-value feature ``g<i> { w<i> }`` homed at every
+    ``a<i>``: leaf ``b<i>`` holds the first ``i - 1`` of them and ``a<n>``
+    all, so it has ``n + 1`` classes, one per leaf; and rules with one tag,
+    ``ODD``, for every other leaf, ``[b1 | b3 | ...]``, whose cover is one
+    prime per leaf."""
+    tagset = ("tagset chain hierarchy { "
+              + " ".join(f"b{i} a{i} {{" for i in range(1, n + 1))
+              + " }" * n + " }\n"
+              + "\n".join(f"feature g{i} for a{i} {{ w{i} }}" for i in range(1, n + 1)))
+    odd = " | ".join(f"b{i}" for i in range(1, n + 1, 2))
+    return tagset, f"mapping chain for tagset chain\ntags ODD\n[pos = 'ODD'] => [{odd}].\n"
+
+
 # -- specification expressions over a graph ------------------------------------
 
 # cumulative odds of f = v, f != v, pos = node and a bare value; a bare node

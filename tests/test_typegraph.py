@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -32,7 +33,7 @@ from tagmap import (
 )
 
 from inputs import (guarded_chain, guarded_two_leaf_tagset, nested_tagset,
-                    strategy, two_leaf_tagset)
+                    sibling_chain, strategy, two_leaf_tagset)
 from oracles import (
     FIXTURES,
     key_of,
@@ -660,6 +661,94 @@ def test_cover_ties_go_to_the_least_sort_keys():
         " | f0=v0_0 & f1=v1_1 | f0=v0_1 & f1=v1_1")
 
 
+def test_a_ladder_session_keeps_a_bounded_number_of_covers():
+    # the benchmark's seed-1 ladder stream: kept without a bound, the covers
+    # and prime descriptions numbered 5,324 after 300 queries, about 20
+    # more with each query
+    rules = parse_rules(gen.ladder_rules(random.Random("1:rules")).text,
+                        parse_tagset_definition(gen.ladder_tagset()))
+    for text in islice(gen.ladder_queries(random.Random("1:stream")), 300):
+        resolve(rules, text)
+    assert len(rules.graph._cover_cache) <= typegraph.MAX_CACHED_COVERS
+
+
+# graphs whose caches are only ever filled under the cap of three below
+EVICTING = {
+    "fixture": lambda: parse_tagset_definition(
+        (FIXTURES / "eagles-en.tagset").read_text()),
+    "ladder 2": lambda: parse_tagset_definition(gen.ladder_tagset(2)),
+    "ladder 3": lambda: parse_tagset_definition(gen.ladder_tagset(3)),
+    "ladder 4": lambda: parse_tagset_definition(gen.ladder_tagset(4)),
+}
+
+
+@cache
+def _evicting_graph(name):
+    return EVICTING[name]()
+
+
+@st.composite
+def _evicting_masks(draw):
+    """A graph's name and a mask: any of ``ladder 2``, whose oracle cover
+    is quick on every mask, or a union of one to three conjunctions of the
+    others, drawn from their candidate tables."""
+    name = draw(st.sampled_from(sorted(EVICTING)))
+    g = _evicting_graph(name)
+    if name == "ladder 2":
+        return name, draw(st.integers(1, g.full_mask))
+    picks = draw(st.lists(st.sampled_from(g.cover_candidates), min_size=1, max_size=3))
+    return name, reduce(or_, (c.mask for c in picks))
+
+
+@given(case=_evicting_masks())
+@example(case=("ladder 2", 8453607))
+@settings(max_examples=150, deadline=None)
+@seed(34)
+def test_cover_is_canonical_when_every_search_evicts(case):
+    # with room for three, every cover search drops the covers and prime
+    # descriptions stored before it, those of its own search among them
+    name, mask = case
+    g = _evicting_graph(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(typegraph, "MAX_CACHED_COVERS", 3)
+        _assert_canonical_cover(g, mask)
+        assert len(g._cover_cache) <= 3
+
+
+def test_threads_sharing_an_evicting_cache_get_the_same_covers(monkeypatch):
+    # six threads cover the same unions of fixture conjunctions on one
+    # graph, each in its own order, with room for three covers and a switch
+    # interval short enough to interleave their stores and evictions
+    source = (FIXTURES / "eagles-en.tagset").read_text()
+    alone = parse_tagset_definition(source)
+    rng = random.Random(34)
+    masks = [reduce(or_, (c.mask for c in rng.sample(alone.cover_candidates, 3)))
+             for _ in range(40)]
+    want = {i: [(c.node, c.atoms, c.mask) for c in minimal_cover(m, alone)]
+            for i, m in enumerate(masks)}
+    monkeypatch.setattr(typegraph, "MAX_CACHED_COVERS", 3)
+    shared, got = parse_tagset_definition(source), {}
+
+    def cover_all(seed):
+        order = random.Random(seed).sample(range(len(masks)), len(masks))
+        got[seed] = {i: [(c.node, c.atoms, c.mask) for c in minimal_cover(masks[i], shared)]
+                     for i in order}
+
+    threads = [threading.Thread(target=cover_all, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {seed: want for seed in range(6)}
+    assert len(shared._cover_cache) <= 3
+
+
 # the graphs whose covers are rendered against the recursive oracle, the
 # guarded chain built only when its example runs
 RENDER_GRAPHS = {
@@ -776,17 +865,49 @@ def test_union_cover_on_deep_chain_is_prompt():
     # every a<i>: a search from the root over the atoms of features homed
     # below it visits every increasing subset of them, about 2**28 states
     depth = 30
-    source = ("tagset chain hierarchy { "
-              + " ".join(f"b{i} a{i} {{" for i in range(1, depth + 1))
-              + " }" * depth + " }\n"
-              + "\n".join(f"feature g{i} for a{i} {{ w{i} }}"
-                          for i in range(1, depth + 1)))
-    g = parse_tagset_definition(source)
+    g = parse_tagset_definition(sibling_chain(depth)[0])
     mask = g.node_mask("b1") | g.node_mask("a30")
     with time_limit(0.25):
         cover = minimal_cover(mask, g)
     assert render_cover(cover) == "pos=b1 | " + " & ".join(
         f"g{i}=w{i}" for i in range(1, depth + 1))
+
+
+def _every_other_leaf(n):
+    """The :func:`sibling_chain` of ``n`` levels and the mask of its leaves
+    ``b1``, ``b3``, ... ``b<n-1>``."""
+    g = parse_tagset_definition(sibling_chain(n)[0])
+    return g, reduce(or_, (g.node_mask(f"b{i}") for i in range(1, n, 2)))
+
+
+def test_cover_of_a_sibling_chain_is_prompt():
+    # each leaf b<i> kept is its own prime: at its parent a<i-1>, the most
+    # specific conjunction holding it holds b<i+1> too, and so does every
+    # one above.  Walking on to the root from each class took 8.3 to 9.7 s
+    # on a shared 2-core VM, stopping at that parent 0.2 s
+    g, mask = _every_other_leaf(1000)
+    with time_limit(0.5):
+        cover = minimal_cover(mask, g)
+    assert [c.mask for c in cover] == [g.node_mask(f"b{i}") for i in range(1, 1000, 2)]
+
+
+def test_a_sibling_chain_cover_walks_linear_work(monkeypatch):
+    # the counter twin of the cover above, at 100, 200 and 400 levels: the
+    # nodes ``_up`` yields, which walking on to the root from each class
+    # made quadratic in the depth
+    cases = [_every_other_leaf(n) for n in (100, 200, 400)]
+    up, counts = TypeGraph._up, []
+
+    def counting(self, node):
+        for ancestor in up(self, node):
+            counts[-1] += 1
+            yield ancestor
+
+    monkeypatch.setattr(TypeGraph, "_up", counting)
+    for g, mask in cases:
+        counts.append(0)
+        minimal_cover(mask, g)
+    assert counts[0] and all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_cover_of_a_guarded_chain_is_prompt():
@@ -954,6 +1075,13 @@ def test_six_thousand_one_value_features_expand_in_linear_time():
             ("a", (("r", "y"), *ones), 1)]
 
 
+def _one_value_chain(n):
+    """``n`` one-value features, each guarded by the one before."""
+    return ("tagset chain\nhierarchy { a }\nfeature f0 for root { v0 }\n"
+            + "".join(f"feature f{i} for root when f{i - 1}=v{i - 1} {{ v{i} }}\n"
+                      for i in range(1, n)))
+
+
 def test_guarded_chain_of_one_value_features_expands_in_linear_time():
     # each of 6,000 one-value features guarded by the one before: copying
     # the partial assignment at every guarded feature took 0.9 to 1.2 s on
@@ -961,10 +1089,7 @@ def test_guarded_chain_of_one_value_features_expands_in_linear_time():
     # already satisfies 23 to 29 ms
     n = 6000
     ones = [(f"f{i}", f"v{i}") for i in range(n)]
-    source = ("tagset chain\nhierarchy { a }\nfeature f0 for root { v0 }\n"
-              + "".join(f"feature f{i} for root when f{i - 1}=v{i - 1} {{ v{i} }}\n"
-                        for i in range(1, n)))
-    g = parse_tagset_definition(source)
+    g = parse_tagset_definition(_one_value_chain(n))
     with time_limit(0.25):
         again = TypeGraph(g.name, {"root": None, "a": "root"}, g.features)
     for graph in (g, again):
@@ -1023,9 +1148,19 @@ def test_a_guarded_chain_spreads_each_atom_once(monkeypatch):
 
 
 def test_guarded_chain_from_a_partial_guard_spreads_linear_work(monkeypatch):
-    # the counter twin of the doubling test above, on the same chains
+    # the counter twin of the doubling test above, on the same chains: no
+    # feature after the first adds a class, so every atom is written one
+    # digit per class and none is spread, where spreading every atom at the
+    # end wrote 2n + 4 digits
     counts = _digits_spread(monkeypatch, [_guarded_chain(n) for n in (1500, 3000, 6000)])
-    assert counts[0] and all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+    assert counts == [0, 0, 0], counts
+
+
+def test_a_chain_of_one_value_features_spreads_no_digit(monkeypatch):
+    # the counter twin of the 6,000-feature chain above: its one class's
+    # atoms are each written as one digit, which spreading every atom at
+    # the end wrote again, 6,000 digits in all
+    assert _digits_spread(monkeypatch, [_one_value_chain(6000)]) == [0]
 
 
 def _held_guards(guarded):
