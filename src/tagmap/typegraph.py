@@ -106,10 +106,11 @@ class TypeGraph:
     its feature wrote.  A class's leaf and assignment are read off them.
 
     Instances are immutable after construction and safe to read from several
-    threads; the only internal mutations are idempotent caches: the minimal
-    covers found, by mask, at most :data:`MAX_CACHED_COVERS` of them, the
-    oldest stored dropped first, and the universe and the candidate table,
-    each built on first read.
+    threads; the only internal mutations are caches: the minimal covers and
+    prime descriptions found, by mask, at most :data:`MAX_CACHED_COVERS` of
+    them, the oldest stored dropped first, and the universe and the
+    candidate table, each built on first read.  A dropped entry is derived
+    again, equal to the one dropped but not the same object.
     ``parents`` maps each hierarchy node to its parent, ``None`` for the
     root, and lists each node after its parent; its order is ``nodes``.
     Build one with :func:`parse_tagset_definition`, not directly.
@@ -147,7 +148,7 @@ class TypeGraph:
             if parent is not None:
                 self._node_mask[parent] |= self._node_mask[node]
         # minimal covers by mask; a prime's is its one description, which
-        # every cover holding the prime shares
+        # the covers found while it is stored share
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = _Bounded()
 
     # -- structure -----------------------------------------------------
@@ -310,6 +311,9 @@ class TypeGraph:
             takes = "1"         # the takers' digits, one untiled "1" when all take f
             if f.conditions:
                 held = [c for c in f.conditions if c in atoms]
+                # the call and the round trip through int are skipped when
+                # not needed: on 6,000 one-value guards, making either one
+                # each time made the expansion a third slower
                 if stale := [c for c in held if len(atoms[c][0]) < n]:
                     forward(stale)
                 takes = atoms[held[0]][0] if len(held) == 1 else format(
