@@ -1,4 +1,9 @@
-"""tagmap: compile tagset mappings and resolve abstract corpus queries."""
+"""tagmap: compile tagset mappings and resolve abstract corpus queries.
+
+The query resolver, :mod:`tagmap.resolver`, is imported on first use: by a
+call of :func:`resolve`, or by reading ``Resolution`` or ``TagPattern`` here
+(PEP 562), so that commands that resolve nothing start without it.
+"""
 
 from .diagnostics import (
     CompileError,
@@ -9,7 +14,6 @@ from .diagnostics import (
 )
 from .maprules import Rule, RuleSet, parse_rules
 from .mtree import MTree, build_mtree, render_explain
-from .resolver import Resolution, TagPattern, resolve
 from .retagger import (
     CorpusToken,
     RetagRecord,
@@ -72,3 +76,20 @@ __all__ = [
     "typecheck",
     "__version__",
 ]
+
+
+def resolve(rules: "RuleSet", query: "TypedSpec | SpecExpr | str") -> "Resolution":
+    """:func:`tagmap.resolver.resolve`, imported when first called.
+
+    A function rather than a lazy name, so that it can be wrapped where it
+    is bound, here and in :mod:`tagmap.cli`, before the resolver is loaded.
+    """
+    from . import resolver
+    return resolver.resolve(rules, query)
+
+
+def __getattr__(name: str):
+    if name in ("Resolution", "TagPattern"):
+        from . import resolver
+        return getattr(resolver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,10 +21,10 @@ import os
 import sys
 from contextlib import nullcontext
 
+from . import resolve
 from .diagnostics import CompileError, Diagnostic
 from .maprules import RuleSet, parse_rules
 from .mtree import build_mtree, render_explain
-from .resolver import resolve
 from .retagger import RetagSummary, retag_lines
 from .typegraph import TypeGraph, parse_tagset_definition
 

@@ -2,16 +2,22 @@
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import gen
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagmap import CompileError, parse_rules, parse_tagset_definition
+import tagmap
+from tagmap import CompileError, compile_spec, parse_rules, parse_tagset_definition
 from tagmap.cli import main
 
 from inputs import guarded_chain
@@ -563,6 +569,64 @@ def test_a_cover_of_200_primes_compiles_back(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == f"W -> {cover} [400 classes]"
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("n, groups", [(75, 74), (76, 75)])
+def test_a_hole_cover_reads_back_in_up_to_74_groups(capsys, tmp_path, n, groups):
+    # each factored group of the printed cover adds a level of | and one of
+    # &, on top of the outer run's two: 74 groups nest 149 levels and read
+    # back in, 75 nest 151, past MAX_SPEC_DEPTH
+    tagset, rules = guarded_chain(n)
+    (tmp_path / "chain.tagset").write_text(tagset)
+    (tmp_path / "chain.rules").write_text(rules)
+    code, _, err = run(capsys, "compile", "--tagset", str(tmp_path / "chain.tagset"),
+                       "--rules", str(tmp_path / "chain.rules"))
+    assert code == 0
+    cover = err.splitlines()[0].split(" reaches ", 1)[1].rsplit(" [", 1)[0]
+    assert cover.count("(") == groups
+    graph = parse_tagset_definition(tagset)
+    if groups > 74:
+        with pytest.raises(CompileError, match="nested deeper than 150 levels"):
+            compile_spec(cover, graph)
+        return
+    covered = reduce(or_, (r.typed.denotation
+                           for r in parse_rules(rules, graph).coverage.values()))
+    assert compile_spec(cover, graph).denotation == graph.full_mask & ~covered
+
+
+_RESOLVER_LOADED = """
+import sys
+from tagmap.cli import main
+main(sys.argv[1:])
+print("resolver loaded:", "tagmap.resolver" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", ["compile", "check", "explain", "retag", "query"])
+def test_only_query_loads_the_resolver(tmp_path, command):
+    # in a fresh interpreter, since this one has imported the resolver
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("The/DT dog/NN\n")
+    extra = {"retag": ["--corpus", str(corpus)], "query": ["-e", "v & vform=fin"]}
+    src = str(Path(tagmap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _RESOLVER_LOADED, command, "--tagset", TAGSET,
+         "--rules", RULES, *extra.get(command, [])],
+        env=env, capture_output=True, text=True, timeout=60)
+    loaded = command == "query"
+    assert done.stderr.splitlines()[-1] == f"resolver loaded: {loaded}", done.stderr
+
+
+def test_the_lazy_names_are_the_resolver_s():
+    from tagmap import Resolution
+    import tagmap.resolver
+    assert Resolution is tagmap.resolver.Resolution
+    assert tagmap.TagPattern is tagmap.resolver.TagPattern
+    assert all(getattr(tagmap, name) is not None for name in tagmap.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tagmap.no_such_name
 
 
 def test_query_strict_ignores_tags_spelled_warn(capsys, tmp_path):

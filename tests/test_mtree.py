@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from tagmap import (
     build_mtree,
     compile_spec,
+    mtree,
     parse_rules,
     parse_tagset_definition,
     render_cover,
@@ -315,3 +316,23 @@ def test_tree_building_is_linear_in_the_number_of_tags():
     ratios = doubling_ratios(build_mtree, [
         parse_rules(positional_rules(6, k), SIX) for k in (3, 4, 5)])
     assert all(r < 5 for r in ratios), ratios
+
+
+def test_tree_building_reads_linear_masks_in_the_number_of_tags(monkeypatch):
+    # the work twin of the test above: the neighbour scan reads each mask
+    # once and once more per pair it tests, where testing every pair would
+    # add n(n - 1)/2 reads
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads[-1] += 1
+            return super().__getitem__(i)
+
+    scan = mtree._meeting_pairs
+    monkeypatch.setattr(mtree, "_meeting_pairs", lambda masks: scan(Counted(masks)))
+    for k in (3, 4, 5):
+        rules = parse_rules(positional_rules(6, k), SIX)
+        reads.append(0)
+        build_mtree(rules)
+    assert all(b / a < 5 for a, b in zip(reads, reads[1:])), reads

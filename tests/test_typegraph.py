@@ -672,6 +672,15 @@ def test_a_ladder_session_keeps_a_bounded_number_of_covers():
     assert len(rules.graph._cover_cache) <= typegraph.MAX_CACHED_COVERS
 
 
+def test_the_cover_cache_keeps_exactly_its_bound():
+    # one store past the bound drops the oldest entry, and only that one
+    cache = typegraph._Bounded()
+    for key in range(typegraph.MAX_CACHED_COVERS + 1):
+        cache[key] = key
+    assert len(cache) == typegraph.MAX_CACHED_COVERS
+    assert 0 not in cache and 1 in cache
+
+
 # graphs whose caches are only ever filled under the cap of three below
 EVICTING = {
     "fixture": lambda: parse_tagset_definition(
