@@ -68,17 +68,17 @@ class Rule:
 class RuleSet:
     """A compiled mapping: inventory, coverage rules and exception lexicon."""
 
-    def __init__(self, name: str, graph: TypeGraph, inventory: tuple[str, ...],
+    def __init__(self, name: str, graph: TypeGraph,
                  coverage: dict[str, Rule], exceptions: tuple[Rule, ...],
                  tag_spans: dict[str, Span],
                  warnings: list[Diagnostic] | None = None,
                  notes: dict[str, str] | None = None) -> None:
         self.name = name
         self.graph = graph
-        self.inventory = inventory
+        self.tag_spans = tag_spans      # each inventory tag's position
+        self.inventory = tuple(tag_spans)
         self.coverage = coverage
         self.exceptions = exceptions
-        self.tag_spans = tag_spans      # each inventory tag's position
         self.warnings = [] if warnings is None else warnings
         self.notes = {} if notes is None else notes     # tag -> note
         self.word_index: dict[tuple[str, str], Rule] = {}
@@ -158,9 +158,9 @@ def parse_rules(source: str, graph: TypeGraph) -> RuleSet:
 
     if any(d.severity == "error" for d in diags):
         raise CompileError(diags + warns)
-    return RuleSet(name=name, graph=graph, inventory=tuple(tags),
-                   coverage=coverage, exceptions=tuple(entries),
-                   tag_spans=tags, warnings=warns, notes=notes)
+    return RuleSet(name=name, graph=graph, coverage=coverage,
+                   exceptions=tuple(entries), tag_spans=tags,
+                   warnings=warns, notes=notes)
 
 
 def _parse_header(c: TokenCursor) -> tuple[str, Span, str]:

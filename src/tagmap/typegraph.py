@@ -39,8 +39,8 @@ ROOT = "root"
 # the most terminal classes a tagset may have; each class costs one digit
 # per atom of its leaf's features, and its bit a place in every mask
 MAX_CLASSES = 1 << 20
-# the most covers and prime descriptions a graph keeps; past it, the oldest
-# stored is dropped, so a long query session holds a bounded number of masks
+# the most minimal covers a graph keeps; past it, the oldest stored is
+# dropped, so a long query session holds a bounded number of masks
 MAX_CACHED_COVERS = 1024
 
 
@@ -106,10 +106,10 @@ class TypeGraph:
     its feature wrote.  A class's leaf and assignment are read off them.
 
     Instances are immutable after construction and safe to read from several
-    threads; the only internal mutations are caches: the minimal covers and
-    prime descriptions found, by mask, at most :data:`MAX_CACHED_COVERS` of
-    them, the oldest stored dropped first, and the universe and the
-    candidate table, each built on first read.  A dropped entry is derived
+    threads; the only internal mutations are caches: the covers
+    :func:`minimal_cover` found, by mask, at most :data:`MAX_CACHED_COVERS`
+    of them, the oldest stored dropped first, and the universe and the
+    candidate table, each built on first read.  A dropped cover is found
     again, equal to the one dropped but not the same object.
     ``parents`` maps each hierarchy node to its parent, ``None`` for the
     root, and lists each node after its parent; its order is ``nodes``.
@@ -147,8 +147,7 @@ class TypeGraph:
             parent = self._parents[node]
             if parent is not None:
                 self._node_mask[parent] |= self._node_mask[node]
-        # minimal covers by mask; a prime's is its one description, which
-        # the covers found while it is stored share
+        # minimal covers by mask, stored and read by minimal_cover alone
         self._cover_cache: dict[int, tuple[CoverNode, ...]] = _Bounded()
 
     # -- structure -----------------------------------------------------
@@ -419,14 +418,10 @@ class TypeGraph:
                     if not am & low:
                         stack.append((m & am, barred))
                         barred |= bit
-        described = []
-        for m in found:
-            if any(m != o and not m & ~o for o in found):
-                continue
-            cover = self._cover_cache.get(m)
-            if cover is None:
-                cover = self._cover_cache[m] = (self.cover_node(m),)
-            described.append(cover[0])
+        # a prime is a conjunction, so its cover is its one node, from the
+        # cache or one closure, without coming back here
+        described = [minimal_cover(m, self)[0] for m in found
+                     if not any(m != o and not m & ~o for o in found)]
         described.sort(key=lambda c: c.sort_key)
         return described
 

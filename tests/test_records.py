@@ -134,10 +134,10 @@ def test_keyword_constructors(rules):
     assert CoverNode("v", (), mask=1).mask == 1
     assert RetagSummary(notes={"NN": "n"}).notes == {"NN": "n"}
     assert RetagSummary().noted == {}
-    copy = RuleSet(name=rules.name, graph=rules.graph,
-                   inventory=rules.inventory, coverage=rules.coverage,
+    copy = RuleSet(name=rules.name, graph=rules.graph, coverage=rules.coverage,
                    exceptions=rules.exceptions, tag_spans=rules.tag_spans)
     assert copy.warnings == [] and copy.notes == {}
+    assert copy.inventory == rules.inventory
     assert copy.word_index == rules.word_index
     assert copy.lookup("NN") is rules.coverage["NN"]
     tree = MTree(rules=copy, assignments={})

@@ -662,9 +662,9 @@ def test_cover_ties_go_to_the_least_sort_keys():
 
 
 def test_a_ladder_session_keeps_a_bounded_number_of_covers():
-    # the benchmark's seed-1 ladder stream: kept without a bound, the covers
-    # and prime descriptions numbered 5,324 after 300 queries, about 20
-    # more with each query
+    # the benchmark's seed-1 ladder stream: kept without a bound, the
+    # covers, each prime's one-node cover among them, numbered 5,324 after
+    # 300 queries, about 20 more with each query
     rules = parse_rules(gen.ladder_rules(random.Random("1:rules")).text,
                         parse_tagset_definition(gen.ladder_tagset()))
     for text in islice(gen.ladder_queries(random.Random("1:stream")), 300):
@@ -679,6 +679,58 @@ def test_the_cover_cache_keeps_exactly_its_bound():
         cache[key] = key
     assert len(cache) == typegraph.MAX_CACHED_COVERS
     assert 0 not in cache and 1 in cache
+
+
+@pytest.mark.parametrize("cap", [typegraph.MAX_CACHED_COVERS, 3])
+def test_a_prime_is_described_by_its_own_minimal_cover(monkeypatch, cap):
+    # the cover cache has one writer: primes_containing describes each prime
+    # by its minimal cover, which a conjunction gets without a prime search
+    monkeypatch.setattr(typegraph, "MAX_CACHED_COVERS", cap)
+    g = parse_tagset_definition(gen.ladder_tagset(2))
+    mask = g.full_mask & ~(1 << 9 | 1 << 12 | 1 << 25)
+    real, searched = TypeGraph.primes_containing, []
+
+    def counting(self, index, target):
+        searched.append(target)
+        return real(self, index, target)
+
+    def no_cover_node(self, m):
+        raise AssertionError("cover_node called")
+
+    monkeypatch.setattr(TypeGraph, "primes_containing", counting)
+    monkeypatch.setattr(TypeGraph, "cover_node", no_cover_node)
+    for index in range(mask.bit_length()):
+        if not mask >> index & 1:
+            continue
+        primes = g.primes_containing(index, mask)
+        del searched[:]
+        # at least the prime described last is still stored; reading a
+        # stored cover drops none
+        cached = [p for p in primes if p.mask in g._cover_cache]
+        assert cached
+        for p in cached:
+            assert minimal_cover(p.mask, g)[0] is p
+        for p in primes:
+            assert minimal_cover(p.mask, g) == (p,)
+        assert searched == []
+
+
+def test_the_cover_search_prunes_covers_no_smaller_than_the_best(monkeypatch):
+    # counter twin of the size bound of minimal_cover's search, which calls
+    # sorted once per complete cover it compares and once at the end: on
+    # this mask it compares 53, and 4,217 with the bound removed
+    g = parse_tagset_definition(gen.ladder_tagset(4))
+    rng = random.Random(1)
+    mask = sum(1 << i for i in range(g.full_mask.bit_length()) if rng.random() < 0.55)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(typegraph, "sorted", counting, raising=False)
+    assert len(minimal_cover(mask, g)) == 65
+    assert len(calls) < 200
 
 
 # graphs whose caches are only ever filled under the cap of three below
@@ -714,8 +766,8 @@ def _evicting_masks(draw):
 @settings(max_examples=150, deadline=None)
 @seed(34)
 def test_cover_is_canonical_when_every_search_evicts(case):
-    # with room for three, every cover search drops the covers and prime
-    # descriptions stored before it, those of its own search among them
+    # with room for three, every cover search drops the covers stored
+    # before it, its own primes' among them
     name, mask = case
     g = _evicting_graph(name)
     with pytest.MonkeyPatch.context() as patch:
