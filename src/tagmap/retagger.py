@@ -15,6 +15,8 @@ and retains no reading.
 """
 from __future__ import annotations
 
+import re
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .diagnostics import Diagnostic, Span, error
@@ -104,25 +106,17 @@ def parse_corpus_line(text: str, lineno: int,
     if fmt != "slash":
         raise ValueError(f"unknown corpus format {fmt!r}")
     tokens = []
-    pieces = text.split()
-    for piece in pieces:
+    for piece in text.split():
         word, sep, tag = piece.rpartition("/")
         if not sep or not word or not tag:
+            # str.split() and \S share one blank test (str.isspace), so the
+            # piece is the match after the tokens read so far
+            found = next(islice(re.finditer(r"\S+", text), len(tokens), None))
             return error("malformed-token",
                          f"token {piece!r} has no word/TAG split",
-                         Span(lineno, _column(text, pieces[:len(tokens) + 1])))
+                         Span(lineno, found.start() + 1))
         tokens.append(CorpusToken(word, tag, lineno))
     return tokens
-
-
-def _column(text: str, pieces: list[str]) -> int:
-    """Column of the last of ``pieces``, the first pieces of ``text.split()``;
-    each is searched for from the end of the one before."""
-    end = 0
-    for piece in pieces:
-        start = text.find(piece, end)
-        end = start + len(piece)
-    return start + 1
 
 
 def retag_token(rules: RuleSet, token: CorpusToken) -> RetagRecord:

@@ -45,11 +45,13 @@ def doubling_ratios(run, inputs, repeats=5):
     k when ``run`` is linear in the size, about k squared when it is
     quadratic (2 and 4 when each input is twice the last).
 
-    Each round runs every input once, and each size keeps its fastest run,
-    so that a spell of load on the machine has to slow every run of one
-    size to tip a ratio.  The collector is off while timing, so that its
-    passes over the objects of earlier tests do not land inside one size
-    and not another.
+    Each run is timed by this process's CPU time, not the wall clock, so
+    that the time its core spends on other jobs is not counted.  Each round
+    runs every input once, and each size keeps its fastest run, so that
+    what load still costs (a cold cache after a switch) has to slow every
+    run of one size to tip a ratio.  The collector is off while timing, so
+    that its passes over the objects of earlier tests do not land inside
+    one size and not another.
     """
     times: list[list[float]] = [[] for _ in inputs]
     gc.collect()
@@ -57,9 +59,9 @@ def doubling_ratios(run, inputs, repeats=5):
     try:
         for _ in range(repeats):
             for item, taken in zip(inputs, times):
-                start = time.perf_counter()
+                start = time.process_time()
                 run(item)
-                taken.append(time.perf_counter() - start)
+                taken.append(time.process_time() - start)
     finally:
         gc.enable()
     least = [min(taken) for taken in times]

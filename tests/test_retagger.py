@@ -1,8 +1,10 @@
 """Corpus retagging against the compiled rule set."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tagmap import (
     CorpusToken,
@@ -45,6 +47,47 @@ def test_malformed_token_column(line, column):
     d = parse_corpus_line(line, 3)
     assert d.kind == "malformed-token"
     assert (d.span.line, d.span.column) == (3, column)
+
+
+BLANKS = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_ink = st.one_of(st.sampled_from("ab/N"),
+                 st.characters().filter(lambda c: not c.isspace()))
+
+
+def _blanks(min_size):
+    return st.text(st.sampled_from(BLANKS), min_size=min_size, max_size=3)
+
+
+@st.composite
+def _slash_lines(draw):
+    """A line's pieces, some with no word/TAG split, and the line itself:
+    the pieces joined by runs of any ``str.isspace`` characters."""
+    pieces = draw(st.lists(st.text(_ink, min_size=1, max_size=6),
+                           min_size=1, max_size=8))
+    gaps = [draw(_blanks(0))] + [draw(_blanks(1)) for _ in pieces[1:]]
+    return pieces, "".join(g + p for g, p in zip(gaps, pieces)) + draw(_blanks(0))
+
+
+def _run_starts(text):
+    """Where each run of non-blank characters in ``text`` starts."""
+    return [i for i, c in enumerate(text)
+            if not c.isspace() and (i == 0 or text[i - 1].isspace())]
+
+
+@settings(max_examples=300, deadline=None)
+@example((["x/NN", "x"], "\x1cx/NN\x85\xa0x\u3000"))
+@given(_slash_lines())
+def test_a_malformed_token_s_column_starts_its_run_of_non_blanks(drawn):
+    pieces, text = drawn
+    parsed = parse_corpus_line(text, 3)
+    bad = [k for k, piece in enumerate(pieces)
+           if not all(piece.rpartition("/"))]
+    if not bad:
+        assert [f"{t.word}/{t.tag}" for t in parsed] == pieces
+        return
+    assert parsed.kind == "malformed-token"
+    assert (parsed.span.line, parsed.span.column) == (
+        3, _run_starts(text)[bad[0]] + 1)
 
 
 def test_blank_lines_produce_nothing():
